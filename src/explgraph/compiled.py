@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import per_instance_memo
+
 NEG_INF = float("-inf")
 
 
@@ -89,6 +91,7 @@ class CompiledGraph:
         spart_mult: list[int] = []
         sel_index: dict[tuple[int, int], int] = {}
         levels: list[_Level] = []
+        slot_of = per_instance_memo(self.layout.slot)
 
         for goals in goals_by_level:
             body_lo = len(body_head)
@@ -111,7 +114,7 @@ class CompiledGraph:
                     body_scount.append(len(body.instances))
                     for inst in body.instances:
                         spart_body.append(bid)
-                        spart_slot.append(self.layout.slot(inst.switch, inst.value))
+                        spart_slot.append(slot_of(inst))
                         spart_mult.append(inst.mult)
             levels.append(
                 _Level(
@@ -246,18 +249,61 @@ class CompiledGraph:
         expl: list[tuple] = [()] * self.n_goals
         for lv in self.levels:
             for g in lv.goals:
-                b = int(sel[g])
-                counts: dict[int, int] = {}
-                c0 = int(self.body_cstart[b])
-                for k in range(c0, c0 + int(self.body_ccount[b])):
-                    for slot, m in expl[int(self.cpart_child[k])]:
-                        counts[slot] = counts.get(slot, 0) + m
-                s0 = int(self.body_sstart[b])
-                for k in range(s0, s0 + int(self.body_scount[b])):
-                    slot = int(self.spart_slot[k])
-                    counts[slot] = counts.get(slot, 0) + int(self.spart_mult[k])
-                expl[int(g)] = tuple(sorted(counts.items()))
+                expl[int(g)] = self._merge_selected(int(sel[g]), expl)
         return expl
+
+    def selected_explanations(self, sel: np.ndarray, goals) -> dict[int, tuple]:
+        """The multisets of :meth:`selected_explanations_pass` for ``goals`` only.
+
+        Walks just the selected sub-DAGs below ``goals``, so the cost is
+        their size rather than the graph's.
+        """
+        below: set[int] = set()
+        stack = [int(g) for g in goals]
+        while stack:
+            g = stack.pop()
+            if g in below:
+                continue
+            below.add(g)
+            b = int(sel[g])
+            c0 = int(self.body_cstart[b])
+            stack.extend(self.cpart_child[c0 : c0 + int(self.body_ccount[b])].tolist())
+        expl: dict[int, tuple] = {}
+        for g in sorted(below, key=self.level.__getitem__):
+            expl[g] = self._merge_selected(int(sel[g]), expl)
+        return {int(g): expl[int(g)] for g in goals}
+
+    def _merge_selected(self, b: int, expl) -> tuple:
+        """Canonical (slot, count) multiset of body ``b`` given its children's."""
+        counts: dict[int, int] = {}
+        c0 = int(self.body_cstart[b])
+        for k in range(c0, c0 + int(self.body_ccount[b])):
+            for slot, m in expl[int(self.cpart_child[k])]:
+                counts[slot] = counts.get(slot, 0) + m
+        s0 = int(self.body_sstart[b])
+        for k in range(s0, s0 + int(self.body_scount[b])):
+            slot = int(self.spart_slot[k])
+            counts[slot] = counts.get(slot, 0) + int(self.spart_mult[k])
+        return tuple(sorted(counts.items()))
+
+    def changed_derivations(self, sel: np.ndarray, prev_sel: np.ndarray) -> np.ndarray:
+        """Per goal, whether its selected derivation differs between two selections.
+
+        A goal's derivation changed when its own selected body changed or
+        when a subgoal of its (unchanged) selected body changed; the flag
+        is propagated bottom-up one level at a time.
+        """
+        changed = sel != prev_sel
+        for lv in self.levels:
+            bs = sel[lv.goals]
+            ccnt = self.body_ccount[bs]
+            if not ccnt.any():
+                continue
+            idx = _repeat_ranges(self.body_cstart[bs], ccnt)
+            owner = np.repeat(np.arange(len(bs), dtype=np.int64), ccnt)
+            hits = np.bincount(owner, weights=changed[self.cpart_child[idx]], minlength=len(bs))
+            changed[lv.goals] |= hits > 0
+        return changed
 
     def selected_counts_pass(
         self, sel: np.ndarray, seeds: np.ndarray

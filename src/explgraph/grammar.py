@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import sys
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -320,66 +322,152 @@ def _declare_pcfg_switches(builder: GraphBuilder, grammar: Grammar) -> None:
         builder.declare_switch(a, rhss)
 
 
-def _compile_pcfg_into(
-    builder: GraphBuilder, grammar: Grammar, tokens: tuple[str, ...], ns: str
-) -> GoalId:
-    n = len(tokens)
-    nts = grammar.nonterminals
+class _SymbolBits:
+    """Bit-per-symbol tables for bitmask CKY over one grammar.
 
-    span_ok: set[tuple[str, int, int]] = set()
-    dot_ok: set[tuple[int, int, int, int]] = set()
+    Every nonterminal, every terminal and every dotted prefix ``(rule, t)``
+    (the first ``t`` symbols of a rule longer than ``t``, for ``t >= 2``:
+    the grammar's implicit binarisation) owns one bit, so a chart cell is
+    one int.  ``pairs`` lists the binary steps (left bit, right bit,
+    parent bit) and ``units`` the unit rules (child bit, parent bit).  The
+    step functions are memoised per cell mask; built once per compile
+    call, the memos serve every sentence of a corpus.
+    """
 
-    def sym_ok(s: str, i: int, j: int) -> bool:
-        if s in nts:
-            return (s, i, j) in span_ok
-        return j == i + 1 and tokens[i] == s
+    def __init__(self, grammar: Grammar):
+        self.bit: dict = {}
+        for s in sorted(grammar.nonterminals) + sorted(grammar.terminals):
+            self.bit[s] = len(self.bit)
+        for ridx, rule in enumerate(grammar.rules):
+            for t in range(2, len(rule.rhs)):
+                self.bit[(ridx, t)] = len(self.bit)
+        self.pairs: list[tuple[int, int, int]] = []
+        self.units: list[tuple[int, int]] = []
+        for ridx, rule in enumerate(grammar.rules):
+            rhs, m = rule.rhs, len(rule.rhs)
+            if m == 1:
+                self.units.append((self.bit[rhs[0]], self.bit[rule.lhs]))
+                continue
+            left = self.bit[rhs[0]]
+            for t in range(2, m + 1):
+                parent = self.bit[rule.lhs] if t == m else self.bit[(ridx, t)]
+                self.pairs.append((left, self.bit[rhs[t - 1]], parent))
+                left = parent
+        self._up: dict[tuple[int, int], int] = {}
+        self._close: dict[int, int] = {}
+        self._down: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._close_down: dict[tuple[int, int], int] = {}
 
-    for w in range(1, n + 1):
-        for i in range(0, n - w + 1):
-            j = i + w
-            # dotted prefixes only touch strictly narrower spans
-            for ridx, rule in enumerate(grammar.rules):
-                for t in range(2, len(rule.rhs)):
-                    if j - i < t:
-                        continue
-                    for k in range(i + t - 1, j):
-                        prev = (
-                            sym_ok(rule.rhs[0], i, k)
-                            if t == 2
-                            else (ridx, t - 1, i, k) in dot_ok
-                        )
-                        if prev and sym_ok(rule.rhs[t - 1], k, j):
-                            dot_ok.add((ridx, t, i, j))
-                            break
-            # spans may chain through unit rules inside one width
+    def combine(self, left: int, right: int) -> int:
+        """Parent bits of every binary step over a (left, right) cell pair."""
+        key = (left, right)
+        out = self._up.get(key)
+        if out is None:
+            out = 0
+            for lb, rb, pb in self.pairs:
+                if left >> lb & 1 and right >> rb & 1:
+                    out |= 1 << pb
+            self._up[key] = out
+        return out
+
+    def close(self, mask: int) -> int:
+        """``mask`` plus every nonterminal it derives through unit rules."""
+        out = self._close.get(mask)
+        if out is None:
+            out = mask
             changed = True
             while changed:
                 changed = False
-                for a in nts:
-                    if (a, i, j) in span_ok:
-                        continue
-                    for ridx in grammar.rules_for[a]:
-                        rhs = grammar.rules[ridx].rhs
-                        m = len(rhs)
-                        if m == 1:
-                            ok = sym_ok(rhs[0], i, j)
-                        elif m == 2:
-                            ok = any(
-                                sym_ok(rhs[0], i, k) and sym_ok(rhs[1], k, j)
-                                for k in range(i + 1, j)
-                            )
-                        else:
-                            ok = any(
-                                (ridx, m - 1, i, k) in dot_ok and sym_ok(rhs[m - 1], k, j)
-                                for k in range(i + m - 1, j)
-                            )
-                        if ok:
-                            span_ok.add((a, i, j))
-                            changed = True
-                            break
+                for cb, pb in self.units:
+                    if out >> cb & 1 and not out >> pb & 1:
+                        out |= 1 << pb
+                        changed = True
+            self._close[mask] = out
+        return out
 
-    if (grammar.start, 0, n) not in span_ok:
+    def close_down(self, need: int, cell: int) -> int:
+        """``need`` plus the unit-rule children in ``cell`` that it uses."""
+        key = (need, cell)
+        out = self._close_down.get(key)
+        if out is None:
+            out = need
+            changed = True
+            while changed:
+                changed = False
+                for cb, pb in self.units:
+                    if out >> pb & 1 and cell >> cb & 1 and not out >> cb & 1:
+                        out |= 1 << cb
+                        changed = True
+            self._close_down[key] = out
+        return out
+
+    def split_needs(self, need: int, left: int, right: int) -> tuple[int, int]:
+        """Left and right bits that binary steps into ``need`` use at one split."""
+        key = (need, left, right)
+        out = self._down.get(key)
+        if out is None:
+            lo = ro = 0
+            for lb, rb, pb in self.pairs:
+                if need >> pb & 1 and left >> lb & 1 and right >> rb & 1:
+                    lo |= 1 << lb
+                    ro |= 1 << rb
+            out = self._down[key] = (lo, ro)
+        return out
+
+
+def _pcfg_reachable_chart(bits: _SymbolBits, start: str, tokens: tuple[str, ...]) -> list[list[int]]:
+    """Per span, the bits of the chart goals reachable from ``(start, 0, n)``.
+
+    Bottom-up CKY recognition over per-span masks, then a top-down sweep
+    from the full span that keeps only the symbols some derivation of the
+    sentence uses.  ``reach[i][j]`` is the mask of span ``(i, j)``.
+    """
+    n = len(tokens)
+    chart = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, tok in enumerate(tokens):
+        chart[i][i + 1] = bits.close(1 << bits.bit[tok])
+    for w in range(2, n + 1):
+        for i in range(0, n - w + 1):
+            j = i + w
+            row = chart[i]
+            acc = 0
+            for k in range(i + 1, j):
+                left, right = row[k], chart[k][j]
+                if left and right:
+                    acc |= bits.combine(left, right)
+            row[j] = bits.close(acc) if acc else 0
+    if not chart[0][n] >> bits.bit[start] & 1:
         raise Unparseable(f"no derivation of: {' '.join(tokens)}")
+
+    reach = [[0] * (n + 1) for _ in range(n + 1)]
+    reach[0][n] = 1 << bits.bit[start]
+    for w in range(n, 0, -1):
+        for i in range(0, n - w + 1):
+            j = i + w
+            if not reach[i][j]:
+                continue
+            need = reach[i][j] = bits.close_down(reach[i][j], chart[i][j])
+            row, rrow = chart[i], reach[i]
+            for k in range(i + 1, j):
+                left, right = row[k], chart[k][j]
+                if left and right:
+                    lo, ro = bits.split_needs(need, left, right)
+                    rrow[k] |= lo
+                    reach[k][j] |= ro
+    return reach
+
+
+def _compile_pcfg_into(
+    builder: GraphBuilder,
+    grammar: Grammar,
+    tokens: tuple[str, ...],
+    ns: str,
+    bits: _SymbolBits,
+) -> GoalId:
+    n = len(tokens)
+    nts = grammar.nonterminals
+    reach = _pcfg_reachable_chart(bits, grammar.start, tokens)
+    bit = bits.bit
 
     _declare_pcfg_switches(builder, grammar)
 
@@ -389,10 +477,13 @@ def _compile_pcfg_into(
     def dot_goal(ridx: int, t: int, i: int, j: int) -> GoalId:
         return builder.goal(f"{ns}dot({ridx},{t},{i},{j})")
 
+    def dot_kept(ridx: int, t: int, i: int, j: int) -> bool:
+        return bool(reach[i][j] >> bit[(ridx, t)] & 1)
+
     def sym_subgoals(s: str, i: int, j: int) -> Optional[list[GoalId]]:
         """Subgoal list covering one symbol, or None when it cannot."""
         if s in nts:
-            return [span_goal(s, i, j)] if (s, i, j) in span_ok else None
+            return [span_goal(s, i, j)] if reach[i][j] >> bit[s] & 1 else None
         return [] if (j == i + 1 and tokens[i] == s) else None
 
     built_dots: set[tuple[int, int, int, int]] = set()
@@ -412,16 +503,19 @@ def _compile_pcfg_into(
                 first = sym_subgoals(rhs[0], i, k)
                 if first is not None:
                     builder.add_body(gid, first + last)
-            elif (ridx, t - 1, i, k) in dot_ok:
+            elif dot_kept(ridx, t - 1, i, k):
                 builder.add_body(gid, [build_dot(ridx, t - 1, i, k)] + last)
         return gid
 
     # goals bottom-up by width so subgoals exist before references
+    order = sorted(nts)
     for w in range(1, n + 1):
         for i in range(0, n - w + 1):
             j = i + w
-            for a in sorted(nts):
-                if (a, i, j) not in span_ok:
+            if not reach[i][j]:
+                continue
+            for a in order:
+                if not reach[i][j] >> bit[a] & 1:
                     continue
                 gid = span_goal(a, i, j)
                 for ridx in grammar.rules_for[a]:
@@ -440,7 +534,7 @@ def _compile_pcfg_into(
                                 builder.add_body(gid, left + right, inst)
                     else:
                         for k in range(i + m - 1, j):
-                            if (ridx, m - 1, i, k) not in dot_ok:
+                            if not dot_kept(ridx, m - 1, i, k):
                                 continue
                             last = sym_subgoals(rhs[m - 1], k, j)
                             if last is not None:
@@ -454,7 +548,7 @@ def compile_pcfg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:
     """Chart-style explanation graph for one sentence, root = full span."""
     tokens = _check_sentence(grammar, sentence)
     builder = GraphBuilder()
-    root = _compile_pcfg_into(builder, grammar, tokens, "")
+    root = _compile_pcfg_into(builder, grammar, tokens, "", _SymbolBits(grammar))
     builder.add_root(root)
     return builder.build()
 
@@ -478,7 +572,8 @@ def compile_pcfg_corpus(
     grammar: Grammar, sentences: Iterable[Sequence[str]]
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """One shared graph for a corpus; repeated sentences share their chart."""
-    return _compile_corpus(_compile_pcfg_into, grammar, sentences)
+    bits = _SymbolBits(grammar)
+    return _compile_corpus(partial(_compile_pcfg_into, bits=bits), grammar, sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -914,33 +1009,38 @@ def gen_corpus(
     rejection rate exceeds 99%.
     """
     rng = np.random.default_rng(seed)
+    # plain float lists: bisect_right compares the same float64 values as
+    # np.searchsorted(side="right") without a numpy call per draw
     cum = {
-        a: np.cumsum(theta.vector(a, len(grammar.rules_for[a])))
+        a: np.cumsum(theta.vector(a, len(grammar.rules_for[a]))).tolist()
         for a in grammar.rules_for
     }
+    nts = grammar.nonterminals
 
     class TooDeep(Exception):
         pass
 
-    def sample(a: str, depth: int) -> ParseTree:
+    def sample(a: str, depth: int, tokens: list[str]) -> ParseTree:
         if depth >= max_depth:
             raise TooDeep()
-        pick = min(int(np.searchsorted(cum[a], rng.random(), side="right")), len(cum[a]) - 1)
+        pick = min(bisect_right(cum[a], rng.random()), len(cum[a]) - 1)
         ridx = grammar.rules_for[a][pick]
         kids = []
         for s in grammar.rules[ridx].rhs:
-            if s in grammar.nonterminals:
-                kids.append(sample(s, depth + 1))
+            if s in nts:
+                kids.append(sample(s, depth + 1, tokens))
             else:
                 kids.append(s)
+                tokens.append(s)
         return ParseTree(a, tuple(kids))
 
     samples: list[tuple[list[str], ParseTree]] = []
     rejected = attempted = 0
     while len(samples) < n:
         attempted += 1
+        tokens: list[str] = []
         try:
-            tree = sample(grammar.start, 0)
+            tree = sample(grammar.start, 0, tokens)
         except TooDeep:
             rejected += 1
             if attempted >= 100 and rejected / attempted > 0.99:
@@ -948,7 +1048,7 @@ def gen_corpus(
                     f"rejected {rejected} of {attempted} draws at max_depth={max_depth}"
                 ) from None
             continue
-        samples.append((tree.tokens(), tree))
+        samples.append((tokens, tree))
     return CorpusSample(samples, rejected, attempted)
 
 

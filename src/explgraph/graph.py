@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import (
     CyclicGraph,
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 GoalId = int
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -316,6 +317,30 @@ class GraphBuilder:
         return graph
 
 
+def per_instance_memo(fn: Callable[[TermLike, TermLike], T]) -> Callable[[SwitchInstance], T]:
+    """``fn(switch, value)`` of an instance, computed once per distinct pair.
+
+    The key holds each term's type next to its value, so ``1``, ``1.0``
+    and ``True`` stay apart even though they compare equal; inside a
+    tuple or compound term equal parts are one key, as they already are
+    for :meth:`SwitchDecl.value_index`.  An unhashable term is passed
+    through uncached.
+    """
+    memo: dict = {}
+
+    def call(inst: SwitchInstance) -> T:
+        key = (type(inst.switch), inst.switch, type(inst.value), inst.value)
+        try:
+            known = key in memo
+        except TypeError:
+            return fn(inst.switch, inst.value)
+        if not known:
+            memo[key] = fn(inst.switch, inst.value)
+        return memo[key]
+
+    return call
+
+
 def validate_graph(graph: ExplanationGraph) -> list[GoalId]:
     """Check structural invariants and compute a bottom-up topological order.
 
@@ -328,6 +353,7 @@ def validate_graph(graph: ExplanationGraph) -> list[GoalId]:
         return graph.topo_order
 
     n = graph.n_goals
+    check = per_instance_memo(lambda s, v: graph.switch_decl(s).value_index(v))
     for f in graph.formulas:
         for body in f.bodies:
             for sub in body.subgoals:
@@ -336,42 +362,39 @@ def validate_graph(graph: ExplanationGraph) -> list[GoalId]:
                         f"goal {graph.labels[f.head]} references missing goal id {sub}"
                     )
             for inst in body.instances:
-                decl = graph.switch_decl(inst.switch)
-                decl.value_index(inst.value)
+                check(inst)
 
-    # Iterative DFS with cycle witness.
+    def children(goal: GoalId) -> list[GoalId]:
+        return [s for b in graph.formulas[goal].bodies for s in b.subgoals]
+
+    # Iterative DFS with cycle witness; each frame is [goal, children, next].
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * n
     order: list[GoalId] = []
     for start in range(n):
         if color[start] != WHITE:
             continue
-        stack: list[tuple[GoalId, int]] = [(start, 0)]
-        path = [start]
+        stack: list[list] = [[start, children(start), 0]]
         color[start] = GRAY
         while stack:
-            goal, child_pos = stack[-1]
-            children = [
-                s for b in graph.formulas[goal].bodies for s in b.subgoals
-            ]
-            if child_pos < len(children):
-                stack[-1] = (goal, child_pos + 1)
-                child = children[child_pos]
+            frame = stack[-1]
+            goal, kids, pos = frame
+            if pos < len(kids):
+                frame[2] = pos + 1
+                child = kids[pos]
                 if color[child] == GRAY:
-                    cycle_start = path.index(child)
-                    cycle = [graph.labels[g] for g in path[cycle_start:]] + [
+                    path = [fr[0] for fr in stack]
+                    cycle = [graph.labels[g] for g in path[path.index(child):]] + [
                         graph.labels[child]
                     ]
                     raise CyclicGraph(cycle)
                 if color[child] == WHITE:
                     color[child] = GRAY
-                    stack.append((child, 0))
-                    path.append(child)
+                    stack.append([child, children(child), 0])
             else:
                 color[goal] = BLACK
                 order.append(goal)
                 stack.pop()
-                path.pop()
 
     graph.topo_order = order
     return order

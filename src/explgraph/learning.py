@@ -256,15 +256,15 @@ def vt_learn(
     delta = config.delta_flat(graph)
     seeds_f = seeds.astype(float)
     observed = np.nonzero(seeds)[0]
+    final_sel: dict[int, np.ndarray] = {}
 
     def run(restart: int) -> LearnReport:
         theta = _initial_theta(graph, config, restart)
         trace: list[float] = []
         degenerate: list[str] = []
-        prev_key = None
+        prev = None
         converged = False
         iterations = 0
-        expl = None
         for it in range(1, config.max_iter + 1):
             iterations = it
             with np.errstate(divide="ignore"):
@@ -276,25 +276,20 @@ def vt_learn(
                     f"every explanation of goal {graph.labels[int(bad[0])]} "
                     "has probability 0"
                 )
-            expl = comp.selected_explanations_pass(sel)
             trace.append(_obs_total(seeds_f, best) + _prior_term(delta, log_theta))
-            key = tuple(expl[g] for g in observed)
-            if key == prev_key:
+            # integer counts, so the update does not depend on summation order
+            eta, use = comp.selected_counts_pass(sel, seeds)
+            if prev is not None and _same_explanations(comp, observed, *prev, sel, eta, use):
                 converged = True
                 break
-            prev_key = key
-            eta = np.zeros(layout.n_slots)
-            for g in observed:
-                for slot, m in expl[g]:
-                    eta[slot] += m * seeds[g]
+            prev = (sel, eta)
             theta, degenerate = layout.normalize(eta + delta)
         if not converged:
             # keep the reported explanations consistent with final_theta
             with np.errstate(divide="ignore"):
                 _, sel = comp.viterbi_pass(np.log(theta))
-            expl = comp.selected_explanations_pass(sel)
+        final_sel[restart] = sel
         _warn_degenerate(graph, degenerate)
-        per_goal = [_explanation_from_slots(layout, expl[int(g)]) for g in goals]
         return LearnReport(
             method="vt",
             final_theta=ParameterTable.from_flat(layout, theta),
@@ -302,11 +297,35 @@ def vt_learn(
             iterations=iterations,
             converged=converged,
             termination="fixed_point" if converged else "max_iter",
-            per_goal_viterbi=per_goal,
             degenerate_switches=degenerate,
         )
 
-    return _best_restart(run, config)
+    report = _best_restart(run, config)
+    expl = comp.selected_explanations(final_sel[report.best_restart_index], observed)
+    per_goal = {g: _explanation_from_slots(layout, items) for g, items in expl.items()}
+    report.per_goal_viterbi = [per_goal[int(g)] for g in goals]
+    return report
+
+
+def _same_explanations(comp, observed, prev_sel, prev_eta, sel, eta, use) -> bool:
+    """Whether two VT passes selected the same multiset for every observed goal.
+
+    Each pass is given by its selected bodies and its switch counts (from
+    ``selected_counts_pass``); ``use`` is the current pass's per-goal use
+    count.  Cheap tests decide the common cases: an unchanged selection on
+    every goal the current derivations use means identical derivations,
+    and different aggregate counts mean some observed multiset differs.
+    In the remaining tie case only the observed goals whose derivation
+    changed are compared multiset by multiset.
+    """
+    if np.array_equal(sel[use > 0], prev_sel[use > 0]):
+        return True
+    if not np.array_equal(eta, prev_eta):
+        return False
+    changed = observed[comp.changed_derivations(sel, prev_sel)[observed]]
+    return comp.selected_explanations(sel, changed) == comp.selected_explanations(
+        prev_sel, changed
+    )
 
 
 def learn(graph, goals, config: LearnConfig) -> LearnReport:

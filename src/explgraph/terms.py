@@ -10,6 +10,7 @@ sort key and as the on-disk representation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -20,6 +21,9 @@ __all__ = ["Term", "TermLike", "render_term", "parse_term", "check_symbol"]
 # Characters with structural meaning in rendered terms and in the
 # line-oriented file formats; they may not occur inside a symbol.
 _RESERVED = set("()[],#|=*:'\"")
+# Matches any whitespace (``\s`` is ``str.isspace`` for str patterns) or
+# reserved character: the characters a symbol may not contain.
+_FORBIDDEN = re.compile("[\\s" + re.escape("".join(sorted(_RESERVED))) + "]")
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ def check_symbol(symbol: str) -> str:
     """
     if not isinstance(symbol, str) or not symbol:
         raise TermSyntaxError(f"invalid symbol: {symbol!r}")
-    if any(c.isspace() or c in _RESERVED for c in symbol):
+    if _FORBIDDEN.search(symbol):
         raise TermSyntaxError(f"symbol contains reserved character: {symbol!r}")
     if symbol.lstrip("-").isdigit():
         raise TermSyntaxError(f"symbol looks like an integer: {symbol!r}")

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +28,13 @@ from explgraph.grammar import (
 )
 from explgraph.graph import enumerate_explanations, explanation_prob
 from explgraph.inference import goal_prob, viterbi
+from explgraph.io import load_grammar
 from explgraph.learning import LearnConfig, em_map_learn, vt_learn
 from explgraph.tables import ParameterTable, PseudoCountTable
 
 from conftest import toy_grammar
+
+DEMO20 = Path(__file__).resolve().parent.parent / "data" / "demo20.grammar"
 
 
 def all_parses(grammar, tokens):
@@ -180,6 +185,29 @@ def test_pcfg_corpus_shares_repeated_sentences(grammar):
     assert goals[0] == goals[2] != goals[1]
     theta = grammar.pcfg_parameter_table()
     assert goal_prob(graph, goals[0], theta) == pytest.approx(0.3, rel=1e-12)
+
+
+def _reachable_from_roots(graph):
+    seen, stack = set(), list(graph.roots)
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            stack.extend(s for b in graph.formulas[g].bodies for s in b.subgoals)
+    return seen
+
+
+def test_pcfg_compiles_only_goals_reachable_from_a_root(grammar):
+    demo20 = load_grammar(DEMO20)
+    sentences = gen_corpus(demo20, demo20.pcfg_parameter_table(), 60, seed=4).sentences()
+    singles = [(grammar, ["b", "a", "b", "a"]), (np_vp_grammar(), ["noun", "verb", "noun", "prep"])]
+    singles += [(demo20, s) for s in sentences[:10]]
+    for gram, tokens in singles:
+        g = compile_pcfg(gram, tokens)
+        assert len(_reachable_from_roots(g)) == g.n_goals, tokens
+    graph, goals = compile_pcfg_corpus(demo20, sentences)
+    assert set(graph.roots) == set(goals)
+    assert len(_reachable_from_roots(graph)) == graph.n_goals
 
 
 def test_pcfg_ternary_rule_uses_dotted_goals():
@@ -496,6 +524,22 @@ def test_gen_corpus_same_seed_identical(grammar):
     assert s1.samples != s3.samples
 
 
+def test_gen_corpus_pinned_samples():
+    # pins taken from the numpy-searchsorted sampler this one replaced
+    demo20 = load_grammar(DEMO20)
+    theta = demo20.pcfg_parameter_table()
+    pins = [
+        ((200, 1, 20), "cbd0f90e9e3b171b023879e0bdd294e63acce08ea53ad2ec674349bbd0a1e7ad", 0, 200),
+        ((300, 5, 10), "c30ffc63635b542e89fe89203fcbd1a8befeca8f00273ef4fca6ecab8df06142", 6, 306),
+    ]
+    for (n, seed, max_depth), digest, rejected, attempted in pins:
+        sample = gen_corpus(demo20, theta, n, seed=seed, max_depth=max_depth)
+        text = "\n".join(t.render() for t in sample.trees())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert (sample.rejected, sample.attempted) == (rejected, attempted)
+        assert all(tokens == tree.tokens() for tokens, tree in sample.samples)
+
+
 def test_gen_corpus_vanishing_acceptance():
     grammar = Grammar("S", [CFGRule("S", ("S", "S")), CFGRule("S", ("a",))], [0.99, 0.01])
     with pytest.raises(VanishingAcceptance):
@@ -574,3 +618,51 @@ def test_tree_goals_learning_agrees_with_counting(grammar):
     em = em_map_learn(graph, goals, LearnConfig(method="em"))
     want0 = count_ml(grammar, trees)
     assert np.max(np.abs(em.final_theta.vector("S") - want0.vector("S"))) < 1e-15
+
+
+# -- corpus learning ---------------------------------------------------------------
+
+# Final parameters on the demo20 N=200 corpus (seed 1), as hex floats.  They
+# were taken from the compiler that emitted every recognised chart goal;
+# emitting only the reachable ones must reproduce them bit for bit.
+DEMO20_VT_THETA = {
+    "N": ["0x1.563c8039cab92p-1", "0x1.5723ab1e401cep-3", "0x1.4fea53fa94feap-3"],
+    "NP": [
+        "0x1.0fc3f0fc3f0fcp-2", "0x1.00c0300c0300cp-2", "0x1.4751d4751d475p-3",
+        "0x1.8c6318c6318c6p-4", "0x1.6b5ad6b5ad6b6p-3", "0x1.9866198661986p-5",
+    ],
+    "PP": ["0x1.0000000000000p+0"],
+    "S": ["0x1.69b02593f69b0p-1", "0x1.8a919d5b98a92p-3", "0x1.9d5b98a919d5cp-4"],
+    "VP": [
+        "0x1.e79e79e79e79ep-3", "0x1.2b12b12b12b13p-2", "0x1.4514514514514p-3",
+        "0x1.a01a01a01a01ap-7", "0x1.1e11e11e11e12p-3", "0x1.5f15f15f15f16p-4",
+        "0x1.2b12b12b12b13p-4",
+    ],
+}
+DEMO20_EM_THETA = {
+    "N": ["0x1.373e36c2097c8p-1", "0x1.f404d1dc2216fp-3", "0x1.2f02531bb7f73p-3"],
+    "NP": [
+        "0x1.65e720ddc83fcp-2", "0x1.ffaf4326110e3p-3", "0x1.4511fa788f5a6p-3",
+        "0x1.a1e3fc30a0812p-4", "0x1.765596b4def76p-4", "0x1.8d4edccc3d6e4p-5",
+    ],
+    "PP": ["0x1.0000000000000p+0"],
+    "S": ["0x1.6b74f0329161fp-1", "0x1.87e6b74f03292p-3", "0x1.948b0fcd6e9e0p-4"],
+    "VP": [
+        "0x1.f4ad65ffe89d5p-3", "0x1.58917c68d294ep-2", "0x1.63acdc34677bap-4",
+        "0x1.3e782d4585c4dp-4", "0x1.0a48f1e5b229ep-3", "0x1.da5c2059126b8p-5",
+        "0x1.107a44eb09a7ep-4",
+    ],
+}
+
+
+def test_demo20_corpus_learning_pinned_theta():
+    demo20 = load_grammar(DEMO20)
+    sentences = gen_corpus(demo20, demo20.pcfg_parameter_table(), 200, seed=1).sentences()
+    graph, goals = compile_pcfg_corpus(demo20, sentences)
+    vt = vt_learn(graph, goals, LearnConfig(method="vt", delta=1.0, restarts=2, seed=1))
+    em = em_map_learn(graph, goals, LearnConfig(method="em", seed=1))
+    assert (vt.iterations, vt.termination) == (2, "fixed_point")
+    assert (em.iterations, em.termination) == (14, "tol_reached")
+    for report, pins in ((vt, DEMO20_VT_THETA), (em, DEMO20_EM_THETA)):
+        got = {k: [float(x).hex() for x in v] for k, v in report.final_theta.data.items()}
+        assert got == pins, report.method

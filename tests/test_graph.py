@@ -9,6 +9,7 @@ from explgraph.errors import (
     ExplGraphWarning,
     ExplosionLimit,
     MissingParameter,
+    TermSyntaxError,
     UndeclaredValue,
 )
 from explgraph.graph import (
@@ -23,9 +24,10 @@ from explgraph.graph import (
     explanation_prob,
     validate_graph,
 )
+from explgraph.grammar import compile_pcfg_corpus
 from explgraph.tables import ParameterTable
 
-from conftest import random_exclusive_graph, random_general_graph, random_theta
+from conftest import random_exclusive_graph, random_general_graph, random_theta, toy_grammar
 
 
 def coin_graph():
@@ -95,6 +97,64 @@ def test_topo_order_children_first():
             for body in f.bodies:
                 for s in body.subgoals:
                     assert pos[s] < pos[f.head]
+
+
+def _reference_topo_order(graph):
+    """The DFS that rebuilt a goal's child list on every step, kept as the reference."""
+    n = graph.n_goals
+    color = [0] * n
+    order = []
+    for start in range(n):
+        if color[start]:
+            continue
+        stack = [(start, 0)]
+        color[start] = 1
+        while stack:
+            goal, pos = stack[-1]
+            children = [s for b in graph.formulas[goal].bodies for s in b.subgoals]
+            if pos < len(children):
+                stack[-1] = (goal, pos + 1)
+                child = children[pos]
+                if color[child] == 0:
+                    color[child] = 1
+                    stack.append((child, 0))
+            else:
+                color[goal] = 2
+                order.append(goal)
+                stack.pop()
+    return order
+
+
+def test_topo_order_matches_reference_dfs():
+    rng = np.random.default_rng(0)
+    graphs = [random_general_graph(rng)[0] for _ in range(50)]
+    graphs += [random_exclusive_graph(rng)[0] for _ in range(20)]
+    sentences = [["a", "b", "a"], ["b", "b", "a", "b", "a"], ["a"]]
+    graphs.append(compile_pcfg_corpus(toy_grammar(), sentences)[0])
+    for graph in graphs:
+        assert graph.topo_order == _reference_topo_order(graph)
+
+
+def test_validate_reports_first_bad_instance():
+    def build(instances):
+        b = GraphBuilder()
+        b.declare_switch("c", ("h", "t"))
+        b.declare_switch(1, ("h",))
+        for k, inst in enumerate(instances):
+            b.add_body(b.goal(f"g{k}"), [], [inst])
+        return b.build()
+
+    ok = [SwitchInstance("c", "h"), SwitchInstance(1, "h")]
+    with pytest.raises(UndeclaredValue, match="zzz"):
+        build(ok + [SwitchInstance("c", "zzz"), SwitchInstance("c", "yyy")])
+    # equal to the declared 1 but no term: the per-pair check must not reuse 1's verdict
+    for bad in (True, 1.0):
+        with pytest.raises(TermSyntaxError):
+            build(ok + [SwitchInstance(bad, "h")])
+    # an unhashable value is checked without the memo
+    with pytest.raises(UndeclaredValue):
+        build(ok + [SwitchInstance("c", ["h"])])
+    assert build(ok + ok).n_goals == 4
 
 
 def test_cycle_detector_against_random_injections():

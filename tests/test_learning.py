@@ -13,6 +13,7 @@ from explgraph.graph import (
 from explgraph.inference import viterbi
 from explgraph.learning import (
     LearnConfig,
+    _same_explanations,
     em_map_learn,
     expected_counts,
     objective,
@@ -196,6 +197,59 @@ def test_vt_hand_executed_two_goal_example():
     assert report.iterations == 2
     assert report.termination == "fixed_point"
     assert [e.render() for e in report.per_goal_viterbi] == ["{s=a}", "{s=a}"]
+
+
+def _vt_pass(comp, graph, seeds, choice):
+    """(sel, counts, use) of a VT pass selecting local body ``choice[g]`` (default 0)."""
+    sel = np.array(
+        [comp.sel_index[(g, choice.get(g, 0))] for g in range(graph.n_goals)], dtype=np.int64
+    )
+    eta, use = comp.selected_counts_pass(sel, seeds)
+    return sel, eta, use
+
+
+def test_vt_fixed_point_when_used_goal_switches_to_an_equal_multiset():
+    # r -> g; g <-> h1 v h2 and both h1 and h2 explain as {s=a}
+    b = GraphBuilder()
+    b.declare_switch("s", ("a", "b"))
+    h1, h2, g, r = (b.goal(x) for x in ("h1", "h2", "g", "r"))
+    b.add_body(h1, [], [SwitchInstance("s", "a")])
+    b.add_body(h2, [], [SwitchInstance("s", "a")])
+    b.add_body(g, [h1])
+    b.add_body(g, [h2])
+    b.add_body(r, [g])
+    b.add_root(r)
+    graph = b.build()
+    comp = graph.compiled()
+    seeds = np.bincount([r], minlength=graph.n_goals)
+    prev = _vt_pass(comp, graph, seeds, {})
+    cur = _vt_pass(comp, graph, seeds, {g: 1})
+    assert cur[2][g] > 0 and cur[0][g] != prev[0][g]  # the selection moved on a used goal
+    assert comp.changed_derivations(cur[0], prev[0])[r]
+    assert _same_explanations(comp, np.array([r]), *prev[:2], *cur)
+
+
+def test_vt_no_fixed_point_when_observed_goals_swap_explanations():
+    # r1 -> g1, r2 -> g2; each gi <-> {s=a} v {s=b}; the swap keeps the
+    # aggregate counts (one a, one b) but changes both observed multisets
+    b = GraphBuilder()
+    b.declare_switch("s", ("a", "b"))
+    g1, g2, r1, r2 = (b.goal(x) for x in ("g1", "g2", "r1", "r2"))
+    for gi in (g1, g2):
+        b.add_body(gi, [], [SwitchInstance("s", "a")])
+        b.add_body(gi, [], [SwitchInstance("s", "b")])
+    b.add_body(r1, [g1])
+    b.add_body(r2, [g2])
+    b.add_root(r1)
+    b.add_root(r2)
+    graph = b.build()
+    comp = graph.compiled()
+    seeds = np.bincount([r1, r2], minlength=graph.n_goals)
+    prev = _vt_pass(comp, graph, seeds, {g1: 0, g2: 1})
+    cur = _vt_pass(comp, graph, seeds, {g1: 1, g2: 0})
+    assert np.array_equal(prev[1], cur[1])
+    assert not _same_explanations(comp, np.array([r1, r2]), *prev[:2], *cur)
+    assert _same_explanations(comp, np.array([r1, r2]), *cur[:2], *cur)
 
 
 def test_vt_requires_positive_delta():

@@ -1,7 +1,7 @@
 import pytest
 
 from explgraph.errors import TermSyntaxError
-from explgraph.terms import Term, parse_term, render_term
+from explgraph.terms import _RESERVED, Term, check_symbol, parse_term, render_term
 
 
 def test_atom_rendering():
@@ -35,6 +35,18 @@ def test_symbols_reject_reserved_characters():
     for bad in ["a b", "a(b", "x,y", "x=y", "x*2", "", "12"]:
         with pytest.raises(TermSyntaxError):
             render_term(Term(bad))
+
+
+def test_symbol_check_matches_per_character_predicate():
+    # the check once tested ``c.isspace() or c in _RESERVED`` per character
+    for code in range(0x10000):
+        c = chr(code)
+        try:
+            check_symbol("x" + c)
+            rejected = False
+        except TermSyntaxError:
+            rejected = True
+        assert rejected == (c.isspace() or c in _RESERVED), hex(code)
 
 
 def test_rendering_is_injective_on_samples():
