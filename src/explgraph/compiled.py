@@ -89,6 +89,7 @@ class CompiledGraph:
         spart_body: list[int] = []
         spart_slot: list[int] = []
         spart_mult: list[int] = []
+        tagged = False
         sel_index: dict[tuple[int, int], int] = {}
         levels: list[_Level] = []
         slot_of = per_instance_memo(self.layout.slot)
@@ -105,6 +106,7 @@ class CompiledGraph:
                     sel_index[(g, li)] = bid
                     body_head.append(g)
                     body_local.append(li)
+                    tagged = tagged or body.tag is not None
                     body_cstart.append(len(cpart_body))
                     body_ccount.append(len(body.subgoals))
                     for s in body.subgoals:
@@ -144,6 +146,7 @@ class CompiledGraph:
         self.spart_mult = np.array(spart_mult, dtype=np.float64)
         self.levels = levels
         self.sel_index = sel_index
+        self.tagged = tagged  # whether any body carries a frontend tag
 
     # -- shared helpers --------------------------------------------------
 
@@ -258,20 +261,42 @@ class CompiledGraph:
         Walks just the selected sub-DAGs below ``goals``, so the cost is
         their size rather than the graph's.
         """
+        expl: dict[int, tuple] = {}
+        for g in self._selected_below(sel, goals):
+            expl[g] = self._merge_selected(int(sel[g]), expl)
+        return {int(g): expl[int(g)] for g in goals}
+
+    def _selected_below(self, sel: np.ndarray, goals) -> list[int]:
+        """Goals of the selected sub-DAGs below ``goals``, children first."""
         below: set[int] = set()
         stack = [int(g) for g in goals]
         while stack:
             g = stack.pop()
-            if g in below:
-                continue
-            below.add(g)
-            b = int(sel[g])
-            c0 = int(self.body_cstart[b])
-            stack.extend(self.cpart_child[c0 : c0 + int(self.body_ccount[b])].tolist())
-        expl: dict[int, tuple] = {}
-        for g in sorted(below, key=self.level.__getitem__):
-            expl[g] = self._merge_selected(int(sel[g]), expl)
-        return {int(g): expl[int(g)] for g in goals}
+            if g not in below:
+                below.add(g)
+                stack.extend(self._selected_children(sel, g))
+        return sorted(below, key=self.level.__getitem__)
+
+    def _selected_children(self, sel: np.ndarray, g: int) -> list[int]:
+        b = int(sel[g])
+        c0 = int(self.body_cstart[b])
+        return self.cpart_child[c0 : c0 + int(self.body_ccount[b])].tolist()
+
+    def selected_derivation(self, sel: np.ndarray, goal: int) -> tuple:
+        """The derivation of ``goal`` along the selected bodies, as nested tuples.
+
+        A tagged body gives one node ``(tag, children)``; an untagged body
+        splices its subgoals' nodes into its parent's children.  Subgoals
+        keep body order, so the nodes read left to right.  Built bottom-up
+        over the selected sub-DAG below ``goal``, in time linear in its
+        size.
+        """
+        nodes: dict[int, tuple] = {}
+        for g in self._selected_below(sel, [goal]):
+            kids = tuple(node for c in self._selected_children(sel, g) for node in nodes[c])
+            tag = self.graph.formulas[g].bodies[int(self.body_local[sel[g]])].tag
+            nodes[g] = kids if tag is None else ((tag, kids),)
+        return nodes[int(goal)]
 
     def _merge_selected(self, b: int, expl) -> tuple:
         """Canonical (slot, count) multiset of body ``b`` given its children's."""

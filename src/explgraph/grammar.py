@@ -14,9 +14,11 @@ explanations correspond to derivations:
   B-constituent, and ``att(A)`` decides attach versus project where A can
   be its own left corner.
 
-The module also recovers parse trees from explanations, learns parameters
-from treebanks by counting, samples corpora, and scores predictions with
-exact-labelled / unlabelled-bracketing / zero-crossing metrics.
+Both frontends tag every body that applies a rule with the rule's index,
+so a Viterbi explanation carries its derivation and the parse tree is read
+off it in one walk.  The module also learns parameters from treebanks by
+counting, samples corpora, and scores predictions with exact-labelled /
+unlabelled-bracketing / zero-crossing metrics.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from .errors import (
     ExplGraphError,
     ExplGraphWarning,
+    ExplosionLimit,
     InconsistentExplanation,
     LengthMismatch,
     Unparseable,
@@ -119,6 +122,7 @@ class Grammar:
             for a in self.nonterminals
         }
         self._rule_set = {(r.lhs, r.rhs) for r in self.rules}
+        self._lc_values: dict[tuple[str, str], tuple[int, ...]] = {}
 
     def _check_unit_cycles(self) -> None:
         unit = {a: set() for a in self.nonterminals}
@@ -186,18 +190,20 @@ class Grammar:
         data = {a: [self.probs[i] for i in self.rules_for[a]] for a in decls}
         return ParameterTable(decls, data)
 
-    def lc_rule_values(self, g: str, b: str) -> list[int]:
+    def lc_rule_values(self, g: str, b: str) -> tuple[int, ...]:
         """Rule indices usable when a finished B grows toward goal G.
 
         Rules ``A -> B beta`` where A is in the left-corner closure of G,
         so no declared value is doomed by the reachability guard.
+        Computed once per (G, B) pair.
         """
-        lc = set(self.left_corner[g])
-        return [
-            i
-            for i, r in enumerate(self.rules)
-            if r.rhs[0] == b and r.lhs in lc
-        ]
+        out = self._lc_values.get((g, b))
+        if out is None:
+            lc = set(self.left_corner[g])
+            out = self._lc_values[(g, b)] = tuple(
+                i for i, r in enumerate(self.rules) if r.rhs[0] == b and r.lhs in lc
+            )
+        return out
 
     def validate_tree(self, tree: "ParseTree") -> None:
         for node in tree.walk():
@@ -331,10 +337,12 @@ class _SymbolBits:
     one int.  ``pairs`` lists the binary steps (left bit, right bit,
     parent bit) and ``units`` the unit rules (child bit, parent bit).  The
     step functions are memoised per cell mask; built once per compile
-    call, the memos serve every sentence of a corpus.
+    call, the memos serve every sentence of a corpus, and so does
+    ``rule_inst``, the switch instances of each rule's bodies.
     """
 
     def __init__(self, grammar: Grammar):
+        self.rule_inst = [(SwitchInstance(r.lhs, r.rhs),) for r in grammar.rules]
         self.bit: dict = {}
         for s in sorted(grammar.nonterminals) + sorted(grammar.terminals):
             self.bit[s] = len(self.bit)
@@ -469,8 +477,6 @@ def _compile_pcfg_into(
     reach = _pcfg_reachable_chart(bits, grammar.start, tokens)
     bit = bits.bit
 
-    _declare_pcfg_switches(builder, grammar)
-
     def span_goal(a: str, i: int, j: int) -> GoalId:
         return builder.goal(f"{ns}{a}({i},{j})")
 
@@ -521,17 +527,17 @@ def _compile_pcfg_into(
                 for ridx in grammar.rules_for[a]:
                     rhs = grammar.rules[ridx].rhs
                     m = len(rhs)
-                    inst = [SwitchInstance(a, rhs)]
+                    inst = bits.rule_inst[ridx]
                     if m == 1:
                         subs = sym_subgoals(rhs[0], i, j)
                         if subs is not None:
-                            builder.add_body(gid, subs, inst)
+                            builder.add_body(gid, subs, inst, ridx)
                     elif m == 2:
                         for k in range(i + 1, j):
                             left = sym_subgoals(rhs[0], i, k)
                             right = sym_subgoals(rhs[1], k, j)
                             if left is not None and right is not None:
-                                builder.add_body(gid, left + right, inst)
+                                builder.add_body(gid, left + right, inst, ridx)
                     else:
                         for k in range(i + m - 1, j):
                             if not dot_kept(ridx, m - 1, i, k):
@@ -539,7 +545,7 @@ def _compile_pcfg_into(
                             last = sym_subgoals(rhs[m - 1], k, j)
                             if last is not None:
                                 builder.add_body(
-                                    gid, [build_dot(ridx, m - 1, i, k)] + last, inst
+                                    gid, [build_dot(ridx, m - 1, i, k)] + last, inst, ridx
                                 )
     return span_goal(grammar.start, 0, n)
 
@@ -548,13 +554,15 @@ def compile_pcfg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:
     """Chart-style explanation graph for one sentence, root = full span."""
     tokens = _check_sentence(grammar, sentence)
     builder = GraphBuilder()
+    _declare_pcfg_switches(builder, grammar)
     root = _compile_pcfg_into(builder, grammar, tokens, "", _SymbolBits(grammar))
     builder.add_root(root)
     return builder.build()
 
 
-def _compile_corpus(compile_into, grammar, sentences) -> tuple[ExplanationGraph, list[GoalId]]:
-    builder = GraphBuilder()
+def _compile_corpus(
+    builder: GraphBuilder, compile_into, grammar, sentences
+) -> tuple[ExplanationGraph, list[GoalId]]:
     uid: dict[tuple[str, ...], int] = {}
     root_of: dict[int, GoalId] = {}
     goals: list[GoalId] = []
@@ -572,8 +580,10 @@ def compile_pcfg_corpus(
     grammar: Grammar, sentences: Iterable[Sequence[str]]
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """One shared graph for a corpus; repeated sentences share their chart."""
-    bits = _SymbolBits(grammar)
-    return _compile_corpus(partial(_compile_pcfg_into, bits=bits), grammar, sentences)
+    builder = GraphBuilder()
+    _declare_pcfg_switches(builder, grammar)
+    compile_into = partial(_compile_pcfg_into, bits=_SymbolBits(grammar))
+    return _compile_corpus(builder, compile_into, grammar, sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -581,43 +591,56 @@ def compile_pcfg_corpus(
 # ---------------------------------------------------------------------------
 
 
-def _first_switch(g: str) -> Term:
-    return Term("first", (g,))
+class _LeftCornerSwitches:
+    """The left-corner encoding's switches for one grammar.
 
+    Built once per compile call.  ``decls`` lists (switch, values) in
+    declaration order; ``first[g, w]`` is the instance shifting word ``w``
+    for goal ``g``; ``grow[g, b]`` pairs each rule index usable when a
+    finished ``b`` grows toward ``g`` with its ``lc(g,b)`` instance; and
+    ``attach[g]`` holds the ``att(g)`` instances (attach, project) where
+    ``g`` is its own left corner.
+    """
 
-def _lc_switch(g: str, b: str) -> Term:
-    return Term("lc", (g, b))
+    def __init__(self, grammar: Grammar):
+        rule_value = [Term("rule", (r.lhs, tuple(r.rhs))) for r in grammar.rules]
+        self.decls: list[tuple[Term, tuple]] = []
+        self.first: dict[tuple[str, str], SwitchInstance] = {}
+        self.grow: dict[tuple[str, str], list[tuple[int, SwitchInstance]]] = {}
+        self.attach: dict[str, tuple[SwitchInstance, SwitchInstance]] = {}
+        order = sorted(grammar.nonterminals)
+        for g in order:
+            if grammar.first[g]:
+                switch = Term("first", (g,))
+                self.decls.append((switch, tuple(grammar.first[g])))
+                for w in grammar.first[g]:
+                    self.first[g, w] = SwitchInstance(switch, w)
+            for b in grammar.left_corner[g]:
+                ridxs = grammar.lc_rule_values(g, b)
+                if ridxs:
+                    switch = Term("lc", (g, b))
+                    self.decls.append((switch, tuple(rule_value[i] for i in ridxs)))
+                    self.grow[g, b] = [(i, SwitchInstance(switch, rule_value[i])) for i in ridxs]
+        for a in order:
+            if grammar.lc_rule_values(a, a):
+                switch = Term("att", (a,))
+                self.decls.append((switch, ("att", "pro")))
+                self.attach[a] = (SwitchInstance(switch, "att"), SwitchInstance(switch, "pro"))
 
-
-def _att_switch(a: str) -> Term:
-    return Term("att", (a,))
-
-
-def _rule_value(rule: CFGRule) -> Term:
-    return Term("rule", (rule.lhs, tuple(rule.rhs)))
-
-
-def _declare_plcg_switches(builder: GraphBuilder, grammar: Grammar) -> None:
-    for g in sorted(grammar.nonterminals):
-        if grammar.first[g]:
-            builder.declare_switch(_first_switch(g), tuple(grammar.first[g]))
-        for b in grammar.left_corner[g]:
-            ridxs = grammar.lc_rule_values(g, b)
-            if ridxs:
-                builder.declare_switch(
-                    _lc_switch(g, b), tuple(_rule_value(grammar.rules[i]) for i in ridxs)
-                )
-    for a in sorted(grammar.nonterminals):
-        if grammar.lc_rule_values(a, a):
-            builder.declare_switch(_att_switch(a), ("att", "pro"))
+    def declare(self, builder: GraphBuilder) -> None:
+        for switch, values in self.decls:
+            builder.declare_switch(switch, values)
 
 
 def _compile_plcg_into(
-    builder: GraphBuilder, grammar: Grammar, tokens: tuple[str, ...], ns: str
+    builder: GraphBuilder,
+    grammar: Grammar,
+    tokens: tuple[str, ...],
+    ns: str,
+    lc: _LeftCornerSwitches,
 ) -> GoalId:
     n = len(tokens)
     nts = grammar.nonterminals
-    _declare_plcg_switches(builder, grammar)
     memo: dict[tuple, Optional[GoalId]] = {}
 
     def syms_label(syms: tuple[str, ...]) -> str:
@@ -628,32 +651,27 @@ def _compile_plcg_into(
         if key in memo:
             return memo[key]
         memo[key] = None  # cycle guard; construction below must not re-enter
-        bodies: list[tuple[list[GoalId], list[SwitchInstance]]] = []
+        bodies: list[tuple[list[GoalId], tuple[SwitchInstance, ...]]] = []
         if not syms:
             if i == j:
-                bodies.append(([], []))
+                bodies.append(([], ()))
         else:
             g0, rest = syms[0], syms[1:]
             if g0 not in nts:
                 if i < j and tokens[i] == g0:
                     sub = build_g(rest, i + 1, j)
                     if sub is not None:
-                        bodies.append(([sub], []))
+                        bodies.append(([sub], ()))
             elif i < j:
-                w = tokens[i]
-                if w in grammar.first.get(g0, ()):
+                shift = lc.first.get((g0, tokens[i]))
+                if shift is not None:
                     for k in range(i + 1, j + 1):
-                        lc_goal = build_lc(g0, w, i + 1, k)
+                        lc_goal = build_lc(g0, tokens[i], i + 1, k)
                         if lc_goal is None:
                             continue
                         g_goal = build_g(rest, k, j)
                         if g_goal is not None:
-                            bodies.append(
-                                (
-                                    [lc_goal, g_goal],
-                                    [SwitchInstance(_first_switch(g0), w)],
-                                )
-                            )
+                            bodies.append(([lc_goal, g_goal], (shift,)))
         if not bodies:
             return None
         gid = builder.goal(f"{ns}g({syms_label(syms)},{i},{j})")
@@ -667,32 +685,26 @@ def _compile_plcg_into(
         if key in memo:
             return memo[key]
         memo[key] = None
-        bodies: list[tuple[list[GoalId], list[SwitchInstance]]] = []
-        for ridx in grammar.lc_rule_values(g0, b):
+        # one body per rule application, tagged with the rule index: one
+        # subgoal finishes g0 (attach), two grow the rule's lhs further
+        bodies: list[tuple[list[GoalId], tuple[SwitchInstance, ...], int]] = []
+        attach = lc.attach.get(g0)
+        for ridx, choose in lc.grow.get((g0, b), ()):
             rule = grammar.rules[ridx]
-            beta = tuple(rule.rhs[1:])
-            choose = SwitchInstance(_lc_switch(g0, b), _rule_value(rule))
+            beta = rule.rhs[1:]
             if rule.lhs == g0:
-                self_lc = bool(grammar.lc_rule_values(g0, g0))
                 done = build_g(beta, k, j)
                 if done is not None:
-                    inst = [choose]
-                    if self_lc:
-                        inst.append(SwitchInstance(_att_switch(g0), "att"))
-                    bodies.append(([done], inst))
-                if self_lc:
+                    inst = (choose,) if attach is None else (choose, attach[0])
+                    bodies.append(([done], inst, ridx))
+                if attach is not None:
                     for m in range(k, j + 1):
                         mid = build_g(beta, k, m)
                         if mid is None:
                             continue
                         nxt = build_lc(g0, g0, m, j)
                         if nxt is not None:
-                            bodies.append(
-                                (
-                                    [mid, nxt],
-                                    [choose, SwitchInstance(_att_switch(g0), "pro")],
-                                )
-                            )
+                            bodies.append(([mid, nxt], (choose, attach[1]), ridx))
             else:
                 for m in range(k, j + 1):
                     mid = build_g(beta, k, m)
@@ -700,12 +712,12 @@ def _compile_plcg_into(
                         continue
                     nxt = build_lc(g0, rule.lhs, m, j)
                     if nxt is not None:
-                        bodies.append(([mid, nxt], [choose]))
+                        bodies.append(([mid, nxt], (choose,), ridx))
         if not bodies:
             return None
         gid = builder.goal(f"{ns}lc({g0},{b},{k},{j})")
-        for subs, inst in bodies:
-            builder.add_body(gid, subs, inst)
+        for subs, inst, ridx in bodies:
+            builder.add_body(gid, subs, inst, ridx)
         memo[key] = gid
         return gid
 
@@ -724,7 +736,9 @@ def compile_plcg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:
     """Left-corner explanation graph for one sentence."""
     tokens = _check_sentence(grammar, sentence)
     builder = GraphBuilder()
-    root = _compile_plcg_into(builder, grammar, tokens, "")
+    lc = _LeftCornerSwitches(grammar)
+    lc.declare(builder)
+    root = _compile_plcg_into(builder, grammar, tokens, "", lc)
     builder.add_root(root)
     return builder.build()
 
@@ -732,7 +746,10 @@ def compile_plcg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:
 def compile_plcg_corpus(
     grammar: Grammar, sentences: Iterable[Sequence[str]]
 ) -> tuple[ExplanationGraph, list[GoalId]]:
-    return _compile_corpus(_compile_plcg_into, grammar, sentences)
+    builder = GraphBuilder()
+    lc = _LeftCornerSwitches(grammar)
+    lc.declare(builder)
+    return _compile_corpus(builder, partial(_compile_plcg_into, lc=lc), grammar, sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -745,157 +762,173 @@ def tree_from_explanation(
     sentence: Sequence[str],
     explanation: Explanation,
     mode: str = "pcfg",
+    *,
+    limit: int = 100_000,
 ) -> ParseTree:
-    """Parse tree whose switch usage reproduces the explanation exactly.
+    """Parse tree of the derivation behind ``explanation``.
 
-    The tree is found by replaying the derivation process under the
-    constraint that every switch instance is consumed exactly as often as
-    the explanation records; the first derivation in canonical order
-    (rule order, leftmost split first) is returned.  When distinct
-    derivations share one multiset their trees tie on probability, and
-    the canonical one is the deterministic choice.
+    An explanation returned by :func:`explgraph.inference.viterbi` on a
+    ``compile_pcfg`` / ``compile_plcg`` graph carries its derivation, and
+    the tree is read off it in one left-to-right walk, in time linear in
+    the tree's size.  That tree is the Viterbi derivation's own: at every
+    goal, the lowest-index body among those of maximal score.  Distinct
+    derivations with one multiset have equal probability, so another
+    tie-break could only pick another tree of the same multiset.
+
+    An explanation without a derivation (enumerated, loaded from a file,
+    built by hand) falls back to compiling the sentence and searching its
+    derivations in body order (rule order, then leftmost split) for the
+    first that uses the multiset exactly.  That search is exponential in
+    the worst case, so it raises :class:`ExplosionLimit` after ``limit``
+    body trials.
+
+    Raises :class:`InconsistentExplanation` when the tree's yield is not
+    the sentence or its switch multiset is not the explanation, e.g. for
+    an explanation of another sentence or of the other ``mode``.
     """
     tokens = tuple(sentence)
-    if mode == "pcfg":
-        tree = _pcfg_tree_search(grammar, tokens, explanation)
-    elif mode == "plcg":
-        tree = _plcg_tree_search(grammar, tokens, explanation)
-    else:
+    if mode not in ("pcfg", "plcg"):
         raise ExplGraphError(f"unknown mode {mode!r}")
-    if tree is None:
-        raise InconsistentExplanation(
-            "explanation does not match any derivation of the sentence"
-        )
+    derivation = explanation.derivation
+    if derivation is None:
+        try:
+            graph = (compile_pcfg if mode == "pcfg" else compile_plcg)(grammar, tokens)
+        except Unparseable as e:
+            raise InconsistentExplanation(f"explanation of an unparseable sentence: {e}") from e
+        derivation = _search_derivation(graph, explanation, limit)
+    walk = _TreeWalk(grammar, tokens, mode)
+    (tree,) = walk.sequence((grammar.start,), derivation)
+    if walk.pos != len(tokens):
+        raise InconsistentExplanation("derivation does not cover the sentence")
+    if Explanation(walk.uses) != explanation:
+        raise InconsistentExplanation("derivation does not reproduce the explanation")
     return tree
 
 
-def _pcfg_tree_search(grammar, tokens, explanation) -> Optional[ParseTree]:
-    remaining = {i: 0 for i in range(len(grammar.rules))}
-    rule_of = {
-        (r.lhs, render_term(tuple(r.rhs))): i for i, r in enumerate(grammar.rules)
-    }
-    total = 0
-    for (s, v), m in explanation.items():
-        key = (render_term(s), render_term(v))
-        if key not in rule_of:
-            return None
-        remaining[rule_of[key]] += m
-        total += m
-    state = {"left": total}
+def _search_derivation(graph: ExplanationGraph, explanation: Explanation, limit: int) -> tuple:
+    """First derivation of the root, in body order, using ``explanation`` exactly.
 
-    def seq(syms, i, j):
-        if not syms:
-            if i == j:
-                yield []
-            return
-        s, rest = syms[0], syms[1:]
-        if s not in grammar.nonterminals:
-            if i < j and tokens[i] == s:
-                for tail in seq(rest, i + 1, j):
-                    yield [s] + tail
-            return
-        for k in range(i + 1, j - len(rest) + 1):
-            for t in nt(s, i, k):
-                for tail in seq(rest, k, j):
-                    yield [t] + tail
+    Every chosen body draws its switch instances from the explanation's
+    multiset; a body the rest of the multiset cannot pay for is skipped.
+    Raises :class:`ExplosionLimit` after ``limit`` body trials.
+    """
+    need = dict(explanation.items())
+    state = {"left": sum(need.values()), "trials": 0}
 
-    def nt(a, i, j):
-        for ridx in grammar.rules_for.get(a, ()):
-            if remaining[ridx] <= 0:
+    def pay(instances, sign: int) -> None:
+        for inst in instances:
+            need[(inst.switch, inst.value)] -= sign * inst.mult
+        state["left"] -= sign * sum(inst.mult for inst in instances)
+
+    def goal(g):
+        for body in graph.formulas[g].bodies:
+            state["trials"] += 1
+            if state["trials"] > limit:
+                raise ExplosionLimit(f"derivation search exceeds {limit} body trials")
+            if any(need.get((i.switch, i.value), 0) < i.mult for i in body.instances):
                 continue
-            remaining[ridx] -= 1
-            state["left"] -= 1
-            for kids in seq(grammar.rules[ridx].rhs, i, j):
-                yield ParseTree(a, tuple(kids))
-            remaining[ridx] += 1
-            state["left"] += 1
+            pay(body.instances, 1)
+            for kids in goals(body.subgoals):
+                yield kids if body.tag is None else ((body.tag, kids),)
+            pay(body.instances, -1)
 
-    for tree in nt(grammar.start, 0, len(tokens)):
+    def goals(gs):
+        if not gs:
+            yield ()
+            return
+        for head in goal(gs[0]):
+            for tail in goals(gs[1:]):
+                yield head + tail
+
+    for nodes in goal(graph.roots[0]):
         if state["left"] == 0:
-            return tree
-        # a derivation that leaves instances unconsumed is a different
-        # explanation; keep searching
-    return None
+            return nodes
+    raise InconsistentExplanation("explanation does not match any derivation of the sentence")
 
 
-def _plcg_tree_search(grammar, tokens, explanation) -> Optional[ParseTree]:
-    counts: dict[str, int] = {}
-    for (s, v), m in explanation.items():
-        counts[f"{render_term(s)}={render_term(v)}"] = m
-    state = {"left": sum(counts.values())}
+class _TreeWalk:
+    """One left-to-right walk of a derivation over a sentence.
 
-    def take(switch, value) -> bool:
-        key = f"{render_term(switch)}={render_term(value)}"
-        if counts.get(key, 0) <= 0:
-            return False
-        counts[key] -= 1
-        state["left"] -= 1
-        return True
+    ``pos`` is the next token to consume and ``uses`` collects the
+    derivation's switch instances, to be compared with the explanation.
+    A step that the grammar or the sentence does not allow raises
+    :class:`InconsistentExplanation`.
+    """
 
-    def put(switch, value) -> None:
-        key = f"{render_term(switch)}={render_term(value)}"
-        counts[key] += 1
-        state["left"] += 1
+    def __init__(self, grammar: Grammar, tokens: tuple[str, ...], mode: str):
+        self.grammar = grammar
+        self.tokens = tokens
+        self.pos = 0
+        self.uses: list[SwitchInstance] = []
+        self.subtree = self.expand if mode == "pcfg" else self.left_corner
 
-    def g_seq(syms, i, j):
-        """Yields (list of child trees/terminals, ) consuming i..j."""
-        if not syms:
-            if i == j:
-                yield []
-            return
-        s, rest = syms[0], syms[1:]
-        if s not in grammar.nonterminals:
-            if i < j and tokens[i] == s:
-                for tail in g_seq(rest, i + 1, j):
-                    yield [s] + tail
-            return
-        if i >= j:
-            return
-        w = tokens[i]
-        if w not in grammar.first.get(s, ()):
-            return
-        if not take(_first_switch(s), w):
-            return
-        for k in range(i + 1, j + 1):
-            for stree in lc(s, w, w, i + 1, k):
-                for tail in g_seq(rest, k, j):
-                    yield [stree] + tail
-        put(_first_switch(s), w)
+    def token(self) -> str:
+        if self.pos >= len(self.tokens):
+            raise InconsistentExplanation("derivation runs past the end of the sentence")
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-    def lc(g0, b, btree, k, j):
-        """Grow a finished b-constituent (tree ``btree``) into a g0 ending at j."""
-        for ridx in grammar.lc_rule_values(g0, b):
-            rule = grammar.rules[ridx]
-            if not take(_lc_switch(g0, b), _rule_value(rule)):
-                continue
-            beta = tuple(rule.rhs[1:])
-            if rule.lhs == g0:
-                self_lc = bool(grammar.lc_rule_values(g0, g0))
-                if self_lc:
-                    if take(_att_switch(g0), "att"):
-                        for kids in g_seq(beta, k, j):
-                            yield ParseTree(g0, tuple([btree] + kids))
-                        put(_att_switch(g0), "att")
-                    if take(_att_switch(g0), "pro"):
-                        for m in range(k, j + 1):
-                            for kids in g_seq(beta, k, m):
-                                atree = ParseTree(g0, tuple([btree] + kids))
-                                yield from lc(g0, g0, atree, m, j)
-                        put(_att_switch(g0), "pro")
-                else:
-                    for kids in g_seq(beta, k, j):
-                        yield ParseTree(g0, tuple([btree] + kids))
+    def rule(self, node) -> tuple[CFGRule, tuple]:
+        ridx, kids = node
+        if not 0 <= ridx < len(self.grammar.rules):
+            raise InconsistentExplanation(f"derivation names no rule {ridx}")
+        return self.grammar.rules[ridx], kids
+
+    def sequence(self, symbols: Sequence[str], nodes: tuple) -> list:
+        """Children covering ``symbols``, one node per nonterminal, in order."""
+        out, k = [], 0
+        for s in symbols:
+            if s in self.grammar.nonterminals:
+                if k == len(nodes):
+                    raise InconsistentExplanation(f"derivation lacks a subtree for {s}")
+                out.append(self.subtree(s, nodes[k]))
+                k += 1
+            elif self.token() == s:
+                out.append(s)
             else:
-                for m in range(k, j + 1):
-                    for kids in g_seq(beta, k, m):
-                        atree = ParseTree(rule.lhs, tuple([btree] + kids))
-                        yield from lc(g0, rule.lhs, atree, m, j)
-            put(_lc_switch(g0, b), _rule_value(rule))
+                raise InconsistentExplanation(f"derivation expects token {s!r}")
+        if k != len(nodes):
+            raise InconsistentExplanation("derivation has subtrees that no rule uses")
+        return out
 
-    for trees in g_seq((grammar.start,), 0, len(tokens)):
-        if state["left"] == 0 and len(trees) == 1 and isinstance(trees[0], ParseTree):
-            return trees[0]
-    return None
+    def expand(self, symbol: str, node) -> ParseTree:
+        """Rule-expansion node: its rule rewrites ``symbol``."""
+        rule, kids = self.rule(node)
+        if rule.lhs != symbol:
+            raise InconsistentExplanation(f"derivation expands {rule.lhs} where {symbol} stands")
+        self.uses.append(SwitchInstance(rule.lhs, rule.rhs))
+        return ParseTree(symbol, tuple(self.sequence(rule.rhs, kids)))
+
+    def left_corner(self, goal: str, node) -> ParseTree:
+        """Left-corner chain for ``goal``: shift a word, then grow it.
+
+        Each chain node applies ``A -> B beta`` to the finished
+        B-constituent threaded along.  A node with one child per
+        nonterminal of ``beta`` attaches (A is the goal); one more child is
+        the chain's next node.
+        """
+        grammar = self.grammar
+        label = done = self.token()
+        self.uses.append(SwitchInstance(Term("first", (goal,)), label))
+        self_lc = bool(grammar.lc_rule_values(goal, goal))
+        while True:
+            rule, kids = self.rule(node)
+            if rule.rhs[0] != label or rule.lhs not in grammar.left_corner[goal]:
+                raise InconsistentExplanation(f"derivation applies {rule} to a finished {label}")
+            value = Term("rule", (rule.lhs, tuple(rule.rhs)))
+            self.uses.append(SwitchInstance(Term("lc", (goal, label)), value))
+            beta = rule.rhs[1:]
+            arity = sum(s in grammar.nonterminals for s in beta)
+            if len(kids) == arity and rule.lhs == goal:
+                if self_lc:
+                    self.uses.append(SwitchInstance(Term("att", (goal,)), "att"))
+                return ParseTree(goal, (done, *self.sequence(beta, kids)))
+            if len(kids) != arity + 1:
+                raise InconsistentExplanation(f"derivation does not finish {rule.lhs} as {goal}")
+            if rule.lhs == goal:
+                self.uses.append(SwitchInstance(Term("att", (goal,)), "pro"))
+            done = ParseTree(rule.lhs, (done, *self.sequence(beta, kids[:-1])))
+            label, node = rule.lhs, kids[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import (
@@ -93,11 +93,21 @@ class SwitchInstance:
 
 
 class Explanation:
-    """An immutable multiset of switch instances keyed by (switch, value)."""
+    """An immutable multiset of switch instances keyed by (switch, value).
 
-    __slots__ = ("_items", "_hash")
+    ``derivation``, when set, is the proof the multiset was read from: a
+    tuple of nodes ``(tag, children)``, one per tagged body, whose
+    ``children`` are again such tuples (see :meth:`GraphBuilder.add_body`).
+    It holds no reference to the graph.  Equality, hashing, rendering and
+    :meth:`merge` ignore it.
+    """
 
-    def __init__(self, instances: Iterable[SwitchInstance] = ()):
+    __slots__ = ("_items", "_hash", "derivation")
+
+    def __init__(
+        self, instances: Iterable[SwitchInstance] = (), derivation: Optional[tuple] = None
+    ):
+        self.derivation = derivation
         counts: dict = {}
         for inst in instances:
             key = (inst.switch, inst.value)
@@ -157,10 +167,15 @@ class Explanation:
 
 @dataclass(frozen=True)
 class Body:
-    """One disjunct of a defining formula: subgoal refs plus switch instances."""
+    """One disjunct of a defining formula: subgoal refs plus switch instances.
+
+    ``tag`` is the provenance a frontend records for the body (the grammar
+    frontends store a rule index); it takes no part in equality.
+    """
 
     subgoals: tuple[GoalId, ...] = ()
     instances: tuple[SwitchInstance, ...] = ()
+    tag: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.subgoals, tuple):
@@ -297,8 +312,15 @@ class GraphBuilder:
         head: GoalId,
         subgoals: Iterable[GoalId] = (),
         instances: Iterable[SwitchInstance] = (),
+        tag: object = None,
     ) -> None:
-        self._bodies[head].append(Body(tuple(subgoals), tuple(instances)))
+        """Append a body to ``head``'s formula.
+
+        A body with a ``tag`` becomes one node of the derivation that a
+        Viterbi explanation carries; the children of an untagged body are
+        spliced into the node of the nearest tagged body above it.
+        """
+        self._bodies[head].append(Body(tuple(subgoals), tuple(instances), tag))
 
     def has_bodies(self, goal: GoalId) -> bool:
         return bool(self._bodies[goal])
@@ -526,6 +548,7 @@ def merge_graphs(graphs: Sequence[ExplanationGraph]) -> tuple[ExplanationGraph, 
                     offsetted[f.head],
                     [offsetted[s] for s in body.subgoals],
                     body.instances,
+                    body.tag,
                 )
         root_maps.append([offsetted[r] for r in g.roots])
         for r in g.roots:

@@ -60,7 +60,13 @@ class ViterbiResult:
     """A most probable explanation of one goal.
 
     ``choice_trace`` records, for every goal reachable through the
-    selected bodies, the index of the body it selected.
+    selected bodies, the index of the body it selected.  When the graph's
+    bodies carry frontend tags (the grammar frontends tag each rule
+    application), ``explanation.derivation`` holds the selected proof as
+    nested ``(tag, children)`` tuples, from which
+    :func:`explgraph.grammar.tree_from_explanation` reads the parse tree
+    in linear time.  Ties between bodies of equal score go to the lowest
+    body index of each goal, for both the explanation and the derivation.
     """
 
     goal: GoalId
@@ -119,7 +125,8 @@ def viterbi(graph: ExplanationGraph, goal: GoalId, theta: ParameterTable) -> Vit
 def extract_viterbi(
     graph: ExplanationGraph, sel: np.ndarray, best: np.ndarray, goal: GoalId
 ) -> ViterbiResult:
-    """Materialise the explanation selected by a Viterbi pass."""
+    """Materialise the explanation (and, on tagged graphs, the derivation)
+    selected by a Viterbi pass."""
     comp = graph.compiled()
     seeds = np.zeros(graph.n_goals, dtype=np.int64)
     seeds[goal] = 1
@@ -132,4 +139,5 @@ def extract_viterbi(
     trace = {
         int(g): int(comp.body_local[sel[g]]) for g in np.nonzero(use > 0)[0]
     }
-    return ViterbiResult(goal, float(best[goal]), Explanation(instances), trace)
+    derivation = comp.selected_derivation(sel, goal) if comp.tagged else None
+    return ViterbiResult(goal, float(best[goal]), Explanation(instances, derivation), trace)

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import time
 import warnings
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 from explgraph.errors import (
     ExplGraphError,
+    ExplosionLimit,
     InconsistentExplanation,
     LengthMismatch,
     Unparseable,
@@ -20,17 +23,27 @@ from explgraph.grammar import (
     compile_pcfg,
     compile_pcfg_corpus,
     compile_plcg,
+    compile_plcg_corpus,
     count_ml,
     gen_corpus,
     metrics,
     tree_from_explanation,
     tree_goals_graph,
 )
-from explgraph.graph import enumerate_explanations, explanation_prob
+from explgraph.grammar import _search_derivation
+from explgraph.graph import (
+    Explanation,
+    GraphBuilder,
+    SwitchInstance,
+    enumerate_explanations,
+    explanation_prob,
+)
+from explgraph.harness import fold_partition
 from explgraph.inference import goal_prob, viterbi
 from explgraph.io import load_grammar
 from explgraph.learning import LearnConfig, em_map_learn, vt_learn
 from explgraph.tables import ParameterTable, PseudoCountTable
+from explgraph.terms import Term, render_term
 
 from conftest import toy_grammar
 
@@ -85,6 +98,16 @@ def np_vp_grammar():
         CFGRule("VP", ("verb", "NP", "prep")),
     ]
     return Grammar("S", rules)
+
+
+def _demo20_corpus(n=200, seed=1):
+    demo20 = load_grammar(DEMO20)
+    return demo20, gen_corpus(demo20, demo20.pcfg_parameter_table(), n, seed=seed)
+
+
+def _viterbi_parse(grammar, tokens, theta, mode):
+    sg = (compile_pcfg if mode == "pcfg" else compile_plcg)(grammar, tokens)
+    return viterbi(sg, sg.roots[0], theta)
 
 
 # -- grammar structure -------------------------------------------------------
@@ -208,6 +231,42 @@ def test_pcfg_compiles_only_goals_reachable_from_a_root(grammar):
     graph, goals = compile_pcfg_corpus(demo20, sentences)
     assert set(graph.roots) == set(goals)
     assert len(_reachable_from_roots(graph)) == graph.n_goals
+
+
+def _graph_digest(graph, goals):
+    """SHA-256 over switch order and values, goal labels, bodies and roots."""
+    h = hashlib.sha256()
+    for key, decl in graph.switches.items():
+        h.update(f"switch {key} {render_term(decl.values)}\n".encode())
+    for label, formula in zip(graph.labels, graph.formulas):
+        parts = [label]
+        for body in formula.bodies:
+            inst = ";".join(
+                f"{render_term(i.switch)}={render_term(i.value)}*{i.mult}" for i in body.instances
+            )
+            parts.append(",".join(map(str, body.subgoals)) + "|" + inst)
+        h.update((" ".join(parts) + "\n").encode())
+    h.update(f"roots {graph.roots} goals {goals}\n".encode())
+    return h.hexdigest()
+
+
+def test_corpus_graphs_pinned_for_both_frontends():
+    # pins taken from the compilers that declared every switch once per
+    # sentence; declaring them once per compile call must not change them
+    demo20, sample = _demo20_corpus()
+    pins = {
+        "pcfg": (
+            compile_pcfg_corpus,
+            "d114e46f9a4c44e5c54dfa0242b684a65ade0e135372833b3ac1e0bd395625d3",
+        ),
+        "plcg": (
+            compile_plcg_corpus,
+            "ad95fa328ceaa82034deaed8fe57eff6cc69a063be29368079ed95770e3b2d55",
+        ),
+    }
+    for mode, (compile_corpus, digest) in pins.items():
+        graph, goals = compile_corpus(demo20, sample.sentences())
+        assert _graph_digest(graph, goals) == digest, mode
 
 
 def test_pcfg_ternary_rule_uses_dotted_goals():
@@ -404,6 +463,283 @@ def test_tree_reproduces_rule_counts(grammar):
         t = tree_from_explanation(grammar, tokens, e, "pcfg")
         for (lhs, rhs), c in t.rule_counts().items():
             assert e.count(lhs, tuple(rhs)) == c
+
+
+def test_viterbi_explanation_carries_its_derivation(grammar):
+    res = _viterbi_parse(grammar, ["a", "b"], grammar.pcfg_parameter_table(), "pcfg")
+    # rule indices: 0 is S -> S S, 1 is S -> a, 2 is S -> b
+    assert res.explanation.derivation == ((0, ((1, ()), (2, ()))),)
+    g = compile_plcg(grammar, ["a", "b"])
+    res = viterbi(g, g.roots[0], ParameterTable.uniform(g))
+    # shift a, apply S -> a and project; the finished S grows by S -> S S,
+    # whose second S is shift b, S -> b, attach; then S -> S S attaches
+    assert res.explanation.derivation == ((1, ((0, ((2, ()),)),)),)
+
+
+def test_tree_from_stripped_derivation_uses_the_bounded_search():
+    demo20, sample = _demo20_corpus()
+    theta = demo20.pcfg_parameter_table()
+    sentences = [s for s in sample.sentences() if len(s) <= 12][:25]
+    for mode in ("pcfg", "plcg"):
+        if mode == "plcg":
+            g = compile_plcg(demo20, sentences[0])
+            theta = ParameterTable.uniform(g)
+        for tokens in sentences:
+            res = _viterbi_parse(demo20, tokens, theta, mode)
+            stripped = Explanation(res.explanation.instances)
+            assert stripped.derivation is None
+            read = tree_from_explanation(demo20, tokens, res.explanation, mode)
+            searched = tree_from_explanation(demo20, tokens, stripped, mode)
+            assert searched.tokens() == read.tokens() == tokens
+            assert searched.rule_counts() == read.rule_counts()
+
+
+def test_derivation_search_is_bounded_on_long_sentences():
+    demo20, sample = _demo20_corpus()
+    tokens = next(s for s in sample.sentences() if len(s) >= 40)
+    res = _viterbi_parse(demo20, tokens, demo20.pcfg_parameter_table(), "pcfg")
+    tree_from_explanation(demo20, tokens, res.explanation, "pcfg", limit=50)  # no search
+    stripped = Explanation(res.explanation.instances)
+    t0 = time.perf_counter()
+    with pytest.raises(ExplosionLimit):
+        tree_from_explanation(demo20, tokens, stripped, "pcfg", limit=50)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_derivation_search_needs_the_whole_multiset():
+    b = GraphBuilder()
+    b.declare_switch("s", ("a",))
+    b.declare_switch("t", ("b",))
+    leaf = b.goal("leaf")
+    b.add_body(leaf, [], [], tag="leaf")
+    root = b.goal("root")
+    b.add_body(root, [leaf], [SwitchInstance("s", "a")], tag="short")
+    b.add_body(root, [leaf], [SwitchInstance("s", "a"), SwitchInstance("t", "b")], tag="long")
+    b.add_root(root)
+    graph = b.build()
+    whole = Explanation([SwitchInstance("s", "a"), SwitchInstance("t", "b")])
+    # the first body fits inside the multiset but leaves t=b unused
+    assert _search_derivation(graph, whole, 100) == (("long", (("leaf", ()),)),)
+    with pytest.raises(InconsistentExplanation):
+        _search_derivation(graph, Explanation([SwitchInstance("t", "b")]), 100)
+
+
+def test_derivation_of_another_sentence_or_mode_is_inconsistent(grammar):
+    theta = grammar.pcfg_parameter_table()
+    res = _viterbi_parse(grammar, ["a", "b", "a"], theta, "pcfg")
+    assert res.explanation.derivation is not None
+    for tokens in (["a", "b", "b"], ["a", "b"], ["a", "b", "a", "a"]):
+        with pytest.raises(InconsistentExplanation):
+            tree_from_explanation(grammar, tokens, res.explanation, "pcfg")
+    with pytest.raises(InconsistentExplanation):
+        tree_from_explanation(grammar, ["a", "b", "a"], res.explanation, "plcg")
+    g = compile_plcg(grammar, ["a", "b", "a"])
+    lc = viterbi(g, g.roots[0], ParameterTable.uniform(g))
+    assert lc.explanation.derivation is not None
+    with pytest.raises(InconsistentExplanation):
+        tree_from_explanation(grammar, ["a", "b", "a"], lc.explanation, "pcfg")
+    with pytest.raises(InconsistentExplanation):
+        tree_from_explanation(grammar, ["b", "b", "a"], lc.explanation, "plcg")
+    # a single-token derivation reads as a valid tree in the other mode,
+    # but its switch multiset is not the explanation's
+    one = _viterbi_parse(grammar, ["a"], theta, "pcfg")
+    with pytest.raises(InconsistentExplanation):
+        tree_from_explanation(grammar, ["a"], one.explanation, "plcg")
+
+
+# The exhaustive tree searches that tree_from_explanation used before trees
+# were read off the Viterbi derivation, kept as the reference it must agree
+# with.  Both replay derivations in canonical order (rule order, leftmost
+# split first) and return the first that consumes the explanation exactly.
+
+
+def _reference_pcfg_tree_search(grammar, tokens, explanation):
+    remaining = {i: 0 for i in range(len(grammar.rules))}
+    rule_of = {
+        (r.lhs, render_term(tuple(r.rhs))): i for i, r in enumerate(grammar.rules)
+    }
+    total = 0
+    for (s, v), m in explanation.items():
+        key = (render_term(s), render_term(v))
+        if key not in rule_of:
+            return None
+        remaining[rule_of[key]] += m
+        total += m
+    state = {"left": total}
+
+    def seq(syms, i, j):
+        if not syms:
+            if i == j:
+                yield []
+            return
+        s, rest = syms[0], syms[1:]
+        if s not in grammar.nonterminals:
+            if i < j and tokens[i] == s:
+                for tail in seq(rest, i + 1, j):
+                    yield [s] + tail
+            return
+        for k in range(i + 1, j - len(rest) + 1):
+            for t in nt(s, i, k):
+                for tail in seq(rest, k, j):
+                    yield [t] + tail
+
+    def nt(a, i, j):
+        for ridx in grammar.rules_for.get(a, ()):
+            if remaining[ridx] <= 0:
+                continue
+            remaining[ridx] -= 1
+            state["left"] -= 1
+            for kids in seq(grammar.rules[ridx].rhs, i, j):
+                yield ParseTree(a, tuple(kids))
+            remaining[ridx] += 1
+            state["left"] += 1
+
+    for tree in nt(grammar.start, 0, len(tokens)):
+        if state["left"] == 0:
+            return tree
+    return None
+
+
+def _reference_plcg_tree_search(grammar, tokens, explanation):
+    counts = {}
+    for (s, v), m in explanation.items():
+        counts[f"{render_term(s)}={render_term(v)}"] = m
+    state = {"left": sum(counts.values())}
+
+    def rule_value(rule):
+        return Term("rule", (rule.lhs, tuple(rule.rhs)))
+
+    def take(switch, value):
+        key = f"{render_term(switch)}={render_term(value)}"
+        if counts.get(key, 0) <= 0:
+            return False
+        counts[key] -= 1
+        state["left"] -= 1
+        return True
+
+    def put(switch, value):
+        counts[f"{render_term(switch)}={render_term(value)}"] += 1
+        state["left"] += 1
+
+    def g_seq(syms, i, j):
+        if not syms:
+            if i == j:
+                yield []
+            return
+        s, rest = syms[0], syms[1:]
+        if s not in grammar.nonterminals:
+            if i < j and tokens[i] == s:
+                for tail in g_seq(rest, i + 1, j):
+                    yield [s] + tail
+            return
+        if i >= j:
+            return
+        w = tokens[i]
+        if w not in grammar.first.get(s, ()):
+            return
+        if not take(Term("first", (s,)), w):
+            return
+        for k in range(i + 1, j + 1):
+            for stree in lc(s, w, w, i + 1, k):
+                for tail in g_seq(rest, k, j):
+                    yield [stree] + tail
+        put(Term("first", (s,)), w)
+
+    def lc(g0, b, btree, k, j):
+        for ridx in grammar.lc_rule_values(g0, b):
+            rule = grammar.rules[ridx]
+            if not take(Term("lc", (g0, b)), rule_value(rule)):
+                continue
+            beta = tuple(rule.rhs[1:])
+            if rule.lhs == g0:
+                if grammar.lc_rule_values(g0, g0):
+                    if take(Term("att", (g0,)), "att"):
+                        for kids in g_seq(beta, k, j):
+                            yield ParseTree(g0, tuple([btree] + kids))
+                        put(Term("att", (g0,)), "att")
+                    if take(Term("att", (g0,)), "pro"):
+                        for m in range(k, j + 1):
+                            for kids in g_seq(beta, k, m):
+                                atree = ParseTree(g0, tuple([btree] + kids))
+                                yield from lc(g0, g0, atree, m, j)
+                        put(Term("att", (g0,)), "pro")
+                else:
+                    for kids in g_seq(beta, k, j):
+                        yield ParseTree(g0, tuple([btree] + kids))
+            else:
+                for m in range(k, j + 1):
+                    for kids in g_seq(beta, k, m):
+                        atree = ParseTree(rule.lhs, tuple([btree] + kids))
+                        yield from lc(g0, rule.lhs, atree, m, j)
+            put(Term("lc", (g0, b)), rule_value(rule))
+
+    for trees in g_seq((grammar.start,), 0, len(tokens)):
+        if state["left"] == 0 and len(trees) == 1 and isinstance(trees[0], ParseTree):
+            return trees[0]
+    return None
+
+
+def _tree_switch_uses(grammar, tree, mode):
+    """Switch instances of the one derivation of ``tree`` in ``mode``."""
+    if mode == "pcfg":
+        return [
+            SwitchInstance(lhs, tuple(rhs), c) for (lhs, rhs), c in tree.rule_counts().items()
+        ]
+    uses = []
+    _lc_derivation_instances(grammar, grammar.start, tree, uses)
+    return [SwitchInstance(s, v) for s, v in uses]
+
+
+def test_tree_read_off_viterbi_agrees_with_reference_search():
+    """Demo20 N=200, fold 0 of 4 under VT, every test sentence of <= 10 tokens.
+
+    Where the Viterbi explanation has one derivation the two trees are
+    equal; where several derivations share its multiset, the trees may
+    differ but have the same yield, multiset and probability.
+    """
+    demo20, sample = _demo20_corpus()
+    trees = sample.trees()
+    test_idx, *train_parts = fold_partition(len(trees), 4, 0)
+    train = [trees[i].tokens() for i in np.concatenate(train_parts)]
+    tested = [trees[i].tokens() for i in test_idx if len(trees[i].tokens()) <= 10]
+    config = LearnConfig(method="vt", delta=1.0, seed=1)
+    tally = {}
+    for mode, compile_corpus, search in (
+        ("pcfg", compile_pcfg_corpus, _reference_pcfg_tree_search),
+        ("plcg", compile_plcg_corpus, _reference_plcg_tree_search),
+    ):
+        graph, goals = compile_corpus(demo20, train)
+        theta = vt_learn(graph, goals, config).final_theta
+        equal = ties = 0
+        for tokens in tested:
+            res = _viterbi_parse(demo20, tokens, theta, mode)
+            read = tree_from_explanation(demo20, tokens, res.explanation, mode)
+            ref = search(demo20, tuple(tokens), res.explanation)
+            same_multiset = [
+                t
+                for t in all_parses(demo20, tokens)
+                if Explanation(_tree_switch_uses(demo20, t, mode)) == res.explanation
+            ]
+            assert read in same_multiset and ref in same_multiset
+            if len(same_multiset) == 1:
+                assert read == ref
+            else:
+                assert read.tokens() == ref.tokens() == tokens
+                assert read.rule_counts() == ref.rule_counts()
+                logp = [
+                    sum(
+                        u.mult * math.log(theta.get(u.switch, u.value))
+                        for u in _tree_switch_uses(demo20, t, mode)
+                    )
+                    for t in (read, ref)
+                ]
+                assert logp[0] == pytest.approx(res.log_prob, rel=1e-12)
+                assert logp[1] == pytest.approx(res.log_prob, rel=1e-12)
+            equal += read == ref
+            ties += len(same_multiset) > 1
+        tally[mode] = (len(tested), equal, ties)
+    # (sentences, equal trees, multisets shared by several derivations)
+    assert tally == {"pcfg": (40, 40, 1), "plcg": (40, 40, 0)}
 
 
 # -- counting -------------------------------------------------------------------

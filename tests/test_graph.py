@@ -22,6 +22,7 @@ from explgraph.graph import (
     check_exclusiveness,
     enumerate_explanations,
     explanation_prob,
+    merge_graphs,
     validate_graph,
 )
 from explgraph.grammar import compile_pcfg_corpus
@@ -327,6 +328,30 @@ def test_explanation_prob_multiplicative_over_merges():
         assert p == pytest.approx(
             explanation_prob(e1, theta) * explanation_prob(e2, theta), rel=1e-12
         )
+
+
+def test_explanation_ignores_its_derivation():
+    insts = [SwitchInstance("s", "a"), SwitchInstance("t", "b", 2)]
+    carried = Explanation(insts, derivation=((0, ((1, ()),)),))
+    bare = Explanation(insts)
+    assert carried == bare and hash(carried) == hash(bare)
+    assert carried.render() == bare.render() and len({carried, bare}) == 1
+    assert carried.merge(bare).derivation is None
+    assert carried.merge(bare) == Explanation(insts + insts)
+
+
+def test_body_tag_is_kept_and_takes_no_part_in_equality():
+    b = GraphBuilder()
+    b.declare_switch("c", ("heads", "tails"))
+    g = b.goal("g")
+    b.add_body(g, [], [SwitchInstance("c", "heads")], tag=7)
+    b.add_body(g, [], [SwitchInstance("c", "tails")])
+    graph = b.build()
+    assert [body.tag for body in graph.formulas[g].bodies] == [7, None]
+    assert graph.formulas[g].bodies[0] == Body((), (SwitchInstance("c", "heads"),))
+    assert graph.compiled().tagged and not coin_graph()[0].compiled().tagged
+    merged, _ = merge_graphs([graph])
+    assert [body.tag for body in merged.formulas[0].bodies] == [7, None]
 
 
 def test_duplicate_merge_warns():
