@@ -171,15 +171,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    learn_config = LearnConfig(
-        method=args.method,
-        delta=args.delta,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        restarts=args.restarts,
-        seed=args.seed,
-        init=args.init,
-    )
+    learn_config = _config_from(args)
     if args.task in ("pcfg", "plcg"):
         config = ExperimentConfig(
             task=args.task,

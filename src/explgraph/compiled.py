@@ -2,9 +2,20 @@
 
 Goals are grouped into topological levels (every body's subgoals live in
 strictly lower levels), bodies and their parts are flattened into dense
-arrays, and the dynamic-programming passes run one vectorised step per
-level.  Each pass costs O(total body size) numpy work, matching the
-linear-time contract of the sum-product and argmax recurrences.
+arrays, and every dynamic programme is one of two level loops, each
+taking one vectorised step per level:
+
+* the upward loop scores each body from its switch factors and its
+  subgoals' values and reduces each goal's body scores to the goal's
+  value.  Log-sum-exp gives the inside pass; max gives the Viterbi pass,
+  whose selected body is the lowest-index body attaining the max.
+* the downward loop pushes occurrence counts from the seeded goals
+  through weighted bodies to subgoals and switch slots.  The weight
+  occ(head) * P(body | head) gives expected counts (EM, MAP); the weight
+  occ(head) * [body is the selected one] gives Viterbi counts (VT).
+
+Each pass costs O(total body size) numpy work, matching the linear-time
+contract of the sum-product and argmax recurrences.
 
 All probability accumulation is done in log space; ``-inf`` encodes
 probability zero.
@@ -29,32 +40,48 @@ def _repeat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return base + (np.arange(total, dtype=np.int64) - np.repeat(cum, counts))
 
 
-class _Level:
-    __slots__ = (
-        "goals",
-        "body_lo",
-        "body_hi",
-        "seg_starts",
-        "seg_ids",
-        "cpart_lo",
-        "cpart_hi",
-        "spart_lo",
-        "spart_hi",
-    )
+def _log_sum_exp(scores: np.ndarray, lv: "_Level") -> np.ndarray:
+    """Inside reduction: per goal, the log of its bodies' summed probability."""
+    m = np.maximum.reduceat(scores, lv.seg_starts)
+    with np.errstate(invalid="ignore"):
+        contrib = np.where(np.isneginf(scores), 0.0, np.exp(scores - m[lv.seg_ids]))
+    sums = np.bincount(lv.seg_ids, weights=contrib, minlength=len(lv.goals))
+    with np.errstate(divide="ignore"):
+        return np.where(np.isneginf(m), NEG_INF, m + np.log(np.maximum(sums, 1e-300)))
 
-    def __init__(self, goals, body_lo, body_hi, seg_starts, cpart_lo, cpart_hi, spart_lo, spart_hi):
+
+def _max(scores: np.ndarray, lv: "_Level") -> np.ndarray:
+    """Viterbi reduction: per goal, its best body score."""
+    return np.maximum.reduceat(scores, lv.seg_starts)
+
+
+def _posterior(bodies: slice, heads, h, inside, scores) -> np.ndarray:
+    """Expected-counts body weight: occ(head) * P(body | head)."""
+    sc = scores[bodies]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return h * np.where(np.isneginf(sc), 0.0, np.exp(sc - inside[heads]))
+
+
+def _selected(bodies: slice, heads, h, sel) -> np.ndarray:
+    """Viterbi-counts body weight: occ(head) on the head's selected body, else 0."""
+    return np.where(sel[heads] == np.arange(bodies.start, bodies.stop), h, 0.0)
+
+
+class _Level:
+    """One topological level: its goals, where each goal's bodies start
+    within the level, and the slices of the flat body, child-part and
+    switch-part arrays that the level owns."""
+
+    def __init__(self, goals, seg_starts, bodies: slice, cparts: slice, sparts: slice):
         self.goals = goals
-        self.body_lo = body_lo
-        self.body_hi = body_hi
         self.seg_starts = seg_starts
         self.seg_ids = np.repeat(
             np.arange(len(seg_starts), dtype=np.int64),
-            np.diff(np.concatenate((seg_starts, [body_hi - body_lo]))),
+            np.diff(np.concatenate((seg_starts, [bodies.stop - bodies.start]))),
         )
-        self.cpart_lo = cpart_lo
-        self.cpart_hi = cpart_hi
-        self.spart_lo = spart_lo
-        self.spart_hi = spart_hi
+        self.bodies = bodies
+        self.cparts = cparts
+        self.sparts = sparts
 
 
 class CompiledGraph:
@@ -80,10 +107,6 @@ class CompiledGraph:
 
         body_head: list[int] = []
         body_local: list[int] = []
-        body_cstart: list[int] = []
-        body_ccount: list[int] = []
-        body_sstart: list[int] = []
-        body_scount: list[int] = []
         cpart_body: list[int] = []
         cpart_child: list[int] = []
         spart_body: list[int] = []
@@ -107,13 +130,9 @@ class CompiledGraph:
                     body_head.append(g)
                     body_local.append(li)
                     tagged = tagged or body.tag is not None
-                    body_cstart.append(len(cpart_body))
-                    body_ccount.append(len(body.subgoals))
                     for s in body.subgoals:
                         cpart_body.append(bid)
                         cpart_child.append(s)
-                    body_sstart.append(len(spart_body))
-                    body_scount.append(len(body.instances))
                     for inst in body.instances:
                         spart_body.append(bid)
                         spart_slot.append(slot_of(inst))
@@ -121,13 +140,10 @@ class CompiledGraph:
             levels.append(
                 _Level(
                     np.array(goals, dtype=np.int64),
-                    body_lo,
-                    len(body_head),
                     np.array(seg_starts, dtype=np.int64),
-                    cpart_lo,
-                    len(cpart_body),
-                    spart_lo,
-                    len(spart_body),
+                    slice(body_lo, len(body_head)),
+                    slice(cpart_lo, len(cpart_body)),
+                    slice(spart_lo, len(spart_body)),
                 )
             )
 
@@ -135,20 +151,21 @@ class CompiledGraph:
         self.n_bodies = len(body_head)
         self.body_head = np.array(body_head, dtype=np.int64)
         self.body_local = np.array(body_local, dtype=np.int64)
-        self.body_cstart = np.array(body_cstart, dtype=np.int64)
-        self.body_ccount = np.array(body_ccount, dtype=np.int64)
-        self.body_sstart = np.array(body_sstart, dtype=np.int64)
-        self.body_scount = np.array(body_scount, dtype=np.int64)
         self.cpart_body = np.array(cpart_body, dtype=np.int64)
         self.cpart_child = np.array(cpart_child, dtype=np.int64)
         self.spart_body = np.array(spart_body, dtype=np.int64)
         self.spart_slot = np.array(spart_slot, dtype=np.int64)
         self.spart_mult = np.array(spart_mult, dtype=np.float64)
+        # each body's parts are contiguous, in body order
+        self.body_ccount = np.bincount(self.cpart_body, minlength=self.n_bodies)
+        self.body_cstart = np.cumsum(self.body_ccount) - self.body_ccount
+        self.body_scount = np.bincount(self.spart_body, minlength=self.n_bodies)
+        self.body_sstart = np.cumsum(self.body_scount) - self.body_scount
         self.levels = levels
         self.sel_index = sel_index
         self.tagged = tagged  # whether any body carries a frontend tag
 
-    # -- shared helpers --------------------------------------------------
+    # -- the two level loops ----------------------------------------------
 
     def body_constants(self, log_theta: np.ndarray) -> np.ndarray:
         """Per-body sum of switch log factors (counts included)."""
@@ -158,13 +175,45 @@ class CompiledGraph:
             w = self.spart_mult * log_theta[self.spart_slot]
         return np.bincount(self.spart_body, weights=w, minlength=self.n_bodies)
 
-    def _body_scores(self, const: np.ndarray, values: np.ndarray, lv: _Level) -> np.ndarray:
-        scores = const[lv.body_lo : lv.body_hi].copy()
-        if lv.cpart_hi > lv.cpart_lo:
-            cb = self.cpart_body[lv.cpart_lo : lv.cpart_hi] - lv.body_lo
-            cv = values[self.cpart_child[lv.cpart_lo : lv.cpart_hi]]
-            scores += np.bincount(cb, weights=cv, minlength=lv.body_hi - lv.body_lo)
-        return scores
+    def _upward(self, log_theta: np.ndarray, reduce) -> tuple[np.ndarray, np.ndarray]:
+        """Bottom-up level loop: score every body, then reduce per goal.
+
+        A body's log score is its switch log factors plus its subgoals'
+        values; ``reduce(scores, level)`` turns one level's body scores
+        into its goals' values.  Returns (per-goal value, per-body score).
+        """
+        values = np.full(self.n_goals, NEG_INF)
+        scores = self.body_constants(log_theta)
+        for lv in self.levels:
+            cb = self.cpart_body[lv.cparts] - lv.bodies.start
+            cv = values[self.cpart_child[lv.cparts]]
+            scores[lv.bodies] += np.bincount(cb, weights=cv, minlength=len(lv.seg_ids))
+            values[lv.goals] = reduce(scores[lv.bodies], lv)
+        return values, scores
+
+    def _downward(self, seeds: np.ndarray, body_weight, *args) -> tuple[np.ndarray, np.ndarray]:
+        """Top-down level loop: push occurrence counts from heads to parts.
+
+        Per-goal occurrence counts start at ``seeds``.  Level by level from
+        the top, ``body_weight(bodies, heads, occ_of_heads, *args)`` gives
+        the number of uses of each body in the slice ``bodies``; that is
+        added to the count of every subgoal and, times the multiplicity, to
+        every switch slot of the body.
+        Returns (flat switch counts, per-goal occurrence counts).
+        """
+        occ = seeds.astype(float)
+        eta = np.zeros(self.layout.n_slots)
+        for lv in reversed(self.levels):
+            heads = self.body_head[lv.bodies]
+            h = occ[heads]
+            if not np.any(h > 0.0):
+                continue
+            w = body_weight(lv.bodies, heads, h, *args)
+            cb = self.cpart_body[lv.cparts] - lv.bodies.start
+            np.add.at(occ, self.cpart_child[lv.cparts], w[cb])
+            sb = self.spart_body[lv.sparts] - lv.bodies.start
+            np.add.at(eta, self.spart_slot[lv.sparts], self.spart_mult[lv.sparts] * w[sb])
+        return eta, occ
 
     # -- passes -----------------------------------------------------------
 
@@ -173,21 +222,7 @@ class CompiledGraph:
 
         Returns (per-goal log inside value, per-body log score).
         """
-        inside = np.full(self.n_goals, NEG_INF)
-        all_scores = np.empty(self.n_bodies)
-        const = self.body_constants(log_theta)
-        for lv in self.levels:
-            scores = self._body_scores(const, inside, lv)
-            all_scores[lv.body_lo : lv.body_hi] = scores
-            m = np.maximum.reduceat(scores, lv.seg_starts)
-            mseg = m[lv.seg_ids]
-            with np.errstate(invalid="ignore"):
-                contrib = np.where(np.isneginf(scores), 0.0, np.exp(scores - mseg))
-            sums = np.bincount(lv.seg_ids, weights=contrib, minlength=len(lv.goals))
-            with np.errstate(divide="ignore"):
-                vals = np.where(np.isneginf(m), NEG_INF, m + np.log(np.maximum(sums, 1e-300)))
-            inside[lv.goals] = vals
-        return inside, all_scores
+        return self._upward(log_theta, _log_sum_exp)
 
     def viterbi_pass(self, log_theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Log-space argmax over all goals.
@@ -195,16 +230,11 @@ class CompiledGraph:
         Returns (per-goal best log value, per-goal selected global body
         index).  Ties go to the lowest body index within each goal.
         """
-        best = np.full(self.n_goals, NEG_INF)
-        sel = np.zeros(self.n_goals, dtype=np.int64)
-        const = self.body_constants(log_theta)
-        for lv in self.levels:
-            scores = self._body_scores(const, best, lv)
-            m = np.maximum.reduceat(scores, lv.seg_starts)
-            pos = np.arange(lv.body_lo, lv.body_hi, dtype=np.int64)
-            cand = np.where(scores == m[lv.seg_ids], pos, np.iinfo(np.int64).max)
-            sel[lv.goals] = np.minimum.reduceat(cand, lv.seg_starts)
-            best[lv.goals] = m
+        best, scores = self._upward(log_theta, _max)
+        bodies = np.arange(self.n_bodies, dtype=np.int64)
+        cand = np.where(scores == best[self.body_head], bodies, self.n_bodies)
+        sel = np.full(self.n_goals, self.n_bodies, dtype=np.int64)
+        np.minimum.at(sel, self.body_head, cand)
         return best, sel
 
     def expected_counts_pass(
@@ -218,48 +248,35 @@ class CompiledGraph:
         number of uses of the body: occ(head) * P(body | head), which keeps
         all quantities in count magnitude and avoids underflow.
         """
-        occ = seeds.astype(float).copy()
-        eta = np.zeros(self.layout.n_slots)
-        for lv in reversed(self.levels):
-            h = occ[self.body_head[lv.body_lo : lv.body_hi]]
-            if not np.any(h > 0.0):
-                continue
-            sc = scores[lv.body_lo : lv.body_hi]
-            denom = inside[self.body_head[lv.body_lo : lv.body_hi]]
-            with np.errstate(invalid="ignore", over="ignore"):
-                ratio = np.where(np.isneginf(sc), 0.0, np.exp(sc - denom))
-            w = h * ratio
-            if lv.cpart_hi > lv.cpart_lo:
-                cb = self.cpart_body[lv.cpart_lo : lv.cpart_hi] - lv.body_lo
-                np.add.at(occ, self.cpart_child[lv.cpart_lo : lv.cpart_hi], w[cb])
-            if lv.spart_hi > lv.spart_lo:
-                sb = self.spart_body[lv.spart_lo : lv.spart_hi] - lv.body_lo
-                np.add.at(
-                    eta,
-                    self.spart_slot[lv.spart_lo : lv.spart_hi],
-                    self.spart_mult[lv.spart_lo : lv.spart_hi] * w[sb],
-                )
-        return eta, occ
+        return self._downward(seeds, _posterior, inside, scores)
+
+    def selected_counts_pass(
+        self, sel: np.ndarray, seeds: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Switch counts along the selected-body sub-DAG.
+
+        ``seeds`` holds per-goal observation counts; flow follows only the
+        selected body of each goal.  Returns (flat switch counts, per-goal
+        use counts); a goal's use count is the number of times it occurs in
+        the selected derivations of all seeded goals.  Counts are whole
+        numbers, exact below 2**53, so summation order cannot change them.
+        """
+        eta, use = self._downward(seeds, _selected, sel)
+        return eta, use.astype(np.int64)
 
     def selected_explanations_pass(self, sel: np.ndarray) -> list[tuple]:
-        """Per-goal explanation multisets along the selected bodies.
-
-        Returns, for every goal, a canonical sorted tuple of (slot, count)
-        pairs.  Distinct selected derivations that merge to one multiset
-        compare equal here, which is what the fixed-point test of Viterbi
-        training needs.
-        """
-        expl: list[tuple] = [()] * self.n_goals
-        for lv in self.levels:
-            for g in lv.goals:
-                expl[int(g)] = self._merge_selected(int(sel[g]), expl)
-        return expl
+        """:meth:`selected_explanations` of every goal, as a list by goal id."""
+        return list(self.selected_explanations(sel, range(self.n_goals)).values())
 
     def selected_explanations(self, sel: np.ndarray, goals) -> dict[int, tuple]:
-        """The multisets of :meth:`selected_explanations_pass` for ``goals`` only.
+        """Explanation multisets of ``goals`` along the selected bodies.
 
-        Walks just the selected sub-DAGs below ``goals``, so the cost is
-        their size rather than the graph's.
+        Returns, for each goal, a canonical sorted tuple of (slot, count)
+        pairs.  Distinct selected derivations that merge to one multiset
+        compare equal here, which is what the fixed-point test of Viterbi
+        training needs.  One vectorised downward pass finds the selected
+        sub-DAGs below ``goals``; the Python merging then costs their size
+        rather than the graph's.
         """
         expl: dict[int, tuple] = {}
         for g in self._selected_below(sel, goals):
@@ -267,15 +284,12 @@ class CompiledGraph:
         return {int(g): expl[int(g)] for g in goals}
 
     def _selected_below(self, sel: np.ndarray, goals) -> list[int]:
-        """Goals of the selected sub-DAGs below ``goals``, children first."""
-        below: set[int] = set()
-        stack = [int(g) for g in goals]
-        while stack:
-            g = stack.pop()
-            if g not in below:
-                below.add(g)
-                stack.extend(self._selected_children(sel, g))
-        return sorted(below, key=self.level.__getitem__)
+        """Goals of the selected sub-DAGs below ``goals``, children first:
+        those the downward loop reaches from ``goals`` along selected bodies."""
+        seeds = np.zeros(self.n_goals)
+        seeds[np.asarray(goals, dtype=np.int64)] = 1.0
+        below = np.flatnonzero(self._downward(seeds, _selected, sel)[1])
+        return below[np.argsort(self.level[below], kind="stable")].tolist()
 
     def _selected_children(self, sel: np.ndarray, g: int) -> list[int]:
         b = int(sel[g])
@@ -288,8 +302,8 @@ class CompiledGraph:
         A tagged body gives one node ``(tag, children)``; an untagged body
         splices its subgoals' nodes into its parent's children.  Subgoals
         keep body order, so the nodes read left to right.  Built bottom-up
-        over the selected sub-DAG below ``goal``, in time linear in its
-        size.
+        over the selected sub-DAG below ``goal``: one vectorised downward
+        pass finds it, and the Python work is linear in its size.
         """
         nodes: dict[int, tuple] = {}
         for g in self._selected_below(sel, [goal]):
@@ -329,32 +343,3 @@ class CompiledGraph:
             hits = np.bincount(owner, weights=changed[self.cpart_child[idx]], minlength=len(bs))
             changed[lv.goals] |= hits > 0
         return changed
-
-    def selected_counts_pass(
-        self, sel: np.ndarray, seeds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Switch counts along the selected-body sub-DAG.
-
-        ``seeds`` holds per-goal observation counts; flow follows only the
-        selected body of each goal.  Returns (flat switch counts, per-goal
-        use counts); a goal's use count is the number of times it occurs in
-        the selected derivations of all seeded goals.
-        """
-        use = seeds.astype(np.int64).copy()
-        eta = np.zeros(self.layout.n_slots)
-        for lv in reversed(self.levels):
-            u = use[lv.goals]
-            mask = u > 0
-            if not mask.any():
-                continue
-            bs = sel[lv.goals[mask]]
-            uu = u[mask]
-            ccnt = self.body_ccount[bs]
-            if ccnt.sum():
-                idx = _repeat_ranges(self.body_cstart[bs], ccnt)
-                np.add.at(use, self.cpart_child[idx], np.repeat(uu, ccnt))
-            scnt = self.body_scount[bs]
-            if scnt.sum():
-                idx = _repeat_ranges(self.body_sstart[bs], scnt)
-                np.add.at(eta, self.spart_slot[idx], self.spart_mult[idx] * np.repeat(uu, scnt))
-        return eta, use

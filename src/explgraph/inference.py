@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AllZero, ExplGraphWarning
-from .graph import Explanation, ExplanationGraph, GoalId, SwitchInstance
+from .errors import AllZero, ExplGraphWarning, ZeroEvidence
+from .graph import Explanation, ExplanationGraph, GoalId
 from .tables import ParameterTable
 
 __all__ = ["InsideTable", "ViterbiResult", "inside_prob", "viterbi", "goal_prob", "log_theta_vector"]
@@ -28,6 +28,24 @@ def log_theta_vector(graph: ExplanationGraph, theta: ParameterTable) -> np.ndarr
     flat = graph.slots().flatten(theta)
     with np.errstate(divide="ignore"):
         return np.log(flat)
+
+
+_ZERO_MESSAGES = {
+    AllZero: "every explanation of goal {} has probability 0",
+    ZeroEvidence: "goal {} has inside probability 0 under the current parameters",
+}
+
+
+def check_nonzero(graph: ExplanationGraph, goals, log_values: np.ndarray, error=AllZero) -> None:
+    """Raise ``error`` for the first of ``goals`` whose log value is -inf.
+
+    ``AllZero`` reports a Viterbi value (every explanation has
+    probability 0), ``ZeroEvidence`` an observed goal's inside value.
+    """
+    goals = np.asarray(goals, dtype=np.int64)
+    bad = goals[np.isneginf(log_values[goals])]
+    if len(bad):
+        raise error(_ZERO_MESSAGES[error].format(graph.labels[int(bad[0])]))
 
 
 @dataclass
@@ -115,10 +133,7 @@ def viterbi(graph: ExplanationGraph, goal: GoalId, theta: ParameterTable) -> Vit
         raise KeyError(f"no goal with id {goal}")
     comp = graph.compiled()
     best, sel = comp.viterbi_pass(log_theta_vector(graph, theta))
-    if np.isneginf(best[goal]):
-        raise AllZero(
-            f"every explanation of goal {graph.labels[goal]} has probability 0"
-        )
+    check_nonzero(graph, [goal], best)
     return extract_viterbi(graph, sel, best, goal)
 
 
@@ -131,13 +146,10 @@ def extract_viterbi(
     seeds = np.zeros(graph.n_goals, dtype=np.int64)
     seeds[goal] = 1
     eta, use = comp.selected_counts_pass(sel, seeds)
-    layout = comp.layout
-    instances = []
-    for slot in np.nonzero(eta)[0]:
-        decl, value = layout.slot_pairs[slot]
-        instances.append(SwitchInstance(decl.id, value, int(eta[slot])))
     trace = {
         int(g): int(comp.body_local[sel[g]]) for g in np.nonzero(use > 0)[0]
     }
     derivation = comp.selected_derivation(sel, goal) if comp.tagged else None
-    return ViterbiResult(goal, float(best[goal]), Explanation(instances, derivation), trace)
+    slots = np.nonzero(eta)[0]
+    explanation = comp.layout.explanation(zip(slots, eta[slots]), derivation)
+    return ViterbiResult(goal, float(best[goal]), explanation, trace)

@@ -29,9 +29,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AllZero, ExplGraphError, ExplGraphWarning, ZeroEvidence
+from .errors import ExplGraphError, ExplGraphWarning, ZeroEvidence
 from .graph import Explanation, ExplanationGraph, GoalId
-from .inference import log_theta_vector
+from .inference import check_nonzero, log_theta_vector
 from .tables import ExpectedCounts, ParameterTable, PseudoCountTable
 
 __all__ = [
@@ -141,7 +141,7 @@ def expected_counts(
     comp = graph.compiled()
     seeds = _observation_seeds(graph, goals)
     inside, scores = comp.inside_pass(log_theta_vector(graph, theta))
-    _check_evidence(graph, seeds, inside)
+    check_nonzero(graph, np.nonzero(seeds)[0], inside, ZeroEvidence)
     eta, _ = comp.expected_counts_pass(inside, scores, seeds)
     return ExpectedCounts.from_flat(graph.slots(), eta)
 
@@ -154,14 +154,6 @@ def _obs_total(seeds_f: np.ndarray, values: np.ndarray) -> float:
     cannot poison the sum."""
     mask = seeds_f > 0
     return float(seeds_f[mask] @ values[mask])
-
-def _check_evidence(graph, seeds, inside) -> None:
-    bad = np.nonzero((seeds > 0) & np.isneginf(inside))[0]
-    if len(bad):
-        raise ZeroEvidence(
-            f"goal {graph.labels[int(bad[0])]} has inside probability 0 "
-            "under the current parameters"
-        )
 
 
 def _warn_degenerate(graph, degenerate) -> None:
@@ -192,6 +184,7 @@ def em_map_learn(
     seeds = _observation_seeds(graph, goals)
     delta = config.delta_flat(graph)
     seeds_f = seeds.astype(float)
+    observed = np.nonzero(seeds)[0]
 
     def run(restart: int) -> LearnReport:
         theta = _initial_theta(graph, config, restart)
@@ -202,7 +195,7 @@ def em_map_learn(
         with np.errstate(divide="ignore"):
             log_theta = np.log(theta)
         inside, scores = comp.inside_pass(log_theta)
-        _check_evidence(graph, seeds, inside)
+        check_nonzero(graph, observed, inside, ZeroEvidence)
         prev = _obs_total(seeds_f, inside) + _prior_term(delta, log_theta)
         trace.append(prev)
         for it in range(1, config.max_iter + 1):
@@ -212,7 +205,7 @@ def em_map_learn(
             with np.errstate(divide="ignore"):
                 log_theta = np.log(theta)
             inside, scores = comp.inside_pass(log_theta)
-            _check_evidence(graph, seeds, inside)
+            check_nonzero(graph, observed, inside, ZeroEvidence)
             current = _obs_total(seeds_f, inside) + _prior_term(delta, log_theta)
             trace.append(current)
             if abs(current - prev) <= config.tol * max(1.0, abs(prev)):
@@ -270,12 +263,7 @@ def vt_learn(
             with np.errstate(divide="ignore"):
                 log_theta = np.log(theta)
             best, sel = comp.viterbi_pass(log_theta)
-            bad = np.nonzero((seeds > 0) & np.isneginf(best))[0]
-            if len(bad):
-                raise AllZero(
-                    f"every explanation of goal {graph.labels[int(bad[0])]} "
-                    "has probability 0"
-                )
+            check_nonzero(graph, observed, best)
             trace.append(_obs_total(seeds_f, best) + _prior_term(delta, log_theta))
             # integer counts, so the update does not depend on summation order
             eta, use = comp.selected_counts_pass(sel, seeds)
@@ -302,7 +290,7 @@ def vt_learn(
 
     report = _best_restart(run, config)
     expl = comp.selected_explanations(final_sel[report.best_restart_index], observed)
-    per_goal = {g: _explanation_from_slots(layout, items) for g, items in expl.items()}
+    per_goal = {g: layout.explanation(items) for g, items in expl.items()}
     report.per_goal_viterbi = [per_goal[int(g)] for g in goals]
     return report
 
@@ -333,15 +321,6 @@ def learn(graph, goals, config: LearnConfig) -> LearnReport:
     if config.method == "vt":
         return vt_learn(graph, goals, config)
     return em_map_learn(graph, goals, config)
-
-
-def _explanation_from_slots(layout, items) -> Explanation:
-    from .graph import SwitchInstance
-
-    return Explanation(
-        SwitchInstance(layout.slot_pairs[s][0].id, layout.slot_pairs[s][1], m)
-        for s, m in items
-    )
 
 
 def _prior_term(delta: np.ndarray, log_theta: np.ndarray) -> float:
@@ -391,23 +370,20 @@ def objective(
     comp = graph.compiled()
     layout = graph.slots()
     seeds = _observation_seeds(graph, goals)
+    observed = np.nonzero(seeds)[0]
     log_theta = log_theta_vector(graph, theta)
     delta_flat = np.zeros(layout.n_slots) if delta is None else layout.flatten(delta)
 
     if method in ("em", "map"):
         inside, _ = comp.inside_pass(log_theta)
-        _check_evidence(graph, seeds, inside)
+        check_nonzero(graph, observed, inside, ZeroEvidence)
         value = _obs_total(seeds.astype(float), inside)
         if method == "map":
             value += _prior_term(delta_flat, log_theta)
         return value
 
     best, sel = comp.viterbi_pass(log_theta)
-    bad = np.nonzero((seeds > 0) & np.isneginf(best))[0]
-    if len(bad):
-        raise AllZero(
-            f"every explanation of goal {graph.labels[int(bad[0])]} has probability 0"
-        )
+    check_nonzero(graph, observed, best)
     eta, _ = comp.selected_counts_pass(sel, seeds)
     used = eta > 0
     with np.errstate(invalid="ignore"):

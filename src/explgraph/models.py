@@ -83,9 +83,8 @@ class NBHSpec:
                     builder.declare_switch(self.attr_switch(j, c, h), domain)
 
     def check_row(self, row: "DataRow", need_class: bool) -> None:
-        if need_class and (row.cls is None or row.cls not in self.classes):
-            raise InvalidRow(f"row class {row.cls!r} not in {self.classes}")
-        if row.cls is not None and row.cls not in self.classes:
+        missing = row.cls is None
+        if (missing and need_class) or (not missing and row.cls not in self.classes):
             raise InvalidRow(f"row class {row.cls!r} not in {self.classes}")
         if len(row.values) != len(self.attributes):
             raise InvalidRow(

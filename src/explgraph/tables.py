@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Optional, Union
 import numpy as np
 
 from .errors import ExplGraphError, MissingParameter
-from .graph import ExplanationGraph, SwitchDecl
+from .graph import Explanation, ExplanationGraph, SwitchDecl, SwitchInstance
 from .terms import TermLike, render_term
 
 __all__ = [
@@ -45,9 +45,9 @@ class SlotLayout:
         self.n_slots = off
         # reduceat segment starts, one per switch
         self.starts = np.array([self.offsets[k] for k in self.keys], dtype=np.int64)
-        # reverse lookup: slot -> (switch decl, value)
-        self.slot_pairs: list[tuple[SwitchDecl, TermLike]] = [
-            (d, v) for k, d in self.decls.items() for v in d.values
+        # reverse lookup: slot -> (switch, value)
+        self.slot_pairs: list[tuple[TermLike, TermLike]] = [
+            (d.id, v) for d in self.decls.values() for v in d.values
         ]
 
     def slot(self, switch: SwitchKey, value: TermLike) -> int:
@@ -57,6 +57,12 @@ class SlotLayout:
         except KeyError:
             raise MissingParameter(f"switch {k} not declared in graph") from None
         return self.offsets[k] + decl.value_index(value)
+
+    def explanation(self, counts, derivation: Optional[tuple] = None) -> Explanation:
+        """The explanation holding ``count`` instances of each (slot, count) pair."""
+        return Explanation(
+            (SwitchInstance(*self.slot_pairs[s], int(m)) for s, m in counts), derivation
+        )
 
     def flatten(self, table: "SwitchTable") -> np.ndarray:
         out = np.empty(self.n_slots)

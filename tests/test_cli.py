@@ -111,3 +111,16 @@ def test_missing_file_gives_clear_data_error(tmp_path, capsys):
     assert "not found" in err
     assert main(["eval", "--task", "pcfg", "--grammar", str(tmp_path / "g"),
                  "--treebank", str(tmp_path / "t"), "--folds", "2"]) == 2
+
+
+def test_eval_rejects_pseudo_file(files, capsys):
+    # cross-validation builds one graph per fold, so there is no single
+    # graph to read a pseudo-count file against; the flag must not be ignored
+    tmp, grammar, _ = files
+    trees = tmp / "toy.trees"
+    assert main(["gen", "--grammar", grammar, "-n", "6", "--seed", "3",
+                 "--max-depth", "8", "--trees-out", str(trees), "--out", str(tmp / "c")]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--task", "pcfg", "--grammar", grammar, "--treebank", str(trees),
+                 "--folds", "2", "--method", "map", "--pseudo", "/does/not/exist"]) == 2
+    assert "--pseudo needs a compiled graph context" in capsys.readouterr().err

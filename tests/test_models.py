@@ -72,6 +72,40 @@ def test_nbh_invalid_rows():
         compile_nbh(spec, DataRow(None, ("y", "n")), observed_class=True)
 
 
+def _reference_check_row(spec, row, need_class):
+    """``NBHSpec.check_row`` as written before its class tests were merged."""
+    if need_class and (row.cls is None or row.cls not in spec.classes):
+        raise InvalidRow(f"row class {row.cls!r} not in {spec.classes}")
+    if row.cls is not None and row.cls not in spec.classes:
+        raise InvalidRow(f"row class {row.cls!r} not in {spec.classes}")
+    if len(row.values) != len(spec.attributes):
+        raise InvalidRow(
+            f"row has {len(row.values)} attributes, expected {len(spec.attributes)}"
+        )
+    for v, (name, domain) in zip(row.values, spec.attributes):
+        if v is not None and v not in domain:
+            raise InvalidRow(f"value {v!r} not in domain of attribute {name}")
+
+
+def test_check_row_rejects_exactly_the_former_inputs():
+    # missing class when required, unknown class with and without
+    # need_class, and bad attribute lists, in every combination
+    spec = small_spec()
+    for cls in (None, "c1", "c2", "zzz", ""):
+        for values in (("y", "n"), (None, "n"), ("y",), ("y", "q"), ()):
+            for need_class in (False, True):
+                row = DataRow(cls, values)
+                outcomes = []
+                for check in (lambda: spec.check_row(row, need_class),
+                              lambda: _reference_check_row(spec, row, need_class)):
+                    try:
+                        check()
+                        outcomes.append(None)
+                    except InvalidRow as e:
+                        outcomes.append(str(e))
+                assert outcomes[0] == outcomes[1], (cls, values, need_class)
+
+
 def test_nbh_mixture_identity_against_assignment_oracle():
     # per-class inside value equals the exhaustive sum over hidden cluster
     # and missing-attribute assignments of the factor products
