@@ -1,14 +1,23 @@
 """Array form of a validated explanation graph.
 
-Goals are grouped into topological levels (every body's subgoals live in
-strictly lower levels), bodies and their parts are flattened into dense
-arrays, and every dynamic programme is one of two level loops, each
-taking one vectorised step per level:
+Building the array form is the graph's validation, done in one walk over
+its formulas.  In goal-id order the walk checks each body (subgoal ids
+first, then switch instances) and appends its subgoal ids, slot ids,
+multiplicities and tag to flat lists.  A depth-first search over the
+resulting child lists gives the topological order, rejects cycles and
+sets each goal's level (every body's subgoals live in strictly lower
+levels).  A stable sort by level then lays out goals, bodies and parts
+level by level.
+
+Every dynamic programme is one of two level loops, each taking one
+vectorised step per level:
 
 * the upward loop scores each body from its switch factors and its
   subgoals' values and reduces each goal's body scores to the goal's
   value.  Log-sum-exp gives the inside pass; max gives the Viterbi pass,
-  whose selected body is the lowest-index body attaining the max.
+  whose selected body is the lowest-index body attaining the max; under
+  zero log parameters, the changed flag plus the selected body's score
+  tells Viterbi training which derivations changed.
 * the downward loop pushes occurrence counts from the seeded goals
   through weighted bodies to subgoals and switch slots.  The weight
   occ(head) * P(body | head) gives expected counts (EM, MAP); the weight
@@ -23,21 +32,17 @@ probability zero.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import chain
+
 import numpy as np
 
+from .errors import CyclicGraph, DanglingReference
 from .graph import per_instance_memo
 
 NEG_INF = float("-inf")
-
-
-def _repeat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(s, s + c)`` for each (s, c) pair."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    base = np.repeat(starts, counts)
-    cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return base + (np.arange(total, dtype=np.int64) - np.repeat(cum, counts))
+# the largest float64 below 2**63, so a saturated use count fits int64
+_USE_CAP = np.nextafter(2.0**63, 0.0)
 
 
 def _log_sum_exp(scores: np.ndarray, lv: "_Level") -> np.ndarray:
@@ -84,86 +89,130 @@ class _Level:
         self.sparts = sparts
 
 
+def _topo_levels(kids: list[list[int]], labels) -> tuple[list[int], list[int]]:
+    """Children-first order and topological level of every goal.
+
+    An iterative depth-first search from each unvisited goal in id order
+    over the child lists ``kids``.  A goal's level, set when the goal
+    finishes, is one more than its highest child's (0 for a goal without
+    subgoals).  A child met again while still on the stack closes a cycle,
+    reported with the labels along it.
+    """
+    n = len(kids)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = [WHITE] * n
+    level = [0] * n
+    order: list[int] = []
+    for start in range(n):
+        if color[start] != WHITE:
+            continue
+        color[start] = GRAY
+        stack = [(start, iter(kids[start]))]  # (goal, its children not yet visited)
+        while stack:
+            goal, todo = stack[-1]
+            for child in todo:
+                if color[child] == WHITE:
+                    color[child] = GRAY
+                    stack.append((child, iter(kids[child])))
+                    break
+                if color[child] == GRAY:
+                    path = [fr[0] for fr in stack]
+                    cycle = [labels[g] for g in path[path.index(child):]] + [labels[child]]
+                    raise CyclicGraph(cycle)
+            else:
+                stack.pop()
+                color[goal] = BLACK
+                if kids[goal]:
+                    level[goal] = 1 + max([level[c] for c in kids[goal]])
+                order.append(goal)
+    return order, level
+
+
 class CompiledGraph:
-    """Flattened goal/body/part arrays plus the vectorised passes."""
+    """Flattened goal/body/part arrays plus the vectorised passes.
+
+    Building one validates ``graph`` (see the module docstring); the
+    graph itself is not kept.
+    """
 
     def __init__(self, graph):
-        self.graph = graph
         self.layout = graph.slots()
         n = graph.n_goals
-
-        level = np.zeros(n, dtype=np.int64)
-        for g in graph.topo_order:
-            lv = 0
-            for body in graph.formulas[g].bodies:
-                for s in body.subgoals:
-                    lv = max(lv, int(level[s]) + 1)
-            level[g] = lv
-        self.level = level
-        n_levels = int(level.max()) + 1 if n else 0
-        goals_by_level: list[list[int]] = [[] for _ in range(n_levels)]
-        for g in range(n):
-            goals_by_level[int(level[g])].append(g)
-
-        body_head: list[int] = []
-        body_local: list[int] = []
-        cpart_body: list[int] = []
-        cpart_child: list[int] = []
-        spart_body: list[int] = []
-        spart_slot: list[int] = []
-        spart_mult: list[int] = []
-        tagged = False
-        sel_index: dict[tuple[int, int], int] = {}
-        levels: list[_Level] = []
         slot_of = per_instance_memo(self.layout.slot)
+        kids, goal_nbodies = [], []  # per goal: subgoals of all its bodies, body count
+        body_ccount, body_scount, tags = [], [], []  # per body
+        spart_slot, spart_mult = [], []  # per switch part
+        for f in graph.formulas:
+            goal_kids: list[int] = []
+            for body in f.bodies:
+                for s in body.subgoals:
+                    if not 0 <= s < n:
+                        raise DanglingReference(
+                            f"goal {graph.labels[f.head]} references missing goal id {s}"
+                        )
+                goal_kids += body.subgoals
+                body_ccount.append(len(body.subgoals))
+                body_scount.append(len(body.instances))
+                tags.append(body.tag)
+                for inst in body.instances:
+                    spart_slot.append(slot_of(inst))
+                    spart_mult.append(inst.mult)
+            goal_nbodies.append(len(f.bodies))
+            kids.append(goal_kids)
+        self.topo_order, level = _topo_levels(kids, graph.labels)
 
-        for goals in goals_by_level:
-            body_lo = len(body_head)
-            cpart_lo = len(cpart_body)
-            spart_lo = len(spart_body)
-            seg_starts = []
-            for g in goals:
-                seg_starts.append(len(body_head) - body_lo)
-                for li, body in enumerate(graph.formulas[g].bodies):
-                    bid = len(body_head)
-                    sel_index[(g, li)] = bid
-                    body_head.append(g)
-                    body_local.append(li)
-                    tagged = tagged or body.tag is not None
-                    for s in body.subgoals:
-                        cpart_body.append(bid)
-                        cpart_child.append(s)
-                    for inst in body.instances:
-                        spart_body.append(bid)
-                        spart_slot.append(slot_of(inst))
-                        spart_mult.append(inst.mult)
-            levels.append(
-                _Level(
-                    np.array(goals, dtype=np.int64),
-                    np.array(seg_starts, dtype=np.int64),
-                    slice(body_lo, len(body_head)),
-                    slice(cpart_lo, len(cpart_body)),
-                    slice(spart_lo, len(spart_body)),
-                )
-            )
+        # Stable sorts by level: goals, and the bodies of each level, keep
+        # goal-id order, and each body's parts stay contiguous.
+        self.level = level = np.array(level, dtype=np.int64)
+        goal_nbodies = np.array(goal_nbodies, dtype=np.int64)
+        body_level = np.repeat(level, goal_nbodies)
+        cpart_level = np.repeat(body_level, body_ccount)
+        spart_level = np.repeat(body_level, body_scount)
+        goals = np.argsort(level, kind="stable")
+        bodies = np.argsort(body_level, kind="stable")
+        cparts = np.argsort(cpart_level, kind="stable")
+        sparts = np.argsort(spart_level, kind="stable")
 
         self.n_goals = n
-        self.n_bodies = len(body_head)
-        self.body_head = np.array(body_head, dtype=np.int64)
-        self.body_local = np.array(body_local, dtype=np.int64)
-        self.cpart_body = np.array(cpart_body, dtype=np.int64)
-        self.cpart_child = np.array(cpart_child, dtype=np.int64)
-        self.spart_body = np.array(spart_body, dtype=np.int64)
-        self.spart_slot = np.array(spart_slot, dtype=np.int64)
-        self.spart_mult = np.array(spart_mult, dtype=np.float64)
-        # each body's parts are contiguous, in body order
-        self.body_ccount = np.bincount(self.cpart_body, minlength=self.n_bodies)
+        self.n_bodies = len(bodies)
+        body_ids = np.arange(self.n_bodies, dtype=np.int64)
+        self.body_head = np.repeat(goals, goal_nbodies[goals])
+        self.body_local = bodies - (np.cumsum(goal_nbodies) - goal_nbodies)[self.body_head]
+        self.body_ccount = np.array(body_ccount, dtype=np.int64)[bodies]
         self.body_cstart = np.cumsum(self.body_ccount) - self.body_ccount
-        self.body_scount = np.bincount(self.spart_body, minlength=self.n_bodies)
+        self.body_scount = np.array(body_scount, dtype=np.int64)[bodies]
         self.body_sstart = np.cumsum(self.body_scount) - self.body_scount
-        self.levels = levels
-        self.sel_index = sel_index
-        self.tagged = tagged  # whether any body carries a frontend tag
+        self.cpart_body = np.repeat(body_ids, self.body_ccount)
+        self.cpart_child = np.array(list(chain.from_iterable(kids)), dtype=np.int64)[cparts]
+        self.spart_body = np.repeat(body_ids, self.body_scount)
+        self.spart_slot = np.array(spart_slot, dtype=np.int64)[sparts]
+        self.spart_mult = np.array(spart_mult, dtype=np.float64)[sparts]
+        self.tags = [tags[b] for b in bodies.tolist()]
+        self.tagged = any(t is not None for t in tags)  # some body carries a frontend tag
+
+        n_levels = int(level.max()) + 1 if n else 0
+        gs, bs, cs, ss = (
+            np.concatenate(([0], np.cumsum(np.bincount(x, minlength=n_levels)))).tolist()
+            for x in (level, body_level, cpart_level, spart_level)
+        )
+        nb = goal_nbodies[goals]
+        seg_starts = np.cumsum(nb) - nb
+        self.levels = [
+            _Level(
+                goals[gs[k] : gs[k + 1]],
+                seg_starts[gs[k] : gs[k + 1]] - bs[k],
+                slice(bs[k], bs[k + 1]),
+                slice(cs[k], cs[k + 1]),
+                slice(ss[k], ss[k + 1]),
+            )
+            for k in range(n_levels)
+        ]
+
+    @cached_property
+    def sel_index(self) -> dict[tuple[int, int], int]:
+        """Global body index of each (goal, local body index) pair."""
+        pairs = zip(self.body_head.tolist(), self.body_local.tolist())
+        return dict(zip(pairs, range(self.n_bodies)))
 
     # -- the two level loops ----------------------------------------------
 
@@ -259,10 +308,12 @@ class CompiledGraph:
         selected body of each goal.  Returns (flat switch counts, per-goal
         use counts); a goal's use count is the number of times it occurs in
         the selected derivations of all seeded goals.  Counts are whole
-        numbers, exact below 2**53, so summation order cannot change them.
+        numbers, exact below 2**53, so summation order cannot change them;
+        int64 use counts saturate just below 2**63, so every goal the
+        derivations use has a positive count.
         """
         eta, use = self._downward(seeds, _selected, sel)
-        return eta, use.astype(np.int64)
+        return eta, np.minimum(use, _USE_CAP).astype(np.int64)
 
     def selected_explanations_pass(self, sel: np.ndarray) -> list[tuple]:
         """:meth:`selected_explanations` of every goal, as a list by goal id."""
@@ -278,38 +329,36 @@ class CompiledGraph:
         sub-DAGs below ``goals``; the Python merging then costs their size
         rather than the graph's.
         """
+        seeds = np.zeros(self.n_goals)
+        seeds[np.asarray(goals, dtype=np.int64)] = 1.0
         expl: dict[int, tuple] = {}
-        for g in self._selected_below(sel, goals):
+        for g in self._children_first(self._downward(seeds, _selected, sel)[1]):
             expl[g] = self._merge_selected(int(sel[g]), expl)
         return {int(g): expl[int(g)] for g in goals}
 
-    def _selected_below(self, sel: np.ndarray, goals) -> list[int]:
-        """Goals of the selected sub-DAGs below ``goals``, children first:
-        those the downward loop reaches from ``goals`` along selected bodies."""
-        seeds = np.zeros(self.n_goals)
-        seeds[np.asarray(goals, dtype=np.int64)] = 1.0
-        below = np.flatnonzero(self._downward(seeds, _selected, sel)[1])
-        return below[np.argsort(self.level[below], kind="stable")].tolist()
+    def _children_first(self, use: np.ndarray) -> list[int]:
+        """The goals of positive ``use`` count, sorted by level."""
+        used = np.flatnonzero(use > 0)
+        return used[np.argsort(self.level[used], kind="stable")].tolist()
 
-    def _selected_children(self, sel: np.ndarray, g: int) -> list[int]:
-        b = int(sel[g])
-        c0 = int(self.body_cstart[b])
-        return self.cpart_child[c0 : c0 + int(self.body_ccount[b])].tolist()
-
-    def selected_derivation(self, sel: np.ndarray, goal: int) -> tuple:
+    def selected_derivation(self, sel: np.ndarray, goal: int, use: np.ndarray) -> tuple:
         """The derivation of ``goal`` along the selected bodies, as nested tuples.
 
-        A tagged body gives one node ``(tag, children)``; an untagged body
-        splices its subgoals' nodes into its parent's children.  Subgoals
-        keep body order, so the nodes read left to right.  Built bottom-up
-        over the selected sub-DAG below ``goal``: one vectorised downward
-        pass finds it, and the Python work is linear in its size.
+        ``use`` holds the use counts :meth:`selected_counts_pass` returns
+        when seeded with ``goal`` alone; its positive entries are the
+        selected sub-DAG below ``goal``.  A tagged body gives one node
+        ``(tag, children)``; an untagged body splices its subgoals' nodes
+        into its parent's children.  Subgoals keep body order, so the nodes
+        read left to right.  Built bottom-up over the sub-DAG, in Python
+        work linear in its size.
         """
         nodes: dict[int, tuple] = {}
-        for g in self._selected_below(sel, [goal]):
-            kids = tuple(node for c in self._selected_children(sel, g) for node in nodes[c])
-            tag = self.graph.formulas[g].bodies[int(self.body_local[sel[g]])].tag
-            nodes[g] = kids if tag is None else ((tag, kids),)
+        for g in self._children_first(use):
+            b = sel[g]
+            c0 = self.body_cstart[b]
+            children = self.cpart_child[c0 : c0 + self.body_ccount[b]].tolist()
+            kids = tuple(node for c in children for node in nodes[c])
+            nodes[g] = kids if self.tags[b] is None else ((self.tags[b], kids),)
         return nodes[int(goal)]
 
     def _merge_selected(self, b: int, expl) -> tuple:
@@ -329,17 +378,14 @@ class CompiledGraph:
         """Per goal, whether its selected derivation differs between two selections.
 
         A goal's derivation changed when its own selected body changed or
-        when a subgoal of its (unchanged) selected body changed; the flag
-        is propagated bottom-up one level at a time.
+        when a subgoal of its (unchanged) selected body changed.  One upward
+        pass under zero log parameters propagates the flag: a goal's value
+        is its own flag plus its selected body's score (the sum of its
+        subgoals' values), capped at 1.
         """
-        changed = sel != prev_sel
-        for lv in self.levels:
-            bs = sel[lv.goals]
-            ccnt = self.body_ccount[bs]
-            if not ccnt.any():
-                continue
-            idx = _repeat_ranges(self.body_cstart[bs], ccnt)
-            owner = np.repeat(np.arange(len(bs), dtype=np.int64), ccnt)
-            hits = np.bincount(owner, weights=changed[self.cpart_child[idx]], minlength=len(bs))
-            changed[lv.goals] |= hits > 0
-        return changed
+        own = (sel != prev_sel).astype(float)
+
+        def reduce(scores: np.ndarray, lv: _Level) -> np.ndarray:
+            return np.minimum(scores[sel[lv.goals] - lv.bodies.start] + own[lv.goals], 1.0)
+
+        return self._upward(np.zeros(self.layout.n_slots), reduce)[0] > 0

@@ -9,9 +9,10 @@ picking one body per goal encountered; the graph shares substructure so
 that sum-product and argmax dynamic programming run in time linear in its
 size (see :mod:`explgraph.inference`).
 
-This module owns the data model, structural validation, a desk-scale
-brute-force enumerator used as an oracle in tests, and the exclusiveness
-diagnostic.
+This module owns the data model, the validation entry point (whose
+checks run while :mod:`explgraph.compiled` flattens the graph), a
+desk-scale brute-force enumerator used as an oracle in tests, and the
+exclusiveness diagnostic.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import (
-    CyclicGraph,
-    DanglingReference,
     ExplGraphError,
     ExplosionLimit,
     ExplGraphWarning,
-    MissingParameter,
     UndeclaredValue,
 )
 from .terms import TermLike, render_term
@@ -217,7 +215,6 @@ class ExplanationGraph:
         self.labels = list(labels)
         self.formulas = list(formulas)
         self.roots = list(roots)
-        self.topo_order: Optional[list[GoalId]] = None
         self.exclusiveness: Optional[str] = None  # cached diagnostic verdict
         self._compiled = None
         self._slots = None
@@ -227,13 +224,6 @@ class ExplanationGraph:
     @property
     def n_goals(self) -> int:
         return len(self.formulas)
-
-    def switch_decl(self, switch: TermLike) -> SwitchDecl:
-        key = render_term(switch)
-        try:
-            return self.switches[key]
-        except KeyError:
-            raise MissingParameter(f"switch {key} not declared in graph") from None
 
     def goal_index(self, label: str) -> GoalId:
         matches = [i for i, lab in enumerate(self.labels) if lab == label]
@@ -245,11 +235,15 @@ class ExplanationGraph:
 
     @property
     def validated(self) -> bool:
-        return self.topo_order is not None
+        return self._compiled is not None
+
+    @property
+    def topo_order(self) -> Optional[list[GoalId]]:
+        """Bottom-up topological order, once the graph is validated."""
+        return self._compiled.topo_order if self.validated else None
 
     def require_validated(self) -> None:
-        if not self.validated:
-            validate_graph(self)
+        self.compiled()
 
     def body_size(self) -> int:
         """Total number of atoms across all bodies (graph size)."""
@@ -270,8 +264,8 @@ class ExplanationGraph:
         return self._slots
 
     def compiled(self):
-        """Array form of the graph for vectorised passes (cached)."""
-        self.require_validated()
+        """Array form of the graph for vectorised passes (cached); building
+        it validates the graph (see :func:`validate_graph`)."""
         if self._compiled is None:
             from .compiled import CompiledGraph
 
@@ -329,13 +323,13 @@ class GraphBuilder:
         if goal not in self._roots:
             self._roots.append(goal)
 
-    def build(self, validate: bool = True) -> ExplanationGraph:
+    def build(self) -> ExplanationGraph:
+        """The validated graph (see :func:`validate_graph`)."""
         formulas = [
             DefiningFormula(i, tuple(bodies)) for i, bodies in enumerate(self._bodies)
         ]
         graph = ExplanationGraph(self._switches, self._labels, formulas, self._roots)
-        if validate:
-            validate_graph(graph)
+        validate_graph(graph)
         return graph
 
 
@@ -369,57 +363,16 @@ def validate_graph(graph: ExplanationGraph) -> list[GoalId]:
     Every referenced subgoal must exist, every switch instance must use a
     declared value, and the head-calls-body relation must be acyclic.  The
     returned order lists each goal after all goals it references.
-    Idempotent: a validated graph returns its cached order.
+
+    Validating a graph compiles it, so a validated graph is a compiled one
+    and ``graph.compiled()`` returns that one cached state.  A single walk
+    over the formulas checks the bodies in goal-id order (a body's subgoal
+    ids before its switch instances) while flattening them for
+    :class:`explgraph.compiled.CompiledGraph`; a depth-first search over
+    the flattened child lists then orders the goals or raises
+    ``CyclicGraph``.  Idempotent: a validated graph returns its cached order.
     """
-    if graph.topo_order is not None:
-        return graph.topo_order
-
-    n = graph.n_goals
-    check = per_instance_memo(lambda s, v: graph.switch_decl(s).value_index(v))
-    for f in graph.formulas:
-        for body in f.bodies:
-            for sub in body.subgoals:
-                if not (0 <= sub < n):
-                    raise DanglingReference(
-                        f"goal {graph.labels[f.head]} references missing goal id {sub}"
-                    )
-            for inst in body.instances:
-                check(inst)
-
-    def children(goal: GoalId) -> list[GoalId]:
-        return [s for b in graph.formulas[goal].bodies for s in b.subgoals]
-
-    # Iterative DFS with cycle witness; each frame is [goal, children, next].
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * n
-    order: list[GoalId] = []
-    for start in range(n):
-        if color[start] != WHITE:
-            continue
-        stack: list[list] = [[start, children(start), 0]]
-        color[start] = GRAY
-        while stack:
-            frame = stack[-1]
-            goal, kids, pos = frame
-            if pos < len(kids):
-                frame[2] = pos + 1
-                child = kids[pos]
-                if color[child] == GRAY:
-                    path = [fr[0] for fr in stack]
-                    cycle = [graph.labels[g] for g in path[path.index(child):]] + [
-                        graph.labels[child]
-                    ]
-                    raise CyclicGraph(cycle)
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    stack.append([child, children(child), 0])
-            else:
-                color[goal] = BLACK
-                order.append(goal)
-                stack.pop()
-
-    graph.topo_order = order
-    return order
+    return graph.compiled().topo_order
 
 
 def enumerate_explanations(

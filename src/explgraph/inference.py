@@ -99,7 +99,6 @@ class ViterbiResult:
 
 def inside_prob(graph: ExplanationGraph, theta: ParameterTable) -> InsideTable:
     """Sum-product inside values for every goal, in topological order."""
-    graph.require_validated()
     comp = graph.compiled()
     log, _ = comp.inside_pass(log_theta_vector(graph, theta))
     note = None
@@ -128,10 +127,9 @@ def viterbi(graph: ExplanationGraph, goal: GoalId, theta: ParameterTable) -> Vit
     explanation of the goal has probability zero the result would be
     meaningless and :class:`AllZero` is raised instead.
     """
-    graph.require_validated()
+    comp = graph.compiled()
     if not (0 <= goal < graph.n_goals):
         raise KeyError(f"no goal with id {goal}")
-    comp = graph.compiled()
     best, sel = comp.viterbi_pass(log_theta_vector(graph, theta))
     check_nonzero(graph, [goal], best)
     return extract_viterbi(graph, sel, best, goal)
@@ -149,7 +147,7 @@ def extract_viterbi(
     trace = {
         int(g): int(comp.body_local[sel[g]]) for g in np.nonzero(use > 0)[0]
     }
-    derivation = comp.selected_derivation(sel, goal) if comp.tagged else None
+    derivation = comp.selected_derivation(sel, goal, use) if comp.tagged else None
     slots = np.nonzero(eta)[0]
     explanation = comp.layout.explanation(zip(slots, eta[slots]), derivation)
     return ViterbiResult(goal, float(best[goal]), explanation, trace)

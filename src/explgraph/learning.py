@@ -137,7 +137,6 @@ def expected_counts(
     shared graph; observation multiplicities are handled by seeding each
     observed goal with its count.
     """
-    graph.require_validated()
     comp = graph.compiled()
     seeds = _observation_seeds(graph, goals)
     inside, scores = comp.inside_pass(log_theta_vector(graph, theta))
@@ -178,7 +177,6 @@ def em_map_learn(
     """
     if config.method not in ("em", "map"):
         raise ExplGraphError("em_map_learn handles methods 'em' and 'map'")
-    graph.require_validated()
     comp = graph.compiled()
     layout = graph.slots()
     seeds = _observation_seeds(graph, goals)
@@ -242,7 +240,6 @@ def vt_learn(
     """
     if config.method != "vt":
         raise ExplGraphError("vt_learn handles method 'vt'")
-    graph.require_validated()
     comp = graph.compiled()
     layout = graph.slots()
     seeds = _observation_seeds(graph, goals)
@@ -366,7 +363,6 @@ def objective(
     """
     if method not in METHODS:
         raise ExplGraphError(f"unknown learning method {method!r}")
-    graph.require_validated()
     comp = graph.compiled()
     layout = graph.slots()
     seeds = _observation_seeds(graph, goals)

@@ -50,8 +50,11 @@ class SlotLayout:
             (d.id, v) for d in self.decls.values() for v in d.values
         ]
 
-    def slot(self, switch: SwitchKey, value: TermLike) -> int:
-        k = _key(switch)
+    def slot(self, switch: TermLike, value: TermLike) -> int:
+        """The slot of ``value`` of ``switch``; raises as a graph's
+        validation does for an invalid term, an undeclared switch or an
+        undeclared value."""
+        k = render_term(switch)
         try:
             decl = self.decls[k]
         except KeyError:
@@ -198,8 +201,8 @@ class ParameterTable(SwitchTable):
         )
 
     @classmethod
-    def from_flat(cls, layout: SlotLayout, flat: np.ndarray, validate: bool = True) -> "ParameterTable":
-        return cls(layout.decls, layout.unflatten(flat), validate=validate)
+    def from_flat(cls, layout: SlotLayout, flat: np.ndarray) -> "ParameterTable":
+        return cls(layout.decls, layout.unflatten(flat))
 
 
 class PseudoCountTable(SwitchTable):

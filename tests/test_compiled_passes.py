@@ -1,22 +1,36 @@
-"""The two level loops of ``CompiledGraph`` against the passes they replaced.
+"""``CompiledGraph`` against the flatten and the passes it replaced.
 
 ``ReferencePasses`` keeps the four hand-written level loops (inside,
-Viterbi, expected counts, selected counts) and the level-order explanation
-walk as they stood before the passes became reductions of one upward and
-one downward loop.  Every array the new passes return must be bitwise
-equal to the reference's, on random graphs (with and without zero
-parameters) and on the demo20 N=200 corpus graphs.
+Viterbi, expected counts, selected counts), the level-order explanation
+walk and the ``changed_derivations`` loop as they stood before the passes
+became reductions of one upward and one downward loop.  Every array the
+new passes return must be bitwise equal to the reference's, on random
+graphs (with and without zero parameters) and on the demo20 N=200 corpus
+graphs.  ``reference_flatten`` keeps the flatten that levelled the goals
+of a validated graph and walked its bodies level by level; the one-walk
+construction must lay out the same arrays.
 """
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from explgraph.errors import DanglingReference, NoPath
 from explgraph.grammar import compile_pcfg_corpus, compile_plcg_corpus, gen_corpus
-from explgraph.graph import GraphBuilder
-from explgraph.inference import log_theta_vector
+from explgraph.graph import GraphBuilder, SwitchInstance, per_instance_memo
+from explgraph.inference import log_theta_vector, viterbi
 from explgraph.io import load_grammar
+from explgraph.models import (
+    DataRow,
+    NBHSpec,
+    compile_nbh_corpus,
+    compile_path_graph,
+    compile_path_queries,
+    six_node_demo_graph,
+)
+from explgraph.tables import ParameterTable
 
 from conftest import random_exclusive_graph, random_general_graph, random_theta
 
@@ -156,6 +170,126 @@ class ReferencePasses:
                 np.add.at(eta, self.spart_slot[idx], self.spart_mult[idx] * np.repeat(uu, scnt))
         return eta, use
 
+    def changed_derivations(self, sel: np.ndarray, prev_sel: np.ndarray) -> np.ndarray:
+        changed = sel != prev_sel
+        for lv in self.levels:
+            bs = sel[lv.goals]
+            ccnt = self.body_ccount[bs]
+            if not ccnt.any():
+                continue
+            idx = _repeat_ranges(self.body_cstart[bs], ccnt)
+            owner = np.repeat(np.arange(len(bs), dtype=np.int64), ccnt)
+            hits = np.bincount(owner, weights=changed[self.cpart_child[idx]], minlength=len(bs))
+            changed[lv.goals] |= hits > 0
+        return changed
+
+
+def reference_topo_order(graph):
+    """The depth-first search that validation ran over the formulas."""
+    n = graph.n_goals
+
+    def children(goal):
+        return [s for b in graph.formulas[goal].bodies for s in b.subgoals]
+
+    color = [0] * n
+    order = []
+    for start in range(n):
+        if color[start]:
+            continue
+        stack = [[start, children(start), 0]]
+        color[start] = 1
+        while stack:
+            frame = stack[-1]
+            goal, kids, pos = frame
+            if pos < len(kids):
+                frame[2] = pos + 1
+                child = kids[pos]
+                if color[child] == 0:
+                    color[child] = 1
+                    stack.append([child, children(child), 0])
+            else:
+                color[goal] = 2
+                order.append(goal)
+                stack.pop()
+    return order
+
+
+def reference_flatten(graph):
+    """The former ``CompiledGraph.__init__``: levels from the topological
+    order, then the bodies flattened level by level in Python."""
+    layout = graph.slots()
+    n = graph.n_goals
+    topo_order = reference_topo_order(graph)
+    level = np.zeros(n, dtype=np.int64)
+    for g in topo_order:
+        lv = 0
+        for body in graph.formulas[g].bodies:
+            for s in body.subgoals:
+                lv = max(lv, int(level[s]) + 1)
+        level[g] = lv
+    n_levels = int(level.max()) + 1 if n else 0
+    goals_by_level = [[] for _ in range(n_levels)]
+    for g in range(n):
+        goals_by_level[int(level[g])].append(g)
+
+    body_head, body_local, tags = [], [], []
+    cpart_body, cpart_child = [], []
+    spart_body, spart_slot, spart_mult = [], [], []
+    sel_index = {}
+    levels = []
+    slot_of = per_instance_memo(layout.slot)
+    for goals in goals_by_level:
+        body_lo, cpart_lo, spart_lo = len(body_head), len(cpart_body), len(spart_body)
+        seg_starts = []
+        for g in goals:
+            seg_starts.append(len(body_head) - body_lo)
+            for li, body in enumerate(graph.formulas[g].bodies):
+                bid = len(body_head)
+                sel_index[(g, li)] = bid
+                body_head.append(g)
+                body_local.append(li)
+                tags.append(body.tag)
+                for s in body.subgoals:
+                    cpart_body.append(bid)
+                    cpart_child.append(s)
+                for inst in body.instances:
+                    spart_body.append(bid)
+                    spart_slot.append(slot_of(inst))
+                    spart_mult.append(inst.mult)
+        levels.append(
+            (
+                np.array(goals, dtype=np.int64),
+                np.array(seg_starts, dtype=np.int64),
+                (body_lo, len(body_head)),
+                (cpart_lo, len(cpart_body)),
+                (spart_lo, len(spart_body)),
+            )
+        )
+    arrays = {
+        "level": level,
+        "body_head": np.array(body_head, dtype=np.int64),
+        "body_local": np.array(body_local, dtype=np.int64),
+        "cpart_body": np.array(cpart_body, dtype=np.int64),
+        "cpart_child": np.array(cpart_child, dtype=np.int64),
+        "spart_body": np.array(spart_body, dtype=np.int64),
+        "spart_slot": np.array(spart_slot, dtype=np.int64),
+        "spart_mult": np.array(spart_mult, dtype=np.float64),
+    }
+    n_bodies = len(body_head)
+    arrays["body_ccount"] = np.bincount(arrays["cpart_body"], minlength=n_bodies)
+    arrays["body_cstart"] = np.cumsum(arrays["body_ccount"]) - arrays["body_ccount"]
+    arrays["body_scount"] = np.bincount(arrays["spart_body"], minlength=n_bodies)
+    arrays["body_sstart"] = np.cumsum(arrays["body_scount"]) - arrays["body_scount"]
+    return {
+        "arrays": arrays,
+        "levels": levels,
+        "sel_index": sel_index,
+        "tags": tags,
+        "tagged": any(t is not None for t in tags),
+        "topo_order": topo_order,
+        "n_bodies": n_bodies,
+    }
+
 
 def assert_same(a, b):
     """Equal values, and the same dtype and bytes (so -0.0 differs from 0.0)."""
@@ -220,3 +354,141 @@ def test_passes_equal_reference_on_demo20_corpus(compile_corpus):
         theta, _ = graph.slots().normalize(weights)
         with np.errstate(divide="ignore"):
             assert_passes_equal(graph, np.log(theta), seeds)
+
+
+def assert_flatten_equal(graph):
+    """Every array, level and index of the compiled graph equals the
+    former flatten's, with the same dtypes."""
+    comp = graph.compiled()
+    ref = reference_flatten(graph)
+    for name, arr in ref["arrays"].items():
+        assert_same(getattr(comp, name), arr)
+    assert len(comp.levels) == len(ref["levels"])
+    for lv, (goals, seg_starts, bodies, cparts, sparts) in zip(comp.levels, ref["levels"]):
+        assert_same(lv.goals, goals)
+        assert_same(lv.seg_starts, seg_starts)
+        assert (lv.bodies.start, lv.bodies.stop) == bodies
+        assert (lv.cparts.start, lv.cparts.stop) == cparts
+        assert (lv.sparts.start, lv.sparts.stop) == sparts
+        assert all(type(x) is int for x in (lv.bodies.start, lv.cparts.stop, lv.sparts.stop))
+    assert comp.n_bodies == ref["n_bodies"]
+    assert comp.sel_index == ref["sel_index"]
+    assert comp.tags == ref["tags"] and comp.tagged == ref["tagged"]
+    assert comp.topo_order == ref["topo_order"] == graph.topo_order
+    assert not hasattr(comp, "graph")
+
+
+def assert_changed_equal(graph, rng, pairs):
+    """``changed_derivations`` equals the former loop on random selections."""
+    comp = graph.compiled()
+    ref = ReferencePasses(comp)
+    n_local = np.bincount(comp.body_head, minlength=graph.n_goals)
+    first = np.array([comp.sel_index[(g, 0)] for g in range(graph.n_goals)], dtype=np.int64)
+    for _ in range(pairs):
+        sel, prev = (
+            np.array(
+                [comp.sel_index[(g, int(rng.integers(n_local[g])))] for g in range(graph.n_goals)],
+                dtype=np.int64,
+            )
+            for _ in range(2)
+        )
+        if rng.random() < 0.5:
+            # few differences, so unchanged goals above changed ones are common
+            keep = rng.random(graph.n_goals) < 0.8
+            prev = np.where(keep, sel, prev)
+        for a, b in ((sel, prev), (sel, sel), (first, prev)):
+            assert_same(comp.changed_derivations(a, b), ref.changed_derivations(a, b))
+
+
+def _demo20_graphs():
+    demo20 = load_grammar(DEMO20)
+    sentences = gen_corpus(demo20, demo20.pcfg_parameter_table(), 200, seed=1).sentences()
+    return [compile(demo20, sentences)[0] for compile in (compile_pcfg_corpus, compile_plcg_corpus)]
+
+
+def _nbh_graph(rng):
+    spec = NBHSpec(("pos", "neg", "mid"), 2, tuple((f"a{j}", ("x", "y", "z")) for j in range(4)))
+    rows = [
+        DataRow(
+            str(rng.choice(spec.classes)),
+            tuple(None if rng.random() < 0.3 else str(rng.choice(["x", "y", "z"])) for _ in range(4)),
+        )
+        for _ in range(150)
+    ]
+    assert any(None in row.values for row in rows)
+    return compile_nbh_corpus(spec, rows)[0]
+
+
+def _path_graphs():
+    eg = six_node_demo_graph()
+    queries = []
+    for u in eg.nodes:
+        for v in eg.nodes:
+            if u == v:
+                continue
+            try:
+                compile_path_graph(eg, u, v)
+            except NoPath:
+                continue
+            queries.append((u, v))
+    return [compile_path_queries(eg, queries)[0], compile_path_graph(eg, 1, 4)]
+
+
+def test_one_walk_flatten_equals_reference_on_random_graphs():
+    rng = np.random.default_rng(62)
+    for make in (random_exclusive_graph, random_general_graph):
+        for _ in range(60):
+            graph, _ = make(rng)
+            assert_flatten_equal(graph)
+            assert_changed_equal(graph, rng, 4)
+
+
+def test_one_walk_flatten_equals_reference_on_model_graphs():
+    rng = np.random.default_rng(63)
+    b = GraphBuilder()
+    empty = b.build()
+    for graph in _demo20_graphs() + [_nbh_graph(rng), empty] + _path_graphs():
+        assert_flatten_equal(graph)
+        assert_changed_equal(graph, rng, 20)
+
+
+def test_dangling_reference_precedes_a_later_undeclared_value():
+    b = GraphBuilder()
+    b.declare_switch("c", ("h",))
+    g0, g1 = b.goal("g0"), b.goal("g1")
+    b.add_body(g0, [7], [SwitchInstance("c", "h")])
+    b.add_body(g1, [], [SwitchInstance("c", "zzz")])
+    with pytest.raises(DanglingReference, match="g0"):
+        b.build()
+
+
+def _doubling_chain(depth):
+    """A chain of ``depth`` goals in which each goal's one body uses its
+    child twice, so the bottom goal occurs 2**(depth - 1) times."""
+    b = GraphBuilder()
+    b.declare_switch("c", ("h", "t"))
+    goals = [b.goal("g0")]
+    b.add_body(goals[0], [], [SwitchInstance("c", "h")])
+    for k in range(1, depth):
+        goals.append(b.goal(f"g{k}"))
+        b.add_body(goals[k], [goals[k - 1], goals[k - 1]], [SwitchInstance("c", "t")])
+    b.add_root(goals[-1])
+    return b.build(), goals[-1]
+
+
+def test_every_goal_of_a_doubling_chain_is_used():
+    # the bottom goals occur 2**63 times or more; their use counts must
+    # stay positive instead of wrapping when cast to int64
+    graph, top = _doubling_chain(70)
+    theta = ParameterTable.uniform(graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = viterbi(graph, top, theta)
+        comp = graph.compiled()
+        _, sel = comp.viterbi_pass(log_theta_vector(graph, theta))
+        seeds = np.zeros(graph.n_goals, dtype=np.int64)
+        seeds[top] = 1
+        _, use = comp.selected_counts_pass(sel, seeds)
+    assert len(result.choice_trace) == 70
+    assert use.dtype == np.int64 and np.all(use > 0)
+    assert result.explanation.count("c", "h") == 2**69

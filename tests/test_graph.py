@@ -148,8 +148,9 @@ def test_validate_reports_first_bad_instance():
     ok = [SwitchInstance("c", "h"), SwitchInstance(1, "h")]
     with pytest.raises(UndeclaredValue, match="zzz"):
         build(ok + [SwitchInstance("c", "zzz"), SwitchInstance("c", "yyy")])
-    # equal to the declared 1 but no term: the per-pair check must not reuse 1's verdict
-    for bad in (True, 1.0):
+    # equal to the declared 1 but no term: the per-pair check must not reuse 1's verdict;
+    # a string switch name is checked as a symbol, not looked up as a rendered key
+    for bad in (True, 1.0, "f(a)"):
         with pytest.raises(TermSyntaxError):
             build(ok + [SwitchInstance(bad, "h")])
     # an unhashable value is checked without the memo
