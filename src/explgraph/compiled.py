@@ -15,13 +15,17 @@ vectorised step per level:
 * the upward loop scores each body from its switch factors and its
   subgoals' values and reduces each goal's body scores to the goal's
   value.  Log-sum-exp gives the inside pass; max gives the Viterbi pass,
-  whose selected body is the lowest-index body attaining the max; under
-  zero log parameters, the changed flag plus the selected body's score
-  tells Viterbi training which derivations changed.
+  whose selected body is the lowest-index body attaining the max.
 * the downward loop pushes occurrence counts from the seeded goals
   through weighted bodies to subgoals and switch slots.  The weight
   occ(head) * P(body | head) gives expected counts (EM, MAP); the weight
   occ(head) * [body is the selected one] gives Viterbi counts (VT).
+
+A third bottom-up loop, in ``selected_multisets``, reads explanation
+multisets off a selection: each used goal's row of exact integer counts
+per slot is its selected body's switch parts plus its subgoals' rows.
+It stays apart from the upward loop, which carries one float per goal,
+because a multiset is a vector of exact integers.
 
 Each pass costs O(total body size) numpy work, matching the linear-time
 contract of the sum-product and argmax recurrences.
@@ -315,26 +319,44 @@ class CompiledGraph:
         eta, use = self._downward(seeds, _selected, sel)
         return eta, np.minimum(use, _USE_CAP).astype(np.int64)
 
-    def selected_explanations_pass(self, sel: np.ndarray) -> list[tuple]:
-        """:meth:`selected_explanations` of every goal, as a list by goal id."""
-        return list(self.selected_explanations(sel, range(self.n_goals)).values())
+    def selected_multisets(
+        self, sel: np.ndarray, eta: np.ndarray, use: np.ndarray, goals
+    ) -> np.ndarray:
+        """Exact switch counts of the selected derivations of ``goals``.
 
-    def selected_explanations(self, sel: np.ndarray, goals) -> dict[int, tuple]:
-        """Explanation multisets of ``goals`` along the selected bodies.
-
-        Returns, for each goal, a canonical sorted tuple of (slot, count)
-        pairs.  Distinct selected derivations that merge to one multiset
-        compare equal here, which is what the fixed-point test of Viterbi
-        training needs.  One vectorised downward pass finds the selected
-        sub-DAGs below ``goals``; the Python merging then costs their size
-        rather than the graph's.
+        ``eta`` and ``use`` are what :meth:`selected_counts_pass` returns
+        for ``sel``, and every goal of ``goals`` must be used.  Row k counts,
+        per slot, the switch instances in the derivation of ``goals[k]``
+        along the selected bodies, so two derivations have the same
+        explanation multiset exactly when their rows are equal.  Only the
+        used goals get rows: each starts at its selected body's switch
+        parts, and one step per level, bottom-up, adds its subgoals' rows.
+        No entry exceeds ``eta``, so int64 rows cannot wrap while ``eta``
+        stays below 2**62; beyond that the rows hold Python ints.
         """
-        seeds = np.zeros(self.n_goals)
-        seeds[np.asarray(goals, dtype=np.int64)] = 1.0
-        expl: dict[int, tuple] = {}
-        for g in self._children_first(self._downward(seeds, _selected, sel)[1]):
-            expl[g] = self._merge_selected(int(sel[g]), expl)
-        return {int(g): expl[int(g)] for g in goals}
+        used = use > 0
+        row = np.cumsum(used) - 1  # row of each used goal, in goal-id order
+        dtype = np.int64 if eta.max(initial=0.0) < 2.0**62 else object
+        rows = np.zeros((int(used.sum()), self.layout.n_slots), dtype=dtype)
+        chosen = used[self.body_head] & (sel[self.body_head] == np.arange(self.n_bodies))
+        sp = np.flatnonzero(chosen[self.spart_body])
+        mult = self.spart_mult[sp].astype(np.int64).astype(dtype)
+        np.add.at(rows, (row[self.body_head[self.spart_body[sp]]], self.spart_slot[sp]), mult)
+        cp = np.flatnonzero(chosen[self.cpart_body])  # in level order
+        heads = row[self.body_head[self.cpart_body[cp]]]
+        kids = row[self.cpart_child[cp]]
+        lo = 0
+        for hi in np.searchsorted(cp, [lv.cparts.stop for lv in self.levels]).tolist():
+            np.add.at(rows, heads[lo:hi], rows[kids[lo:hi]])
+            lo = hi
+        return rows[row[np.asarray(goals, dtype=np.int64)]]
+
+    def selected_explanations_pass(self, sel: np.ndarray) -> list[tuple]:
+        """Per goal id, the (slot, count) pairs of its selected derivation's
+        multiset, read off :meth:`selected_multisets` in slot order."""
+        eta, use = self.selected_counts_pass(sel, np.ones(self.n_goals, dtype=np.int64))
+        rows = self.selected_multisets(sel, eta, use, range(self.n_goals))
+        return [tuple((s, int(row[s])) for s in np.flatnonzero(row).tolist()) for row in rows]
 
     def _children_first(self, use: np.ndarray) -> list[int]:
         """The goals of positive ``use`` count, sorted by level."""
@@ -360,32 +382,3 @@ class CompiledGraph:
             kids = tuple(node for c in children for node in nodes[c])
             nodes[g] = kids if self.tags[b] is None else ((self.tags[b], kids),)
         return nodes[int(goal)]
-
-    def _merge_selected(self, b: int, expl) -> tuple:
-        """Canonical (slot, count) multiset of body ``b`` given its children's."""
-        counts: dict[int, int] = {}
-        c0 = int(self.body_cstart[b])
-        for k in range(c0, c0 + int(self.body_ccount[b])):
-            for slot, m in expl[int(self.cpart_child[k])]:
-                counts[slot] = counts.get(slot, 0) + m
-        s0 = int(self.body_sstart[b])
-        for k in range(s0, s0 + int(self.body_scount[b])):
-            slot = int(self.spart_slot[k])
-            counts[slot] = counts.get(slot, 0) + int(self.spart_mult[k])
-        return tuple(sorted(counts.items()))
-
-    def changed_derivations(self, sel: np.ndarray, prev_sel: np.ndarray) -> np.ndarray:
-        """Per goal, whether its selected derivation differs between two selections.
-
-        A goal's derivation changed when its own selected body changed or
-        when a subgoal of its (unchanged) selected body changed.  One upward
-        pass under zero log parameters propagates the flag: a goal's value
-        is its own flag plus its selected body's score (the sum of its
-        subgoals' values), capped at 1.
-        """
-        own = (sel != prev_sel).astype(float)
-
-        def reduce(scores: np.ndarray, lv: _Level) -> np.ndarray:
-            return np.minimum(scores[sel[lv.goals] - lv.bodies.start] + own[lv.goals], 1.0)
-
-        return self._upward(np.zeros(self.layout.n_slots), reduce)[0] > 0

@@ -281,6 +281,7 @@ class GraphBuilder:
         self._labels: list[str] = []
         self._bodies: list[list[Body]] = []
         self._roots: list[GoalId] = []
+        self._root_set: set[GoalId] = set()
         self._index: dict = {}
 
     def declare_switch(self, switch: TermLike, values: Iterable[TermLike]) -> None:
@@ -320,7 +321,8 @@ class GraphBuilder:
         return bool(self._bodies[goal])
 
     def add_root(self, goal: GoalId) -> None:
-        if goal not in self._roots:
+        if goal not in self._root_set:
+            self._root_set.add(goal)
             self._roots.append(goal)
 
     def build(self) -> ExplanationGraph:

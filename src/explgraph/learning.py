@@ -231,10 +231,13 @@ def vt_learn(
 
     Each pass computes the Viterbi explanation of every observed goal
     under the current parameters and then renormalises selected-plus-
-    pseudo counts.  Termination is exact multiset identity: the run stops
-    as soon as a pass reproduces the previous pass's explanations, even if
-    a tie sent the argmax through a different derivation of the same
-    multiset.  Pseudo counts must be strictly positive, which keeps every
+    pseudo counts.  Termination is exact multiset identity: every pass
+    reads the observed goals' explanations as exact integer count rows
+    (:meth:`CompiledGraph.selected_multisets`), and the run stops as soon
+    as a pass's rows equal the previous pass's, even if a tie sent the
+    argmax through a different derivation of the same multiset.  The
+    reported ``per_goal_viterbi`` is read off the best restart's rows.
+    Pseudo counts must be strictly positive, which keeps every
     parameter nonzero across iterations; explanation overlap is irrelevant
     here because only one explanation per goal is ever scored.
     """
@@ -246,13 +249,13 @@ def vt_learn(
     delta = config.delta_flat(graph)
     seeds_f = seeds.astype(float)
     observed = np.nonzero(seeds)[0]
-    final_sel: dict[int, np.ndarray] = {}
+    final_rows: dict[int, np.ndarray] = {}
 
     def run(restart: int) -> LearnReport:
         theta = _initial_theta(graph, config, restart)
         trace: list[float] = []
         degenerate: list[str] = []
-        prev = None
+        rows = None
         converged = False
         iterations = 0
         for it in range(1, config.max_iter + 1):
@@ -264,16 +267,17 @@ def vt_learn(
             trace.append(_obs_total(seeds_f, best) + _prior_term(delta, log_theta))
             # integer counts, so the update does not depend on summation order
             eta, use = comp.selected_counts_pass(sel, seeds)
-            if prev is not None and _same_explanations(comp, observed, *prev, sel, eta, use):
+            prev, rows = rows, comp.selected_multisets(sel, eta, use, observed)
+            if prev is not None and np.array_equal(rows, prev):
                 converged = True
                 break
-            prev = (sel, eta)
             theta, degenerate = layout.normalize(eta + delta)
         if not converged:
             # keep the reported explanations consistent with final_theta
             with np.errstate(divide="ignore"):
                 _, sel = comp.viterbi_pass(np.log(theta))
-        final_sel[restart] = sel
+            rows = comp.selected_multisets(sel, *comp.selected_counts_pass(sel, seeds), observed)
+        final_rows[restart] = rows
         _warn_degenerate(graph, degenerate)
         return LearnReport(
             method="vt",
@@ -286,31 +290,12 @@ def vt_learn(
         )
 
     report = _best_restart(run, config)
-    expl = comp.selected_explanations(final_sel[report.best_restart_index], observed)
-    per_goal = {g: layout.explanation(items) for g, items in expl.items()}
+    per_goal = {
+        int(g): layout.explanation((s, row[s]) for s in np.flatnonzero(row))
+        for g, row in zip(observed, final_rows[report.best_restart_index])
+    }
     report.per_goal_viterbi = [per_goal[int(g)] for g in goals]
     return report
-
-
-def _same_explanations(comp, observed, prev_sel, prev_eta, sel, eta, use) -> bool:
-    """Whether two VT passes selected the same multiset for every observed goal.
-
-    Each pass is given by its selected bodies and its switch counts (from
-    ``selected_counts_pass``); ``use`` is the current pass's per-goal use
-    count.  Cheap tests decide the common cases: an unchanged selection on
-    every goal the current derivations use means identical derivations,
-    and different aggregate counts mean some observed multiset differs.
-    In the remaining tie case only the observed goals whose derivation
-    changed are compared multiset by multiset.
-    """
-    if np.array_equal(sel[use > 0], prev_sel[use > 0]):
-        return True
-    if not np.array_equal(eta, prev_eta):
-        return False
-    changed = observed[comp.changed_derivations(sel, prev_sel)[observed]]
-    return comp.selected_explanations(sel, changed) == comp.selected_explanations(
-        prev_sel, changed
-    )
 
 
 def learn(graph, goals, config: LearnConfig) -> LearnReport:

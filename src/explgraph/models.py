@@ -128,7 +128,6 @@ def _row_label(row: DataRow, observed_class: bool) -> str:
 def _compile_nbh_into(
     builder: GraphBuilder, spec: NBHSpec, row: DataRow, observed_class: bool
 ) -> GoalId:
-    spec.check_row(row, need_class=observed_class)
     root = builder.goal(_row_label(row, observed_class))
     classes = (row.cls,) if observed_class else spec.classes
     for c in classes:
@@ -157,6 +156,7 @@ def _compile_nbh_into(
 def compile_nbh(spec: NBHSpec, row: DataRow, observed_class: bool = True) -> ExplanationGraph:
     """Explanation graph of one row; branches over hidden cluster, any
     missing attributes, and (when the class is unobserved) the class."""
+    spec.check_row(row, need_class=observed_class)
     builder = GraphBuilder()
     spec.declare(builder)
     root = _compile_nbh_into(builder, spec, row, observed_class)
@@ -173,6 +173,7 @@ def compile_nbh_corpus(
     goals: list[GoalId] = []
     seen: dict[str, GoalId] = {}
     for row in rows:
+        spec.check_row(row, need_class=observed_class)
         label = _row_label(row, observed_class)
         gid = seen.get(label)
         if gid is None:
@@ -193,15 +194,7 @@ def nbh_classify(
     normalised across classes.  Ties break toward the earlier entry of
     the declared class list.
     """
-    builder = GraphBuilder()
-    spec.declare(builder)
-    roots = [
-        _compile_nbh_into(builder, spec, DataRow(c, row.values), observed_class=True)
-        for c in spec.classes
-    ]
-    for r in roots:
-        builder.add_root(r)
-    graph = builder.build()
+    graph, roots = compile_nbh_corpus(spec, [DataRow(c, row.values) for c in spec.classes])
     table = inside_prob(graph, theta)
     logs = np.array([table.log_value(r) for r in roots])
     if np.all(np.isneginf(logs)):

@@ -1,13 +1,15 @@
 """``CompiledGraph`` against the flatten and the passes it replaced.
 
 ``ReferencePasses`` keeps the four hand-written level loops (inside,
-Viterbi, expected counts, selected counts), the level-order explanation
-walk and the ``changed_derivations`` loop as they stood before the passes
-became reductions of one upward and one downward loop.  Every array the
-new passes return must be bitwise equal to the reference's, on random
-graphs (with and without zero parameters) and on the demo20 N=200 corpus
-graphs.  ``reference_flatten`` keeps the flatten that levelled the goals
-of a validated graph and walked its bodies level by level; the one-walk
+Viterbi, expected counts, selected counts) as they stood before the passes
+became reductions of one upward and one downward loop, and the level-order
+walk that merged each goal's explanation multiset as a sorted tuple of
+(slot, count) pairs.  Every array the new passes return must be bitwise
+equal to the reference's, on random graphs (with and without zero
+parameters) and on the demo20 N=200 corpus graphs, and the exact count
+rows of ``selected_multisets`` must hold the walk's multisets.
+``reference_flatten`` keeps the flatten that levelled the goals of a
+validated graph and walked its bodies level by level; the one-walk
 construction must lay out the same arrays.
 """
 
@@ -22,6 +24,7 @@ from explgraph.grammar import compile_pcfg_corpus, compile_plcg_corpus, gen_corp
 from explgraph.graph import GraphBuilder, SwitchInstance, per_instance_memo
 from explgraph.inference import log_theta_vector, viterbi
 from explgraph.io import load_grammar
+from explgraph.learning import LearnConfig, vt_learn
 from explgraph.models import (
     DataRow,
     NBHSpec,
@@ -148,6 +151,14 @@ class ReferencePasses:
                 expl[int(g)] = self._merge_selected(int(sel[g]), expl)
         return expl
 
+    def selected_explanations(self, sel: np.ndarray, use: np.ndarray) -> dict[int, tuple]:
+        """The level-order walk over the goals of positive ``use`` only."""
+        expl: dict[int, tuple] = {}
+        for lv in self.levels:
+            for g in lv.goals[use[lv.goals] > 0].tolist():
+                expl[g] = self._merge_selected(int(sel[g]), expl)
+        return expl
+
     def selected_counts_pass(
         self, sel: np.ndarray, seeds: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,18 +181,18 @@ class ReferencePasses:
                 np.add.at(eta, self.spart_slot[idx], self.spart_mult[idx] * np.repeat(uu, scnt))
         return eta, use
 
-    def changed_derivations(self, sel: np.ndarray, prev_sel: np.ndarray) -> np.ndarray:
-        changed = sel != prev_sel
-        for lv in self.levels:
-            bs = sel[lv.goals]
-            ccnt = self.body_ccount[bs]
-            if not ccnt.any():
-                continue
-            idx = _repeat_ranges(self.body_cstart[bs], ccnt)
-            owner = np.repeat(np.arange(len(bs), dtype=np.int64), ccnt)
-            hits = np.bincount(owner, weights=changed[self.cpart_child[idx]], minlength=len(bs))
-            changed[lv.goals] |= hits > 0
-        return changed
+    def _merge_selected(self, b: int, expl) -> tuple:
+        """Canonical (slot, count) multiset of body ``b`` given its children's."""
+        counts: dict[int, int] = {}
+        c0 = int(self.body_cstart[b])
+        for k in range(c0, c0 + int(self.body_ccount[b])):
+            for slot, m in expl[int(self.cpart_child[k])]:
+                counts[slot] = counts.get(slot, 0) + m
+        s0 = int(self.body_sstart[b])
+        for k in range(s0, s0 + int(self.body_scount[b])):
+            slot = int(self.spart_slot[k])
+            counts[slot] = counts.get(slot, 0) + int(self.spart_mult[k])
+        return tuple(sorted(counts.items()))
 
 
 def reference_topo_order(graph):
@@ -378,26 +389,43 @@ def assert_flatten_equal(graph):
     assert not hasattr(comp, "graph")
 
 
-def assert_changed_equal(graph, rng, pairs):
-    """``changed_derivations`` equals the former loop on random selections."""
+def assert_rows_equal(graph, rng, pairs):
+    """``selected_multisets`` holds the reference walk's multisets: for
+    every goal under the first-body selection, and on random selection
+    pairs for the sub-DAG used by about 16 goals spread over the graph.
+    Each selection is walked once, over the goals it checks."""
     comp = graph.compiled()
     ref = ReferencePasses(comp)
-    n_local = np.bincount(comp.body_head, minlength=graph.n_goals)
-    first = np.array([comp.sel_index[(g, 0)] for g in range(graph.n_goals)], dtype=np.int64)
+    n = graph.n_goals
+    n_local = np.bincount(comp.body_head, minlength=n)
+    spread = np.zeros(n, dtype=np.int64)
+    spread[:: max(1, n // 16)] = 1
+
+    def check(sel, seeds):
+        eta, use = comp.selected_counts_pass(sel, seeds)
+        expl = ref.selected_explanations(sel, use)
+        want = np.zeros((len(expl), comp.layout.n_slots), dtype=np.int64)
+        for row, items in zip(want, expl.values()):
+            for slot, m in items:
+                row[slot] = m
+        assert_same(comp.selected_multisets(sel, eta, use, list(expl)), want)
+
+    first = np.array([comp.sel_index[(g, 0)] for g in range(n)], dtype=np.int64)
+    check(first, np.ones(n, dtype=np.int64))
     for _ in range(pairs):
         sel, prev = (
             np.array(
-                [comp.sel_index[(g, int(rng.integers(n_local[g])))] for g in range(graph.n_goals)],
+                [comp.sel_index[(g, int(rng.integers(n_local[g])))] for g in range(n)],
                 dtype=np.int64,
             )
             for _ in range(2)
         )
         if rng.random() < 0.5:
-            # few differences, so unchanged goals above changed ones are common
-            keep = rng.random(graph.n_goals) < 0.8
+            # a pass that moves only a few selections, as late VT passes do
+            keep = rng.random(n) < 0.8
             prev = np.where(keep, sel, prev)
-        for a, b in ((sel, prev), (sel, sel), (first, prev)):
-            assert_same(comp.changed_derivations(a, b), ref.changed_derivations(a, b))
+        check(sel, spread)
+        check(prev, spread)
 
 
 def _demo20_graphs():
@@ -440,7 +468,7 @@ def test_one_walk_flatten_equals_reference_on_random_graphs():
         for _ in range(60):
             graph, _ = make(rng)
             assert_flatten_equal(graph)
-            assert_changed_equal(graph, rng, 4)
+            assert_rows_equal(graph, rng, 4)
 
 
 def test_one_walk_flatten_equals_reference_on_model_graphs():
@@ -449,7 +477,7 @@ def test_one_walk_flatten_equals_reference_on_model_graphs():
     empty = b.build()
     for graph in _demo20_graphs() + [_nbh_graph(rng), empty] + _path_graphs():
         assert_flatten_equal(graph)
-        assert_changed_equal(graph, rng, 20)
+        assert_rows_equal(graph, rng, 20)
 
 
 def test_dangling_reference_precedes_a_later_undeclared_value():
@@ -462,9 +490,10 @@ def test_dangling_reference_precedes_a_later_undeclared_value():
         b.build()
 
 
-def _doubling_chain(depth):
+def _doubling_chain_builder(depth):
     """A chain of ``depth`` goals in which each goal's one body uses its
-    child twice, so the bottom goal occurs 2**(depth - 1) times."""
+    child twice: goal k explains as 2**k instances of c=h and 2**k - 1 of
+    c=t, so the bottom goal occurs 2**(depth - 1) times."""
     b = GraphBuilder()
     b.declare_switch("c", ("h", "t"))
     goals = [b.goal("g0")]
@@ -473,6 +502,11 @@ def _doubling_chain(depth):
         goals.append(b.goal(f"g{k}"))
         b.add_body(goals[k], [goals[k - 1], goals[k - 1]], [SwitchInstance("c", "t")])
     b.add_root(goals[-1])
+    return b, goals
+
+
+def _doubling_chain(depth):
+    b, goals = _doubling_chain_builder(depth)
     return b.build(), goals[-1]
 
 
@@ -492,3 +526,30 @@ def test_every_goal_of_a_doubling_chain_is_used():
     assert len(result.choice_trace) == 70
     assert use.dtype == np.int64 and np.all(use > 0)
     assert result.explanation.count("c", "h") == 2**69
+
+
+def test_rows_stay_exact_beyond_int64():
+    # g64 and g69 explain as 2**64 or 2**69 instances of c=h and one fewer
+    # of c=t: the two multisets agree modulo 2**64, so rows that wrapped
+    # would call a root choosing between them a fixed point
+    b, goals = _doubling_chain_builder(70)
+    r = b.goal("r")
+    b.add_body(r, [goals[64]])
+    b.add_body(r, [goals[69]])
+    graph = b.build()
+    comp = graph.compiled()
+    h, t = (comp.layout.slot("c", v) for v in ("h", "t"))
+    seeds = np.bincount([r], minlength=graph.n_goals)
+    rows = []
+    for local, k in ((0, 64), (1, 69)):
+        sel = np.array([comp.sel_index[(g, 0)] for g in range(graph.n_goals)], dtype=np.int64)
+        sel[r] = comp.sel_index[(r, local)]
+        (row,) = comp.selected_multisets(sel, *comp.selected_counts_pass(sel, seeds), [r])
+        assert (row[h], row[t]) == (2**k, 2**k - 1)
+        rows.append(row)
+    assert not np.array_equal(rows[0], rows[1])
+
+    graph, top = _doubling_chain(70)
+    report = vt_learn(graph, [top], LearnConfig(method="vt", delta=1.0))
+    assert report.per_goal_viterbi[0].count("c", "h") == 2**69
+    assert report.per_goal_viterbi[0].count("c", "t") == 2**69 - 1

@@ -70,6 +70,9 @@ def test_nbh_invalid_rows():
         compile_nbh(spec, DataRow("c1", ("y", "q")))
     with pytest.raises(InvalidRow):
         compile_nbh(spec, DataRow(None, ("y", "n")), observed_class=True)
+    theta = ParameterTable.uniform(compile_nbh(spec, DataRow("c1", ("y", "n"))))
+    with pytest.raises(InvalidRow):
+        nbh_classify(spec, theta, DataRow(None, ("y", 3)))
 
 
 def _reference_check_row(spec, row, need_class):
