@@ -14,7 +14,7 @@ from explgraph import (
     LearnConfig,
     NBHSpec,
     cv_run,
-    nbh_classify,
+    nbh_classify_rows,
 )
 from explgraph.learning import em_map_learn
 from explgraph.models import compile_nbh_corpus
@@ -55,8 +55,11 @@ for n_hidden in (1, 2, 3):
 spec = NBHSpec(("pos", "neg"), 2, ATTRS)
 graph, goals = compile_nbh_corpus(spec, rows)
 trained = em_map_learn(graph, goals, LearnConfig(method="map", delta=1.0, seed=1))
-for values in (("y",) * 6, ("y", "n") * 3, ("y", None, "y", "y", None, "y")):
-    row = DataRow(None, values)
-    cls, post = nbh_classify(spec, trained.final_theta, row)
-    shown = ",".join("?" if v is None else v for v in values)
+examples = [
+    DataRow(None, values)
+    for values in (("y",) * 6, ("y", "n") * 3, ("y", None, "y", "y", None, "y"))
+]
+predicted = nbh_classify_rows(spec, trained.final_theta, examples)
+for row, (cls, post) in zip(examples, predicted):
+    shown = ",".join("?" if v is None else v for v in row.values)
     print(f"  {shown} -> {cls}  posterior {np.round(post, 3)}")

@@ -85,6 +85,7 @@ from .models import (
     compile_path_graph,
     compile_path_queries,
     nbh_classify,
+    nbh_classify_rows,
     six_node_demo_graph,
 )
 from .tables import ExpectedCounts, ParameterTable, PseudoCountTable

@@ -317,9 +317,6 @@ class GraphBuilder:
         """
         self._bodies[head].append(Body(tuple(subgoals), tuple(instances), tag))
 
-    def has_bodies(self, goal: GoalId) -> bool:
-        return bool(self._bodies[goal])
-
     def add_root(self, goal: GoalId) -> None:
         if goal not in self._root_set:
             self._root_set.add(goal)

@@ -39,7 +39,7 @@ from .models import (
     NBHSpec,
     compile_nbh_corpus,
     compile_path_queries,
-    nbh_classify,
+    nbh_classify_rows,
     six_node_demo_graph,
 )
 from .terms import render_term
@@ -205,18 +205,12 @@ def _nbh_fold(config, train_idx, test_idx):
     t0 = time.perf_counter()
     report = learn(graph, goals, config.learn)
     dt = time.perf_counter() - t0
-    correct = 0
-    total = 0
-    for i in test_idx:
-        row = rows[int(i)]
-        if row.cls is None:
-            continue
-        pred, _ = nbh_classify(spec, report.final_theta, row.without_class())
-        correct += int(pred == row.cls)
-        total += 1
-    if total == 0:
+    test = [rows[int(i)] for i in test_idx if rows[int(i)].cls is not None]
+    if not test:
         raise ExplGraphError("fold contains no labelled test rows")
-    return correct / total, report, dt, 0
+    predicted = nbh_classify_rows(spec, report.final_theta, test)
+    correct = sum(pred == row.cls for (pred, _), row in zip(predicted, test))
+    return correct / len(test), report, dt, 0
 
 
 def cv_run(config: ExperimentConfig) -> ExperimentReport:

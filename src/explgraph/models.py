@@ -35,6 +35,7 @@ __all__ = [
     "compile_nbh",
     "compile_nbh_corpus",
     "nbh_classify",
+    "nbh_classify_rows",
     "compile_path_graph",
     "compile_path_queries",
     "six_node_demo_graph",
@@ -126,29 +127,36 @@ def _row_label(row: DataRow, observed_class: bool) -> str:
 
 
 def _compile_nbh_into(
-    builder: GraphBuilder, spec: NBHSpec, row: DataRow, observed_class: bool
+    builder: GraphBuilder, spec: NBHSpec, row: DataRow, observed_class: bool, cache: dict
 ) -> GoalId:
+    """Add a row's goal to ``builder``.  ``cache``, one per compile call,
+    keeps each (c, h) pair of class instances, each attribute instance
+    (j, c, h, value) and each ``any(j,c,h)`` goal (j, c, h, None)."""
     root = builder.goal(_row_label(row, observed_class))
     classes = (row.cls,) if observed_class else spec.classes
     for c in classes:
         for h in spec.hidden_values:
-            instances = [
-                SwitchInstance(spec.class_switch(), c),
-                SwitchInstance(spec.hclass_switch(c), h),
-            ]
+            head = cache.get((c, h))
+            if head is None:
+                head = cache[c, h] = [
+                    SwitchInstance(spec.class_switch(), c),
+                    SwitchInstance(spec.hclass_switch(c), h),
+                ]
+            instances = list(head)
             subgoals: list[GoalId] = []
-            for j, (name, domain) in enumerate(spec.attributes, start=1):
-                v = row.values[j - 1]
-                if v is None:
-                    any_goal = builder.goal(f"any({j},{c},{h})")
-                    if not builder.has_bodies(any_goal):
-                        for dv in domain:
+            for j, v in enumerate(row.values, start=1):
+                part = cache.get((j, c, h, v))
+                if part is None:
+                    if v is None:
+                        part = builder.goal(f"any({j},{c},{h})")
+                        for dv in spec.attributes[j - 1][1]:
                             builder.add_body(
-                                any_goal, [], [SwitchInstance(spec.attr_switch(j, c, h), dv)]
+                                part, [], [SwitchInstance(spec.attr_switch(j, c, h), dv)]
                             )
-                    subgoals.append(any_goal)
-                else:
-                    instances.append(SwitchInstance(spec.attr_switch(j, c, h), v))
+                    else:
+                        part = SwitchInstance(spec.attr_switch(j, c, h), v)
+                    cache[j, c, h, v] = part
+                (subgoals if v is None else instances).append(part)
             builder.add_body(root, subgoals, instances)
     return root
 
@@ -159,7 +167,7 @@ def compile_nbh(spec: NBHSpec, row: DataRow, observed_class: bool = True) -> Exp
     spec.check_row(row, need_class=observed_class)
     builder = GraphBuilder()
     spec.declare(builder)
-    root = _compile_nbh_into(builder, spec, row, observed_class)
+    root = _compile_nbh_into(builder, spec, row, observed_class, {})
     builder.add_root(root)
     return builder.build()
 
@@ -171,38 +179,57 @@ def compile_nbh_corpus(
     builder = GraphBuilder()
     spec.declare(builder)
     goals: list[GoalId] = []
+    cache: dict = {}
     seen: dict[str, GoalId] = {}
     for row in rows:
         spec.check_row(row, need_class=observed_class)
         label = _row_label(row, observed_class)
         gid = seen.get(label)
         if gid is None:
-            gid = _compile_nbh_into(builder, spec, row, observed_class)
+            gid = _compile_nbh_into(builder, spec, row, observed_class, cache)
             builder.add_root(gid)
             seen[label] = gid
         goals.append(gid)
     return builder.build(), goals
 
 
+def nbh_classify_rows(
+    spec: NBHSpec, theta: ParameterTable, rows: Sequence[DataRow]
+) -> list[tuple[str, np.ndarray]]:
+    """Most probable class and posterior vector over classes, per row.
+
+    Every (row, class) pair is a root of one shared graph, so the
+    ``any(j,c,h)`` goals and repeated rows are compiled once, and one
+    inside pass scores them all.  The hidden cluster (and any missing
+    attribute) is summed out; posteriors are the per-class joint scores
+    normalised across classes, and ties break toward the earlier entry of
+    the declared class list.  Row classes are ignored.  Raises
+    :class:`AllZero` naming the first row whose class scores are all zero.
+    """
+    if not rows:
+        return []
+    graph, roots = compile_nbh_corpus(
+        spec, [DataRow(c, row.values) for row in rows for c in spec.classes]
+    )
+    logs = inside_prob(graph, theta).log[roots].reshape(len(rows), len(spec.classes))
+    out = []
+    for i, row_logs in enumerate(logs):
+        if np.all(np.isneginf(row_logs)):
+            raise AllZero(f"all class scores are zero for row {i}")
+        post = np.exp(row_logs - row_logs.max())
+        post /= post.sum()
+        out.append((spec.classes[int(np.argmax(post))], post))
+    return out
+
+
 def nbh_classify(
     spec: NBHSpec, theta: ParameterTable, row: DataRow
 ) -> tuple[str, np.ndarray]:
-    """Most probable class and the posterior vector over classes.
-
-    The hidden cluster (and any missing attribute) is summed out by the
-    inside computation; posteriors are the per-class joint scores
-    normalised across classes.  Ties break toward the earlier entry of
-    the declared class list.
-    """
-    graph, roots = compile_nbh_corpus(spec, [DataRow(c, row.values) for c in spec.classes])
-    table = inside_prob(graph, theta)
-    logs = np.array([table.log_value(r) for r in roots])
-    if np.all(np.isneginf(logs)):
-        raise AllZero("all class scores are zero for this row")
-    shift = logs - logs.max()
-    post = np.exp(shift)
-    post /= post.sum()
-    return spec.classes[int(np.argmax(post))], post
+    """:func:`nbh_classify_rows` for a single row."""
+    try:
+        return nbh_classify_rows(spec, theta, [row])[0]
+    except AllZero:
+        raise AllZero("all class scores are zero for this row") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from explgraph.harness import (
     fold_partition,
     run_session,
 )
-from explgraph.learning import LearnConfig
-from explgraph.models import DataRow, NBHSpec
+from explgraph.learning import LearnConfig, learn
+from explgraph.models import DataRow, NBHSpec, compile_nbh_corpus, nbh_classify
 
 from conftest import toy_grammar
 
@@ -128,6 +128,46 @@ def test_cv_nbh_accuracy():
     report = cv_run(config)
     assert 0.0 <= report.means["accuracy"] <= 1.0
     assert report.means["accuracy"] > 0.6  # attributes are informative
+
+
+
+def test_cv_nbh_reproduces_a_per_row_fold_loop():
+    # two clusters per class with opposite polarities, as in demos/05,
+    # and some values missing
+    rng = np.random.default_rng(17)
+    spec = NBHSpec(("pos", "neg"), 2, tuple((f"a{j}", ("x", "y", "z")) for j in range(6)))
+    rows = []
+    for _ in range(200):
+        c, cluster = str(rng.choice(spec.classes)), int(rng.integers(2))
+        vals = tuple(
+            None if rng.random() < 0.1
+            else "xz"[(cluster + (c == "neg") * j) % 2] if rng.random() < 0.7
+            else str(rng.choice(["x", "y", "z"]))
+            for j in range(6)
+        )
+        rows.append(DataRow(c, vals))
+    learn_config = LearnConfig(method="map", delta=1.0, seed=3)
+    config = ExperimentConfig(
+        task="nbh", method="map", folds=4, seed=5, learn=learn_config,
+        nbh_spec=spec, nbh_rows=rows,
+    )
+    report = cv_run(config)
+    parts = fold_partition(len(rows), 4, 5)
+    accuracies, iterations = [], []
+    for f in range(4):
+        train = [rows[int(i)] for p in range(4) if p != f for i in parts[p]]
+        graph, goals = compile_nbh_corpus(spec, train, observed_class=True)
+        trained = learn(graph, goals, learn_config)
+        test = [rows[int(i)] for i in parts[f]]
+        correct = sum(
+            nbh_classify(spec, trained.final_theta, row.without_class())[0] == row.cls
+            for row in test
+        )
+        accuracies.append(correct / len(test))
+        iterations.append(trained.iterations)
+    assert report.folds == accuracies
+    assert report.iterations == iterations
+    assert len(set(accuracies)) > 1 and min(accuracies) > 0.5
 
 
 def test_cv_config_validation():

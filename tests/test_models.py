@@ -4,9 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
+from explgraph import models
 from explgraph.errors import AllZero, ExplGraphError, InvalidRow, NoPath
-from explgraph.graph import check_exclusiveness, enumerate_explanations, explanation_prob
-from explgraph.inference import goal_prob, viterbi
+from explgraph.graph import (
+    GraphBuilder,
+    SwitchInstance,
+    check_exclusiveness,
+    enumerate_explanations,
+    explanation_prob,
+)
+from explgraph.inference import goal_prob, inside_prob, viterbi
 from explgraph.models import (
     DataRow,
     EdgeGraph,
@@ -15,7 +22,9 @@ from explgraph.models import (
     compile_nbh_corpus,
     compile_path_graph,
     compile_path_queries,
+    _row_label,
     nbh_classify,
+    nbh_classify_rows,
     six_node_demo_graph,
 )
 from explgraph.tables import ParameterTable
@@ -189,6 +198,184 @@ def test_nbh_corpus_shares_identical_rows():
     rows = [DataRow("c1", ("y", "n")), DataRow("c2", ("n", "n")), DataRow("c1", ("y", "n"))]
     graph, goals = compile_nbh_corpus(spec, rows)
     assert goals[0] == goals[2] != goals[1]
+
+
+# -- NBH batch classification against the former per-row compiler -------------
+
+
+def _reference_compile_nbh_into(
+    builder: GraphBuilder, spec: NBHSpec, row: DataRow, observed_class: bool
+):
+    """``models._compile_nbh_into`` as written before it cached instances
+    and ``any`` goals per compile call; the one change is that it reads
+    the builder's body list where it called the since-deleted
+    ``GraphBuilder.has_bodies``."""
+    root = builder.goal(_row_label(row, observed_class))
+    classes = (row.cls,) if observed_class else spec.classes
+    for c in classes:
+        for h in spec.hidden_values:
+            instances = [
+                SwitchInstance(spec.class_switch(), c),
+                SwitchInstance(spec.hclass_switch(c), h),
+            ]
+            subgoals = []
+            for j, (name, domain) in enumerate(spec.attributes, start=1):
+                v = row.values[j - 1]
+                if v is None:
+                    any_goal = builder.goal(f"any({j},{c},{h})")
+                    if not builder._bodies[any_goal]:
+                        for dv in domain:
+                            builder.add_body(
+                                any_goal, [], [SwitchInstance(spec.attr_switch(j, c, h), dv)]
+                            )
+                    subgoals.append(any_goal)
+                else:
+                    instances.append(SwitchInstance(spec.attr_switch(j, c, h), v))
+            builder.add_body(root, subgoals, instances)
+    return root
+
+
+def _reference_compile_nbh_corpus(spec, rows, observed_class=True):
+    builder = GraphBuilder()
+    spec.declare(builder)
+    goals, seen = [], {}
+    for row in rows:
+        spec.check_row(row, need_class=observed_class)
+        label = _row_label(row, observed_class)
+        gid = seen.get(label)
+        if gid is None:
+            gid = _reference_compile_nbh_into(builder, spec, row, observed_class)
+            builder.add_root(gid)
+            seen[label] = gid
+        goals.append(gid)
+    return builder.build(), goals
+
+
+def _reference_classify(spec, theta, row):
+    """The former ``nbh_classify``: one two-root graph per row."""
+    graph, roots = _reference_compile_nbh_corpus(
+        spec, [DataRow(c, row.values) for c in spec.classes]
+    )
+    table = inside_prob(graph, theta)
+    logs = np.array([table.log_value(r) for r in roots])
+    if np.all(np.isneginf(logs)):
+        raise AllZero("all class scores are zero for this row")
+    shift = logs - logs.max()
+    post = np.exp(shift)
+    post /= post.sum()
+    return spec.classes[int(np.argmax(post))], post
+
+
+def _wide_spec(n_hidden):
+    attrs = tuple((f"a{j}", ("x", "y", "z")) for j in range(4))
+    return NBHSpec(("pos", "neg", "mid"), n_hidden, attrs)
+
+
+def _random_rows(rng, spec, n, missing):
+    """Rows with random classes and values, some values missing, and
+    about one row in four a copy of an earlier one."""
+    rows = []
+    for _ in range(n):
+        if rows and rng.random() < 0.25:
+            rows.append(rows[int(rng.integers(len(rows)))])
+            continue
+        values = tuple(
+            None if rng.random() < missing else str(rng.choice(domain))
+            for _, domain in spec.attributes
+        )
+        rows.append(DataRow(str(rng.choice(spec.classes)), values))
+    return rows
+
+
+@pytest.mark.parametrize("n_hidden", [1, 2])
+@pytest.mark.parametrize("observed_class", [True, False])
+@pytest.mark.parametrize("missing", [0.0, 0.3])
+def test_cached_compiler_builds_the_former_graph(n_hidden, observed_class, missing):
+    rng = np.random.default_rng(71 + n_hidden)
+    for spec in (small_spec(n_hidden), _wide_spec(n_hidden)):
+        rows = _random_rows(rng, spec, 60, missing)
+        assert (missing > 0) == any(None in row.values for row in rows)
+        graph, goals = compile_nbh_corpus(spec, rows, observed_class)
+        ref, ref_goals = _reference_compile_nbh_corpus(spec, rows, observed_class)
+        assert goals == ref_goals
+        assert graph.labels == ref.labels
+        assert graph.formulas == ref.formulas
+        assert graph.roots == ref.roots
+        assert graph.switches == ref.switches
+        comp, ref_comp = graph.compiled(), ref.compiled()
+        arrays = [k for k, v in vars(ref_comp).items() if isinstance(v, np.ndarray)]
+        assert "spart_slot" in arrays
+        for name in arrays:
+            assert np.array_equal(getattr(comp, name), getattr(ref_comp, name)), name
+        for lv, ref_lv in zip(comp.levels, ref_comp.levels, strict=True):
+            assert np.array_equal(lv.goals, ref_lv.goals)
+            for part in ("bodies", "cparts", "sparts"):
+                assert getattr(lv, part) == getattr(ref_lv, part)
+        single = compile_nbh(spec, rows[0], observed_class)
+        ref_single, _ = _reference_compile_nbh_corpus(spec, rows[:1], observed_class)
+        assert single.labels == ref_single.labels and single.formulas == ref_single.formulas
+
+
+@pytest.mark.parametrize("n_hidden", [1, 2])
+def test_batch_classification_equals_the_per_row_call_bitwise(n_hidden):
+    rng = np.random.default_rng(83 + n_hidden)
+    for spec in (small_spec(n_hidden), _wide_spec(n_hidden)):
+        any_row = DataRow(spec.classes[0], (None,) * len(spec.attributes))
+        theta = random_nbh_theta(rng, compile_nbh(spec, any_row))
+        rows = _random_rows(rng, spec, 80, 0.3)
+        batch = nbh_classify_rows(spec, theta, rows)
+        assert len(batch) == len(rows)
+        for row, (cls, post) in zip(rows, batch):
+            for want_cls, want_post in (
+                nbh_classify(spec, theta, row),
+                _reference_classify(spec, theta, row),
+            ):
+                assert cls == want_cls
+                assert post.dtype == want_post.dtype and post.tobytes() == want_post.tobytes()
+
+
+def test_empty_batch_builds_no_graph(monkeypatch):
+    spec = small_spec(2)
+    theta = ParameterTable.uniform(compile_nbh(spec, DataRow("c1", ("y", "n"))))
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("an empty batch compiled a graph")
+
+    monkeypatch.setattr(models, "compile_nbh_corpus", no_graph)
+    assert nbh_classify_rows(spec, theta, []) == []
+
+
+def test_batch_all_zero_row_is_named_by_its_index():
+    spec = small_spec(2)
+    g = compile_nbh(spec, DataRow("c1", ("y", "n")))
+    data = {k: np.full(len(d.values), 1.0 / len(d.values)) for k, d in g.switches.items()}
+    for c in spec.classes:
+        for h in spec.hidden_values:
+            data[str(spec.attr_switch(1, c, h))] = np.array([0.0, 1.0])  # a1 = y never occurs
+    theta = ParameterTable(g.switches, data)
+    rows = [DataRow(None, ("n", "y")), DataRow(None, (None, "n")), DataRow(None, ("y", "n")),
+            DataRow(None, ("y", None))]
+    with pytest.raises(AllZero, match=r"all class scores are zero for row 2$"):
+        nbh_classify_rows(spec, theta, rows)
+    assert [c for c, _ in nbh_classify_rows(spec, theta, rows[:2])] == ["c1", "c1"]
+    with pytest.raises(AllZero, match=r"^all class scores are zero for this row$"):
+        nbh_classify(spec, theta, rows[2])
+    with pytest.raises(AllZero, match=r"^all class scores are zero for this row$"):
+        _reference_classify(spec, theta, rows[2])
+
+
+def test_batch_invalid_row_raises_the_per_row_error():
+    spec = small_spec(2)
+    theta = ParameterTable.uniform(compile_nbh(spec, DataRow("c1", ("y", "n"))))
+    good = DataRow(None, ("y", "n"))
+    for bad in (DataRow(None, ("y", 3)), DataRow(None, ("y",)), DataRow("c1", ("q", "n"))):
+        with pytest.raises(InvalidRow) as single:
+            nbh_classify(spec, theta, bad)
+        with pytest.raises(InvalidRow) as batch:
+            nbh_classify_rows(spec, theta, [good, bad, good])
+        assert str(batch.value) == str(single.value)
+    # the class of a row to classify is ignored, as before
+    assert nbh_classify_rows(spec, theta, [DataRow("zzz", ("y", "n"))])[0][0] == "c1"
 
 
 # -- path graphs --------------------------------------------------------------
