@@ -14,16 +14,17 @@ explanations correspond to derivations:
   B-constituent, and ``att(A)`` decides attach versus project where A can
   be its own left corner.
 
-Both frontends tag every body that applies a rule with the rule's index,
-so a Viterbi explanation carries its derivation and the parse tree is read
-off it in one walk.  The module also learns parameters from treebanks by
-counting, samples corpora, and scores predictions with exact-labelled /
-unlabelled-bracketing / zero-crossing metrics.
+Both frontends recognise a sentence before they emit any goal, and emit
+only the goals its root reaches.  Both tag every body that applies a rule
+with the rule's index, so a Viterbi explanation carries its derivation and
+the parse tree is read off it in one walk.  The module also learns
+parameters from treebanks by counting, samples corpora, and scores
+predictions with exact-labelled / unlabelled-bracketing / zero-crossing
+metrics.
 """
 
 from __future__ import annotations
 
-import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -639,97 +640,97 @@ def _compile_plcg_into(
     ns: str,
     lc: _LeftCornerSwitches,
 ) -> GoalId:
+    """Recognise the sentence's left-corner goals, then emit those the root reaches.
+
+    Recognition is a memoised recursion over goal keys ``("g", syms, i,
+    j)`` (``syms`` derive tokens i..j) and ``("lc", g0, b, k, j)`` (a
+    finished ``b`` ending at k grows into ``g0`` ending at j) and makes no
+    builder call.  A key maps to its derivable bodies (subgoal keys,
+    instances, rule tag), ``[]`` when it derives nothing, and is stored
+    when its recognition finishes, so ``memo`` lists every key after the
+    keys its bodies use.
+    """
     n = len(tokens)
     nts = grammar.nonterminals
-    memo: dict[tuple, Optional[GoalId]] = {}
+    memo: dict[tuple, list[tuple[list[tuple], tuple[SwitchInstance, ...], Optional[int]]]] = {}
 
-    def syms_label(syms: tuple[str, ...]) -> str:
-        return render_term(tuple(syms))
-
-    def build_g(syms: tuple[str, ...], i: int, j: int) -> Optional[GoalId]:
+    def recognise_g(syms: tuple[str, ...], i: int, j: int) -> Optional[tuple]:
         key = ("g", syms, i, j)
-        if key in memo:
-            return memo[key]
-        memo[key] = None  # cycle guard; construction below must not re-enter
-        bodies: list[tuple[list[GoalId], tuple[SwitchInstance, ...]]] = []
-        if not syms:
-            if i == j:
-                bodies.append(([], ()))
-        else:
-            g0, rest = syms[0], syms[1:]
-            if g0 not in nts:
-                if i < j and tokens[i] == g0:
-                    sub = build_g(rest, i + 1, j)
-                    if sub is not None:
-                        bodies.append(([sub], ()))
-            elif i < j:
-                shift = lc.first.get((g0, tokens[i]))
-                if shift is not None:
-                    for k in range(i + 1, j + 1):
-                        lc_goal = build_lc(g0, tokens[i], i + 1, k)
-                        if lc_goal is None:
-                            continue
-                        g_goal = build_g(rest, k, j)
-                        if g_goal is not None:
-                            bodies.append(([lc_goal, g_goal], (shift,)))
-        if not bodies:
-            return None
-        gid = builder.goal(f"{ns}g({syms_label(syms)},{i},{j})")
-        for subs, inst in bodies:
-            builder.add_body(gid, subs, inst)
-        memo[key] = gid
-        return gid
-
-    def build_lc(g0: str, b: str, k: int, j: int) -> Optional[GoalId]:
-        key = ("lc", g0, b, k, j)
-        if key in memo:
-            return memo[key]
-        memo[key] = None
-        # one body per rule application, tagged with the rule index: one
-        # subgoal finishes g0 (attach), two grow the rule's lhs further
-        bodies: list[tuple[list[GoalId], tuple[SwitchInstance, ...], int]] = []
-        attach = lc.attach.get(g0)
-        for ridx, choose in lc.grow.get((g0, b), ()):
-            rule = grammar.rules[ridx]
-            beta = rule.rhs[1:]
-            if rule.lhs == g0:
-                done = build_g(beta, k, j)
-                if done is not None:
-                    inst = (choose,) if attach is None else (choose, attach[0])
-                    bodies.append(([done], inst, ridx))
-                if attach is not None:
-                    for m in range(k, j + 1):
-                        mid = build_g(beta, k, m)
-                        if mid is None:
-                            continue
-                        nxt = build_lc(g0, g0, m, j)
-                        if nxt is not None:
-                            bodies.append(([mid, nxt], (choose, attach[1]), ridx))
+        bodies = memo.get(key)
+        if bodies is None:
+            bodies = []
+            if not syms:
+                if i == j:
+                    bodies.append(([], (), None))
             else:
-                for m in range(k, j + 1):
-                    mid = build_g(beta, k, m)
-                    if mid is None:
-                        continue
-                    nxt = build_lc(g0, rule.lhs, m, j)
-                    if nxt is not None:
-                        bodies.append(([mid, nxt], (choose,), ridx))
-        if not bodies:
-            return None
-        gid = builder.goal(f"{ns}lc({g0},{b},{k},{j})")
-        for subs, inst, ridx in bodies:
-            builder.add_body(gid, subs, inst, ridx)
-        memo[key] = gid
-        return gid
+                g0, rest = syms[0], syms[1:]
+                if g0 not in nts:
+                    if i < j and tokens[i] == g0:
+                        sub = recognise_g(rest, i + 1, j)
+                        if sub is not None:
+                            bodies.append(([sub], (), None))
+                elif i < j:
+                    shift = lc.first.get((g0, tokens[i]))
+                    if shift is not None:
+                        for k in range(i + 1, j + 1):
+                            lc_key = recognise_lc(g0, tokens[i], i + 1, k)
+                            g_key = lc_key and recognise_g(rest, k, j)
+                            if g_key:
+                                bodies.append(([lc_key, g_key], (shift,), None))
+            memo[key] = bodies
+        return key if bodies else None
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10_000))
+    def recognise_lc(g0: str, b: str, k: int, j: int) -> Optional[tuple]:
+        key = ("lc", g0, b, k, j)
+        bodies = memo.get(key)
+        if bodies is None:
+            # one body per rule application, tagged with the rule index: one
+            # subgoal finishes g0 (attach), two grow the rule's lhs further
+            bodies = []
+            attach = lc.attach.get(g0)
+            for ridx, choose in lc.grow.get((g0, b), ()):
+                rule = grammar.rules[ridx]
+                beta = rule.rhs[1:]
+                if rule.lhs == g0:
+                    done = recognise_g(beta, k, j)
+                    if done is not None:
+                        inst = (choose,) if attach is None else (choose, attach[0])
+                        bodies.append(([done], inst, ridx))
+                    if attach is None:
+                        continue
+                    inst = (choose, attach[1])
+                else:
+                    inst = (choose,)
+                for m in range(k, j + 1):
+                    mid = recognise_g(beta, k, m)
+                    nxt = mid and recognise_lc(g0, rule.lhs, m, j)
+                    if nxt:
+                        bodies.append(([mid, nxt], inst, ridx))
+            memo[key] = bodies
+        return key if bodies else None
+
     try:
-        root = build_g((grammar.start,), 0, n)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        root = recognise_g((grammar.start,), 0, n)
+    except RecursionError:
+        raise ExplosionLimit(
+            f"left-corner recognition of a {n}-token sentence exceeds the recursion limit"
+        ) from None
     if root is None:
         raise Unparseable(f"no left-corner derivation of: {' '.join(tokens)}")
-    return root
+    live = {root}
+    for key in reversed(memo):  # each key before the keys its bodies use
+        if key in live:
+            live.update(sub for subs, _, _ in memo[key] for sub in subs)
+    gid: dict[tuple, GoalId] = {}
+    for key, bodies in memo.items():  # each key after the keys its bodies use
+        if key in live:
+            kind, *args = key
+            if kind == "g":
+                args[0] = render_term(args[0])
+            gid[key] = head = builder.goal(f"{ns}{kind}({','.join(map(str, args))})")
+            for subs, inst, tag in bodies:
+                builder.add_body(head, [gid[sub] for sub in subs], inst, tag)
+    return gid[root]
 
 
 def compile_plcg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:

@@ -333,25 +333,18 @@ class GraphBuilder:
 
 
 def per_instance_memo(fn: Callable[[TermLike, TermLike], T]) -> Callable[[SwitchInstance], T]:
-    """``fn(switch, value)`` of an instance, computed once per distinct pair.
+    """``fn(switch, value)`` of an instance, computed once per instance object.
 
-    The key holds each term's type next to its value, so ``1``, ``1.0``
-    and ``True`` stay apart even though they compare equal; inside a
-    tuple or compound term equal parts are one key, as they already are
-    for :meth:`SwitchDecl.value_index`.  An unhashable term is passed
-    through uncached.
+    Keyed by identity, so no term is hashed.  The memo holds every
+    instance it has seen, so no id is reused while it lives.
     """
-    memo: dict = {}
+    memo: dict[int, tuple[SwitchInstance, T]] = {}
 
     def call(inst: SwitchInstance) -> T:
-        key = (type(inst.switch), inst.switch, type(inst.value), inst.value)
-        try:
-            known = key in memo
-        except TypeError:
-            return fn(inst.switch, inst.value)
-        if not known:
-            memo[key] = fn(inst.switch, inst.value)
-        return memo[key]
+        hit = memo.get(id(inst))
+        if hit is None:
+            hit = memo[id(inst)] = (inst, fn(inst.switch, inst.value))
+        return hit[1]
 
     return call
 

@@ -106,6 +106,29 @@ def random_general_graph(rng, max_switches=8, max_goals=9):
     return builder.build(), root
 
 
+def random_grammar(rng, n_nonterminals=3, terminals=("a", "b")) -> Grammar:
+    """Random CFG over nonterminals N0.. and ``terminals``, start N0.
+
+    Each nonterminal gets one to three rules with right-hand sides of one
+    to three symbols; left recursion occurs often.  A unit rule points
+    only to a higher-numbered nonterminal, so there is no unit-rule cycle.
+    """
+    nts = [f"N{i}" for i in range(n_nonterminals)]
+    rules = []
+    for i, lhs in enumerate(nts):
+        for _ in range(int(rng.integers(1, 4))):
+            m = int(rng.integers(1, 4))
+            if m == 1:
+                pool = list(terminals) + nts[i + 1:]
+            else:
+                pool = list(terminals) + nts
+            rhs = tuple(pool[int(rng.integers(0, len(pool)))] for _ in range(m))
+            rules.append(CFGRule(lhs, rhs))
+    # every nonterminal can finish on a terminal
+    rules += [CFGRule(lhs, (terminals[0],)) for lhs in nts]
+    return Grammar(nts[0], list(dict.fromkeys(rules)))
+
+
 def random_theta(rng, graph) -> ParameterTable:
     data = {}
     for key, decl in graph.switches.items():

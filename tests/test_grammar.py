@@ -1,8 +1,12 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +34,7 @@ from explgraph.grammar import (
     tree_from_explanation,
     tree_goals_graph,
 )
-from explgraph.grammar import _search_derivation
+from explgraph.grammar import _LeftCornerSwitches, _compile_corpus, _search_derivation
 from explgraph.graph import (
     Explanation,
     GraphBuilder,
@@ -45,7 +49,7 @@ from explgraph.learning import LearnConfig, em_map_learn, vt_learn
 from explgraph.tables import ParameterTable, PseudoCountTable
 from explgraph.terms import Term, render_term
 
-from conftest import toy_grammar
+from conftest import random_grammar, toy_grammar
 
 DEMO20 = Path(__file__).resolve().parent.parent / "data" / "demo20.grammar"
 
@@ -220,17 +224,21 @@ def _reachable_from_roots(graph):
     return seen
 
 
-def test_pcfg_compiles_only_goals_reachable_from_a_root(grammar):
+def test_frontends_compile_only_goals_reachable_from_a_root(grammar):
     demo20 = load_grammar(DEMO20)
     sentences = gen_corpus(demo20, demo20.pcfg_parameter_table(), 60, seed=4).sentences()
     singles = [(grammar, ["b", "a", "b", "a"]), (np_vp_grammar(), ["noun", "verb", "noun", "prep"])]
     singles += [(demo20, s) for s in sentences[:10]]
-    for gram, tokens in singles:
-        g = compile_pcfg(gram, tokens)
-        assert len(_reachable_from_roots(g)) == g.n_goals, tokens
-    graph, goals = compile_pcfg_corpus(demo20, sentences)
-    assert set(graph.roots) == set(goals)
-    assert len(_reachable_from_roots(graph)) == graph.n_goals
+    for compile_one, compile_corpus in [
+        (compile_pcfg, compile_pcfg_corpus),
+        (compile_plcg, compile_plcg_corpus),
+    ]:
+        for gram, tokens in singles:
+            g = compile_one(gram, tokens)
+            assert len(_reachable_from_roots(g)) == g.n_goals, tokens
+        graph, goals = compile_corpus(demo20, sentences)
+        assert set(graph.roots) == set(goals)
+        assert len(_reachable_from_roots(graph)) == graph.n_goals
 
 
 def _graph_digest(graph, goals):
@@ -252,7 +260,11 @@ def _graph_digest(graph, goals):
 
 def test_corpus_graphs_pinned_for_both_frontends():
     # pins taken from the compilers that declared every switch once per
-    # sentence; declaring them once per compile call must not change them
+    # sentence; declaring them once per compile call must not change them.
+    # The plcg pin was re-taken when the left-corner compiler stopped
+    # emitting goals that no root reaches (the kept goals are checked
+    # against the former compiler in
+    # test_plcg_keeps_the_reachable_part_of_the_former_graph)
     demo20, sample = _demo20_corpus()
     pins = {
         "pcfg": (
@@ -261,7 +273,7 @@ def test_corpus_graphs_pinned_for_both_frontends():
         ),
         "plcg": (
             compile_plcg_corpus,
-            "ad95fa328ceaa82034deaed8fe57eff6cc69a063be29368079ed95770e3b2d55",
+            "8806a64d463c185a656c77d571f59b9bd69e87cbb31051a4e45ac5ed8a691d76",
         ),
     }
     for mode, (compile_corpus, digest) in pins.items():
@@ -399,6 +411,206 @@ def test_plcg_inside_sums_tree_derivations(grammar):
 def test_plcg_unparseable(grammar):
     with pytest.raises(Unparseable):
         compile_plcg(grammar, ["c"])
+
+
+def _reference_compile_plcg_into(builder, grammar, tokens, ns, lc):
+    """The former left-corner compiler: it creates each goal as soon as
+    the goal's own bodies succeed, so goals that no root reaches stay in
+    the graph.  (It also raised the interpreter's recursion limit to
+    10,000 while it ran; that block is left out here.)"""
+    n = len(tokens)
+    nts = grammar.nonterminals
+    memo = {}
+
+    def build_g(syms, i, j):
+        key = ("g", syms, i, j)
+        if key in memo:
+            return memo[key]
+        memo[key] = None  # cycle guard; construction below must not re-enter
+        bodies = []
+        if not syms:
+            if i == j:
+                bodies.append(([], ()))
+        else:
+            g0, rest = syms[0], syms[1:]
+            if g0 not in nts:
+                if i < j and tokens[i] == g0:
+                    sub = build_g(rest, i + 1, j)
+                    if sub is not None:
+                        bodies.append(([sub], ()))
+            elif i < j:
+                shift = lc.first.get((g0, tokens[i]))
+                if shift is not None:
+                    for k in range(i + 1, j + 1):
+                        lc_goal = build_lc(g0, tokens[i], i + 1, k)
+                        if lc_goal is None:
+                            continue
+                        g_goal = build_g(rest, k, j)
+                        if g_goal is not None:
+                            bodies.append(([lc_goal, g_goal], (shift,)))
+        if not bodies:
+            return None
+        gid = builder.goal(f"{ns}g({render_term(tuple(syms))},{i},{j})")
+        for subs, inst in bodies:
+            builder.add_body(gid, subs, inst)
+        memo[key] = gid
+        return gid
+
+    def build_lc(g0, b, k, j):
+        key = ("lc", g0, b, k, j)
+        if key in memo:
+            return memo[key]
+        memo[key] = None
+        bodies = []
+        attach = lc.attach.get(g0)
+        for ridx, choose in lc.grow.get((g0, b), ()):
+            rule = grammar.rules[ridx]
+            beta = rule.rhs[1:]
+            if rule.lhs == g0:
+                done = build_g(beta, k, j)
+                if done is not None:
+                    inst = (choose,) if attach is None else (choose, attach[0])
+                    bodies.append(([done], inst, ridx))
+                if attach is not None:
+                    for m in range(k, j + 1):
+                        mid = build_g(beta, k, m)
+                        if mid is None:
+                            continue
+                        nxt = build_lc(g0, g0, m, j)
+                        if nxt is not None:
+                            bodies.append(([mid, nxt], (choose, attach[1]), ridx))
+            else:
+                for m in range(k, j + 1):
+                    mid = build_g(beta, k, m)
+                    if mid is None:
+                        continue
+                    nxt = build_lc(g0, rule.lhs, m, j)
+                    if nxt is not None:
+                        bodies.append(([mid, nxt], (choose,), ridx))
+        if not bodies:
+            return None
+        gid = builder.goal(f"{ns}lc({g0},{b},{k},{j})")
+        for subs, inst, ridx in bodies:
+            builder.add_body(gid, subs, inst, ridx)
+        memo[key] = gid
+        return gid
+
+    root = build_g((grammar.start,), 0, n)
+    if root is None:
+        raise Unparseable(f"no left-corner derivation of: {' '.join(tokens)}")
+    return root
+
+
+def _reference_compile_plcg_corpus(grammar, sentences):
+    builder = GraphBuilder()
+    lc = _LeftCornerSwitches(grammar)
+    lc.declare(builder)
+    compile_into = partial(_reference_compile_plcg_into, lc=lc)
+    return _compile_corpus(builder, compile_into, grammar, sentences)
+
+
+def _reference_compile_plcg(grammar, tokens):
+    builder = GraphBuilder()
+    lc = _LeftCornerSwitches(grammar)
+    lc.declare(builder)
+    builder.add_root(_reference_compile_plcg_into(builder, grammar, tuple(tokens), "", lc))
+    return builder.build()
+
+
+def _assert_reachable_part_equal(graph, goals, ref, ref_goals):
+    """``graph`` is ``ref`` restricted to the goals a root reaches: the same
+    labels in the same order, levels, bodies in order (subgoals, instances,
+    tags), roots and observed goals, and the same switch declarations."""
+    kept = sorted(_reachable_from_roots(ref))
+    assert graph.labels == [ref.labels[g] for g in kept]
+    assert graph.switches == ref.switches
+    assert graph.compiled().level.tolist() == ref.compiled().level[kept].tolist()
+
+    def bodies(g, x):
+        return [
+            ([g.labels[s] for s in b.subgoals], b.instances, b.tag) for b in g.formulas[x].bodies
+        ]
+
+    for new_id, ref_id in enumerate(kept):
+        assert bodies(graph, new_id) == bodies(ref, ref_id), graph.labels[new_id]
+    assert [graph.labels[r] for r in graph.roots] == [ref.labels[r] for r in ref.roots]
+    assert [graph.labels[x] for x in goals] == [ref.labels[x] for x in ref_goals]
+
+
+def _plcg_equals_reference(grammar, sentences):
+    """Compare corpus and single-sentence graphs; False when unparseable."""
+    try:
+        ref, ref_goals = _reference_compile_plcg_corpus(grammar, sentences)
+    except Unparseable:
+        with pytest.raises(Unparseable):
+            compile_plcg_corpus(grammar, sentences)
+        return False
+    _assert_reachable_part_equal(*compile_plcg_corpus(grammar, sentences), ref, ref_goals)
+    if len(sentences) == 1:
+        ref = _reference_compile_plcg(grammar, sentences[0])
+        graph = compile_plcg(grammar, sentences[0])
+        _assert_reachable_part_equal(graph, graph.roots, ref, ref.roots)
+    return True
+
+
+def test_plcg_keeps_the_reachable_part_of_the_former_graph(grammar):
+    demo20, sample = _demo20_corpus()
+    sentences = sample.sentences()
+    assert _plcg_equals_reference(demo20, sentences)
+    singles = [
+        (grammar, ["b", "a", "b", "a"]),
+        (np_vp_grammar(), ["noun", "verb", "noun", "prep"]),
+        (np_vp_grammar(), ["adj", "noun", "verb", "det", "adj", "noun"]),
+    ] + [(demo20, s) for s in sorted(sentences, key=len)[::40]]
+    for gram, tokens in singles:
+        assert _plcg_equals_reference(gram, [tokens]), tokens
+    rng = np.random.default_rng(3)
+    parsed = 0
+    for _ in range(40):
+        gram = random_grammar(rng)
+        for _ in range(4):
+            tokens = [str(t) for t in rng.choice(["a", "b"], size=int(rng.integers(1, 7)))]
+            parsed += _plcg_equals_reference(gram, [tokens])
+    assert parsed >= 40
+
+
+def test_plcg_compiles_without_changing_the_recursion_limit(monkeypatch):
+    demo20 = load_grammar(DEMO20)
+    sentences = gen_corpus(demo20, demo20.pcfg_parameter_table(), 1000, seed=1).sentences()
+    longest = max(sentences, key=len)
+    assert len(longest) == 68
+
+    def refuse(limit):
+        raise AssertionError(f"sys.setrecursionlimit({limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    graph = compile_plcg(demo20, longest)
+    assert len(_reachable_from_roots(graph)) == graph.n_goals
+
+
+def test_plcg_too_deep_to_recognise_raises_explosion_limit():
+    # the child interpreter lowers its own recursion limit; this one keeps its own
+    script = "\n".join([
+        "import sys",
+        "from explgraph.errors import ExplosionLimit",
+        "from explgraph.grammar import compile_plcg",
+        "from explgraph.io import load_grammar",
+        f"grammar = load_grammar({str(DEMO20)!r})",
+        "sys.setrecursionlimit(200)",
+        "try:",
+        "    compile_plcg(grammar, ['pro'] + ['aux'] * 150 + ['verb'])",
+        "except ExplosionLimit as e:",
+        "    print(e)",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (
+        "left-corner recognition of a 152-token sentence exceeds the recursion limit"
+    )
 
 
 def test_probability_mass_bounded_for_both_frontends(grammar):

@@ -23,6 +23,7 @@ from explgraph.graph import (
     enumerate_explanations,
     explanation_prob,
     merge_graphs,
+    per_instance_memo,
     validate_graph,
 )
 from explgraph.grammar import compile_pcfg_corpus
@@ -148,15 +149,24 @@ def test_validate_reports_first_bad_instance():
     ok = [SwitchInstance("c", "h"), SwitchInstance(1, "h")]
     with pytest.raises(UndeclaredValue, match="zzz"):
         build(ok + [SwitchInstance("c", "zzz"), SwitchInstance("c", "yyy")])
-    # equal to the declared 1 but no term: the per-pair check must not reuse 1's verdict;
+    # equal to the declared 1 but no term: each instance object gets its own verdict;
     # a string switch name is checked as a symbol, not looked up as a rendered key
     for bad in (True, 1.0, "f(a)"):
         with pytest.raises(TermSyntaxError):
             build(ok + [SwitchInstance(bad, "h")])
-    # an unhashable value is checked without the memo
+    # an unhashable value is checked like any other
     with pytest.raises(UndeclaredValue):
         build(ok + [SwitchInstance("c", ["h"])])
     assert build(ok + ok).n_goals == 4
+
+
+def test_per_instance_memo_resolves_each_instance_object_once():
+    calls = []
+    slot = per_instance_memo(lambda switch, value: calls.append((switch, value)) or len(calls))
+    a, b = SwitchInstance("c", "h"), SwitchInstance("c", "h")
+    assert [slot(a), slot(b), slot(a), slot(b)] == [1, 2, 1, 2]
+    assert slot(SwitchInstance("c", ["h"])) == 3  # no term is hashed
+    assert calls == [("c", "h"), ("c", "h"), ("c", ["h"])]
 
 
 def test_cycle_detector_against_random_injections():
