@@ -15,12 +15,15 @@ explanations correspond to derivations:
   be its own left corner.
 
 Both frontends recognise a sentence before they emit any goal, and emit
-only the goals its root reaches.  Both tag every body that applies a rule
-with the rule's index, so a Viterbi explanation carries its derivation and
-the parse tree is read off it in one walk.  The module also learns
-parameters from treebanks by counting, samples corpora, and scores
-predictions with exact-labelled / unlabelled-bracketing / zero-crossing
-metrics.
+only the goals its root reaches.  Both recognise from one bitmask CKY
+chart of the symbols that derive each span: the PCFG frontend sweeps it
+top-down into the goals the root reaches, and left-corner recognition
+tries a split only where the chart says the goal being grown derives the
+words up to it.  Both tag every body that applies a rule with the rule's
+index, so a Viterbi explanation carries its derivation and the parse tree
+is read off it in one walk.  The module also learns parameters from
+treebanks by counting, samples corpora, and scores predictions with
+exact-labelled / unlabelled-bracketing / zero-crossing metrics.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -125,6 +128,21 @@ class Grammar:
         self._rule_set = {(r.lhs, r.rhs) for r in self.rules}
         self._lc_values: dict[tuple[str, str], tuple[int, ...]] = {}
 
+    @cached_property
+    def _pcfg_decls(self) -> dict[str, SwitchDecl]:
+        """The PCFG switch of each nonterminal, keyed by name, built once."""
+        return {a: SwitchDecl(a, rhss) for a, rhss in self.pcfg_switches().items()}
+
+    @cached_property
+    def _symbol_bits(self) -> "_SymbolBits":
+        """Bitmask CKY tables, built on the first compile call and kept."""
+        return _SymbolBits(self)
+
+    @cached_property
+    def _lc_switches(self) -> "_LeftCornerSwitches":
+        """Left-corner switch tables, built on the first compile call and kept."""
+        return _LeftCornerSwitches(self)
+
     def _check_unit_cycles(self) -> None:
         unit = {a: set() for a in self.nonterminals}
         for r in self.rules:
@@ -187,9 +205,8 @@ class Grammar:
         """ParameterTable from the per-rule probabilities, if complete."""
         if any(p is None for p in self.probs):
             raise ExplGraphError("grammar has unassigned rule probabilities")
-        decls = {a: SwitchDecl(a, rhss) for a, rhss in self.pcfg_switches().items()}
-        data = {a: [self.probs[i] for i in self.rules_for[a]] for a in decls}
-        return ParameterTable(decls, data)
+        data = {a: [self.probs[i] for i in self.rules_for[a]] for a in self._pcfg_decls}
+        return ParameterTable(self._pcfg_decls, data)
 
     def lc_rule_values(self, g: str, b: str) -> tuple[int, ...]:
         """Rule indices usable when a finished B grows toward goal G.
@@ -324,11 +341,6 @@ def _check_sentence(grammar: Grammar, sentence: Sequence[str]) -> tuple[str, ...
     return tokens
 
 
-def _declare_pcfg_switches(builder: GraphBuilder, grammar: Grammar) -> None:
-    for a, rhss in grammar.pcfg_switches().items():
-        builder.declare_switch(a, rhss)
-
-
 class _SymbolBits:
     """Bit-per-symbol tables for bitmask CKY over one grammar.
 
@@ -337,9 +349,10 @@ class _SymbolBits:
     the grammar's implicit binarisation) owns one bit, so a chart cell is
     one int.  ``pairs`` lists the binary steps (left bit, right bit,
     parent bit) and ``units`` the unit rules (child bit, parent bit).  The
-    step functions are memoised per cell mask; built once per compile
-    call, the memos serve every sentence of a corpus, and so does
-    ``rule_inst``, the switch instances of each rule's bodies.
+    step functions are memoised per cell mask; built once per grammar
+    (``Grammar._symbol_bits``), the memos serve every sentence compiled
+    with it, and so does ``rule_inst``, the switch instances of each
+    rule's bodies.
     """
 
     def __init__(self, grammar: Grammar):
@@ -424,12 +437,12 @@ class _SymbolBits:
         return out
 
 
-def _pcfg_reachable_chart(bits: _SymbolBits, start: str, tokens: tuple[str, ...]) -> list[list[int]]:
-    """Per span, the bits of the chart goals reachable from ``(start, 0, n)``.
+def _cky_chart(bits: _SymbolBits, tokens: tuple[str, ...]) -> list[list[int]]:
+    """Per span, the bits of every symbol that derives it: bitmask CKY.
 
-    Bottom-up CKY recognition over per-span masks, then a top-down sweep
-    from the full span that keeps only the symbols some derivation of the
-    sentence uses.  ``reach[i][j]`` is the mask of span ``(i, j)``.
+    ``chart[i][j]`` is the mask of span ``(i, j)``.  Both frontends build
+    it first: the PCFG frontend sweeps it top-down into the reachable
+    goals, and left-corner recognition probes only the splits it allows.
     """
     n = len(tokens)
     chart = [[0] * (n + 1) for _ in range(n + 1)]
@@ -445,9 +458,21 @@ def _pcfg_reachable_chart(bits: _SymbolBits, start: str, tokens: tuple[str, ...]
                 if left and right:
                     acc |= bits.combine(left, right)
             row[j] = bits.close(acc) if acc else 0
+    return chart
+
+
+def _reach_sweep(
+    bits: _SymbolBits, start: str, tokens: tuple[str, ...], chart: list[list[int]]
+) -> list[list[int]]:
+    """Per span, the bits of the chart goals reachable from ``(start, 0, n)``.
+
+    A top-down sweep over the CKY ``chart`` from the full span that keeps
+    only the symbols some derivation of the sentence uses.  ``reach[i][j]``
+    is the mask of span ``(i, j)``.
+    """
+    n = len(tokens)
     if not chart[0][n] >> bits.bit[start] & 1:
         raise Unparseable(f"no derivation of: {' '.join(tokens)}")
-
     reach = [[0] * (n + 1) for _ in range(n + 1)]
     reach[0][n] = 1 << bits.bit[start]
     for w in range(n, 0, -1):
@@ -471,11 +496,11 @@ def _compile_pcfg_into(
     grammar: Grammar,
     tokens: tuple[str, ...],
     ns: str,
-    bits: _SymbolBits,
 ) -> GoalId:
     n = len(tokens)
     nts = grammar.nonterminals
-    reach = _pcfg_reachable_chart(bits, grammar.start, tokens)
+    bits = grammar._symbol_bits
+    reach = _reach_sweep(bits, grammar.start, tokens, _cky_chart(bits, tokens))
     bit = bits.bit
 
     def span_goal(a: str, i: int, j: int) -> GoalId:
@@ -555,8 +580,8 @@ def compile_pcfg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:
     """Chart-style explanation graph for one sentence, root = full span."""
     tokens = _check_sentence(grammar, sentence)
     builder = GraphBuilder()
-    _declare_pcfg_switches(builder, grammar)
-    root = _compile_pcfg_into(builder, grammar, tokens, "", _SymbolBits(grammar))
+    builder.declare_switches(grammar._pcfg_decls)
+    root = _compile_pcfg_into(builder, grammar, tokens, "")
     builder.add_root(root)
     return builder.build()
 
@@ -582,9 +607,8 @@ def compile_pcfg_corpus(
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """One shared graph for a corpus; repeated sentences share their chart."""
     builder = GraphBuilder()
-    _declare_pcfg_switches(builder, grammar)
-    compile_into = partial(_compile_pcfg_into, bits=_SymbolBits(grammar))
-    return _compile_corpus(builder, compile_into, grammar, sentences)
+    builder.declare_switches(grammar._pcfg_decls)
+    return _compile_corpus(builder, _compile_pcfg_into, grammar, sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -595,17 +619,18 @@ def compile_pcfg_corpus(
 class _LeftCornerSwitches:
     """The left-corner encoding's switches for one grammar.
 
-    Built once per compile call.  ``decls`` lists (switch, values) in
-    declaration order; ``first[g, w]`` is the instance shifting word ``w``
-    for goal ``g``; ``grow[g, b]`` pairs each rule index usable when a
-    finished ``b`` grows toward ``g`` with its ``lc(g,b)`` instance; and
-    ``attach[g]`` holds the ``att(g)`` instances (attach, project) where
-    ``g`` is its own left corner.
+    Built once per grammar (``Grammar._lc_switches``).  ``decls`` holds
+    the switch declarations by rendered name, in declaration order;
+    ``first[g, w]`` is the instance shifting word ``w`` for goal ``g``;
+    ``grow[g, b]`` pairs each rule index usable when a finished ``b``
+    grows toward ``g`` with its ``lc(g,b)`` instance; and ``attach[g]``
+    holds the ``att(g)`` instances (attach, project) where ``g`` is its
+    own left corner.
     """
 
     def __init__(self, grammar: Grammar):
         rule_value = [Term("rule", (r.lhs, tuple(r.rhs))) for r in grammar.rules]
-        self.decls: list[tuple[Term, tuple]] = []
+        self.decls: dict[str, SwitchDecl] = {}
         self.first: dict[tuple[str, str], SwitchInstance] = {}
         self.grow: dict[tuple[str, str], list[tuple[int, SwitchInstance]]] = {}
         self.attach: dict[str, tuple[SwitchInstance, SwitchInstance]] = {}
@@ -613,24 +638,24 @@ class _LeftCornerSwitches:
         for g in order:
             if grammar.first[g]:
                 switch = Term("first", (g,))
-                self.decls.append((switch, tuple(grammar.first[g])))
+                self.decls[render_term(switch)] = SwitchDecl(switch, tuple(grammar.first[g]))
                 for w in grammar.first[g]:
                     self.first[g, w] = SwitchInstance(switch, w)
             for b in grammar.left_corner[g]:
                 ridxs = grammar.lc_rule_values(g, b)
                 if ridxs:
                     switch = Term("lc", (g, b))
-                    self.decls.append((switch, tuple(rule_value[i] for i in ridxs)))
+                    values = tuple(rule_value[i] for i in ridxs)
+                    self.decls[render_term(switch)] = SwitchDecl(switch, values)
                     self.grow[g, b] = [(i, SwitchInstance(switch, rule_value[i])) for i in ridxs]
         for a in order:
             if grammar.lc_rule_values(a, a):
                 switch = Term("att", (a,))
-                self.decls.append((switch, ("att", "pro")))
+                self.decls[render_term(switch)] = SwitchDecl(switch, ("att", "pro"))
                 self.attach[a] = (SwitchInstance(switch, "att"), SwitchInstance(switch, "pro"))
 
     def declare(self, builder: GraphBuilder) -> None:
-        for switch, values in self.decls:
-            builder.declare_switch(switch, values)
+        builder.declare_switches(self.decls)
 
 
 def _compile_plcg_into(
@@ -638,7 +663,6 @@ def _compile_plcg_into(
     grammar: Grammar,
     tokens: tuple[str, ...],
     ns: str,
-    lc: _LeftCornerSwitches,
 ) -> GoalId:
     """Recognise the sentence's left-corner goals, then emit those the root reaches.
 
@@ -648,10 +672,15 @@ def _compile_plcg_into(
     builder call.  A key maps to its derivable bodies (subgoal keys,
     instances, rule tag), ``[]`` when it derives nothing, and is stored
     when its recognition finishes, so ``memo`` lists every key after the
-    keys its bodies use.
+    keys its bodies use.  ``g(syms,i,j)`` probes a split ``k`` only where
+    the CKY chart says ``syms[0]`` derives tokens i..k, the one condition
+    under which ``lc(syms[0], tokens[i], i+1, k)`` can derive.
     """
     n = len(tokens)
     nts = grammar.nonterminals
+    lc = grammar._lc_switches
+    bits = grammar._symbol_bits
+    chart = _cky_chart(bits, tokens)
     memo: dict[tuple, list[tuple[list[tuple], tuple[SwitchInstance, ...], Optional[int]]]] = {}
 
     def recognise_g(syms: tuple[str, ...], i: int, j: int) -> Optional[tuple]:
@@ -672,7 +701,10 @@ def _compile_plcg_into(
                 elif i < j:
                     shift = lc.first.get((g0, tokens[i]))
                     if shift is not None:
+                        row, g_bit = chart[i], bits.bit[g0]
                         for k in range(i + 1, j + 1):
+                            if not row[k] >> g_bit & 1:
+                                continue
                             lc_key = recognise_lc(g0, tokens[i], i + 1, k)
                             g_key = lc_key and recognise_g(rest, k, j)
                             if g_key:
@@ -737,9 +769,8 @@ def compile_plcg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:
     """Left-corner explanation graph for one sentence."""
     tokens = _check_sentence(grammar, sentence)
     builder = GraphBuilder()
-    lc = _LeftCornerSwitches(grammar)
-    lc.declare(builder)
-    root = _compile_plcg_into(builder, grammar, tokens, "", lc)
+    grammar._lc_switches.declare(builder)
+    root = _compile_plcg_into(builder, grammar, tokens, "")
     builder.add_root(root)
     return builder.build()
 
@@ -748,9 +779,8 @@ def compile_plcg_corpus(
     grammar: Grammar, sentences: Iterable[Sequence[str]]
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     builder = GraphBuilder()
-    lc = _LeftCornerSwitches(grammar)
-    lc.declare(builder)
-    return _compile_corpus(builder, partial(_compile_plcg_into, lc=lc), grammar, sentences)
+    grammar._lc_switches.declare(builder)
+    return _compile_corpus(builder, _compile_plcg_into, grammar, sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -1095,7 +1125,7 @@ def tree_goals_graph(
     on these goals must agree with direct counting.
     """
     builder = GraphBuilder()
-    _declare_pcfg_switches(builder, grammar)
+    builder.declare_switches(grammar._pcfg_decls)
     goals: list[GoalId] = []
     seen: dict[str, GoalId] = {}
     for tree in treebank:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import (
     ExplGraphError,
@@ -286,11 +286,17 @@ class GraphBuilder:
 
     def declare_switch(self, switch: TermLike, values: Iterable[TermLike]) -> None:
         decl = SwitchDecl(switch, tuple(values))
-        key = render_term(switch)
-        old = self._switches.get(key)
-        if old is not None and old.values != decl.values:
-            raise ExplGraphError(f"conflicting declarations for switch {key}")
-        self._switches.setdefault(key, decl)
+        self.declare_switches({render_term(switch): decl})
+
+    def declare_switches(self, decls: Mapping[str, SwitchDecl]) -> None:
+        """Declare built switches keyed by their rendered names, as
+        ``ExplanationGraph.switches`` holds them, so a frontend can declare
+        one grammar's switches in every compile call without rebuilding them."""
+        for key, decl in decls.items():
+            old = self._switches.get(key)
+            if old is not None and old.values != decl.values:
+                raise ExplGraphError(f"conflicting declarations for switch {key}")
+            self._switches.setdefault(key, decl)
 
     def goal(self, label: str) -> GoalId:
         """Return the goal id for ``label``, creating the goal if new."""
