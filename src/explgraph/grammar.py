@@ -1,21 +1,29 @@
 """Grammar frontends: top-down (rule-expansion) and left-corner parsing.
 
-Both frontends compile one sentence into an explanation graph whose root
-explanations correspond to derivations:
+Both frontends compile a corpus (one sentence is a corpus of one) into an
+explanation graph with one root per distinct sentence, whose explanations
+correspond to derivations:
 
-* ``compile_pcfg`` builds a chart over spans.  A goal ``A(i,j)`` means
-  "nonterminal A derives tokens i..j"; each body applies one rule through
-  a switch named after the nonterminal whose values are the possible
-  right-hand sides.  Rules longer than two symbols go through dotted
-  prefix goals so the graph stays linear in rule length.
-* ``compile_plcg`` builds the bottom-up left-corner chart with three
-  switch families: ``first(G)`` picks the word shifted for goal G,
-  ``lc(G,B)`` picks the rule ``A -> B beta`` that grows a finished
-  B-constituent, and ``att(A)`` decides attach versus project where A can
-  be its own left corner.
+* ``compile_pcfg`` builds a chart over spans.  A goal ``A([the,dog])``
+  means "nonterminal A derives the words the dog"; each body applies one
+  rule through a switch named after the nonterminal whose values are the
+  possible right-hand sides.  Longer rules go through dotted prefix goals
+  ``dot(rule,t,[...])`` so the graph stays linear in rule length.
+* ``compile_plcg`` builds the bottom-up left-corner chart of goals
+  ``g([syms],[words])`` and ``lc(G,B,[words])`` with three switch
+  families: ``first(G)`` picks the word shifted for goal G, ``lc(G,B)``
+  picks the rule ``A -> B beta`` that grows a finished B-constituent, and
+  ``att(A)`` decides attach versus project where A can be its own left
+  corner.
+
+A goal is keyed by its symbols and the words it spans, not by token
+positions, because what it derives depends on those words alone: a phrase
+that recurs within or across sentences is one goal, built once, as
+PRISM's tabling shares recurring subgoals.  The labels are unambiguous
+because no token contains ``,``, ``[`` or ``]`` (``terms._RESERVED``).
 
 Both frontends recognise a sentence before they emit any goal, and emit
-only the goals its root reaches.  Both recognise from one bitmask CKY
+only the goals a root reaches.  Both recognise from one bitmask CKY
 chart of the symbols that derive each span: the PCFG frontend sweeps it
 top-down into the goals the root reaches, and left-corner recognition
 tries a split only where the chart says the goal being grown derives the
@@ -492,123 +500,112 @@ def _reach_sweep(
 
 
 def _compile_pcfg_into(
-    builder: GraphBuilder,
-    grammar: Grammar,
-    tokens: tuple[str, ...],
-    ns: str,
-) -> GoalId:
-    n = len(tokens)
+    builder: GraphBuilder, grammar: Grammar, sentences: Iterable[tuple[str, ...]]
+) -> list[GoalId]:
+    """Emit the chart goals each sentence's root reaches; one root per sentence.
+
+    A goal is keyed by its symbol or dotted prefix and the words it spans,
+    e.g. ``NP([the,dog])`` or ``dot(4,2,[the,big])``: after the reach sweep
+    a kept goal keeps every split on which both sides derive, so its bodies
+    depend on its words alone.  ``built`` holds the goals whose bodies
+    exist, so a goal that recurs in the corpus is built once, and a
+    sentence whose root is built is not charted again.
+    """
     nts = grammar.nonterminals
     bits = grammar._symbol_bits
-    reach = _reach_sweep(bits, grammar.start, tokens, _cky_chart(bits, tokens))
     bit = bits.bit
+    order = sorted(nts)
+    goal_of: dict[tuple[str, str], GoalId] = {}
+    built: set[GoalId] = set()
 
-    def span_goal(a: str, i: int, j: int) -> GoalId:
-        return builder.goal(f"{ns}{a}({i},{j})")
-
-    def dot_goal(ridx: int, t: int, i: int, j: int) -> GoalId:
-        return builder.goal(f"{ns}dot({ridx},{t},{i},{j})")
-
-    def dot_kept(ridx: int, t: int, i: int, j: int) -> bool:
-        return bool(reach[i][j] >> bit[(ridx, t)] & 1)
+    def span_goal(a: str, text: str) -> GoalId:
+        gid = goal_of.get((a, text))
+        if gid is None:
+            gid = goal_of[a, text] = builder.goal(f"{a}({text})")
+        return gid
 
     def sym_subgoals(s: str, i: int, j: int) -> Optional[list[GoalId]]:
         """Subgoal list covering one symbol, or None when it cannot."""
         if s in nts:
-            return [span_goal(s, i, j)] if reach[i][j] >> bit[s] & 1 else None
+            return [span_goal(s, words[i][j])] if reach[i][j] >> bit[s] & 1 else None
         return [] if (j == i + 1 and tokens[i] == s) else None
 
-    built_dots: set[tuple[int, int, int, int]] = set()
+    def prefix_subgoals(ridx: int, t: int, i: int, j: int) -> Optional[list[GoalId]]:
+        """Subgoal list covering a rule's first ``t`` symbols, or None."""
+        if t == 1:
+            return sym_subgoals(grammar.rules[ridx].rhs[0], i, j)
+        if not reach[i][j] >> bit[(ridx, t)] & 1:
+            return None
+        gid = builder.goal(f"dot({ridx},{t},{words[i][j]})")
+        if gid not in built:
+            built.add(gid)
+            add_bodies(gid, ridx, t, i, j)
+        return [gid]
 
-    def build_dot(ridx: int, t: int, i: int, j: int) -> GoalId:
-        gid = dot_goal(ridx, t, i, j)
-        key = (ridx, t, i, j)
-        if key in built_dots:
-            return gid
-        built_dots.add(key)
+    def add_bodies(gid: GoalId, ridx: int, t: int, i: int, j: int, inst=(), tag=None) -> None:
+        """Bodies of ``gid`` deriving words i..j by a rule's first ``t`` symbols."""
         rhs = grammar.rules[ridx].rhs
+        if t == 1:
+            subs = sym_subgoals(rhs[0], i, j)
+            if subs is not None:
+                builder.add_body(gid, subs, inst, tag)
+            return
         for k in range(i + t - 1, j):
             last = sym_subgoals(rhs[t - 1], k, j)
-            if last is None:
-                continue
-            if t == 2:
-                first = sym_subgoals(rhs[0], i, k)
-                if first is not None:
-                    builder.add_body(gid, first + last)
-            elif dot_kept(ridx, t - 1, i, k):
-                builder.add_body(gid, [build_dot(ridx, t - 1, i, k)] + last)
-        return gid
+            first = None if last is None else prefix_subgoals(ridx, t - 1, i, k)
+            if first is not None:
+                builder.add_body(gid, first + last, inst, tag)
 
-    # goals bottom-up by width so subgoals exist before references
-    order = sorted(nts)
-    for w in range(1, n + 1):
-        for i in range(0, n - w + 1):
-            j = i + w
-            if not reach[i][j]:
-                continue
-            for a in order:
-                if not reach[i][j] >> bit[a] & 1:
-                    continue
-                gid = span_goal(a, i, j)
-                for ridx in grammar.rules_for[a]:
-                    rhs = grammar.rules[ridx].rhs
-                    m = len(rhs)
-                    inst = bits.rule_inst[ridx]
-                    if m == 1:
-                        subs = sym_subgoals(rhs[0], i, j)
-                        if subs is not None:
-                            builder.add_body(gid, subs, inst, ridx)
-                    elif m == 2:
-                        for k in range(i + 1, j):
-                            left = sym_subgoals(rhs[0], i, k)
-                            right = sym_subgoals(rhs[1], k, j)
-                            if left is not None and right is not None:
-                                builder.add_body(gid, left + right, inst, ridx)
-                    else:
-                        for k in range(i + m - 1, j):
-                            if not dot_kept(ridx, m - 1, i, k):
-                                continue
-                            last = sym_subgoals(rhs[m - 1], k, j)
-                            if last is not None:
-                                builder.add_body(
-                                    gid, [build_dot(ridx, m - 1, i, k)] + last, inst, ridx
-                                )
-    return span_goal(grammar.start, 0, n)
+    roots: list[GoalId] = []
+    for tokens in sentences:
+        n = len(tokens)
+        root = (grammar.start, "[" + ",".join(tokens) + "]")
+        if goal_of.get(root) not in built:
+            reach = _reach_sweep(bits, grammar.start, tokens, _cky_chart(bits, tokens))
+            words = [[""] * (n + 1) for _ in range(n + 1)]
+            # goals bottom-up by width so subgoals exist before references
+            for w in range(1, n + 1):
+                for i in range(0, n - w + 1):
+                    j = i + w
+                    if not reach[i][j]:
+                        continue
+                    words[i][j] = "[" + ",".join(tokens[i:j]) + "]"
+                    for a in order:
+                        if not reach[i][j] >> bit[a] & 1:
+                            continue
+                        gid = span_goal(a, words[i][j])
+                        if gid in built:
+                            continue
+                        built.add(gid)
+                        for ridx in grammar.rules_for[a]:
+                            m = len(grammar.rules[ridx].rhs)
+                            add_bodies(gid, ridx, m, i, j, bits.rule_inst[ridx], ridx)
+        roots.append(goal_of[root])
+    return roots
+
+
+def _compile_corpus(
+    grammar: Grammar, sentences: Iterable[Sequence[str]], compile_into, decls
+) -> tuple[ExplanationGraph, list[GoalId]]:
+    """One graph whose roots are the sentences' goals, in corpus order."""
+    builder = GraphBuilder()
+    builder.declare_switches(decls)
+    goals = compile_into(builder, grammar, (_check_sentence(grammar, s) for s in sentences))
+    for goal in goals:
+        builder.add_root(goal)
+    return builder.build(), goals
 
 
 def compile_pcfg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:
     """Chart-style explanation graph for one sentence, root = full span."""
-    tokens = _check_sentence(grammar, sentence)
-    builder = GraphBuilder()
-    builder.declare_switches(grammar._pcfg_decls)
-    root = _compile_pcfg_into(builder, grammar, tokens, "")
-    builder.add_root(root)
-    return builder.build()
-
-
-def _compile_corpus(
-    builder: GraphBuilder, compile_into, grammar, sentences
-) -> tuple[ExplanationGraph, list[GoalId]]:
-    uid: dict[tuple[str, ...], int] = {}
-    root_of: dict[int, GoalId] = {}
-    goals: list[GoalId] = []
-    for sent in sentences:
-        tokens = _check_sentence(grammar, sent)
-        u = uid.setdefault(tokens, len(uid))
-        if u not in root_of:
-            root_of[u] = compile_into(builder, grammar, tokens, f"s{u}:")
-            builder.add_root(root_of[u])
-        goals.append(root_of[u])
-    return builder.build(), goals
+    return compile_pcfg_corpus(grammar, [sentence])[0]
 
 
 def compile_pcfg_corpus(
     grammar: Grammar, sentences: Iterable[Sequence[str]]
 ) -> tuple[ExplanationGraph, list[GoalId]]:
-    """One shared graph for a corpus; repeated sentences share their chart."""
-    builder = GraphBuilder()
-    builder.declare_switches(grammar._pcfg_decls)
-    return _compile_corpus(builder, _compile_pcfg_into, grammar, sentences)
+    """One shared graph for a corpus; sentences share the goals of their common phrases."""
+    return _compile_corpus(grammar, sentences, _compile_pcfg_into, grammar._pcfg_decls)
 
 
 # ---------------------------------------------------------------------------
@@ -654,37 +651,33 @@ class _LeftCornerSwitches:
                 self.decls[render_term(switch)] = SwitchDecl(switch, ("att", "pro"))
                 self.attach[a] = (SwitchInstance(switch, "att"), SwitchInstance(switch, "pro"))
 
-    def declare(self, builder: GraphBuilder) -> None:
-        builder.declare_switches(self.decls)
-
 
 def _compile_plcg_into(
-    builder: GraphBuilder,
-    grammar: Grammar,
-    tokens: tuple[str, ...],
-    ns: str,
-) -> GoalId:
-    """Recognise the sentence's left-corner goals, then emit those the root reaches.
+    builder: GraphBuilder, grammar: Grammar, sentences: Iterable[tuple[str, ...]]
+) -> list[GoalId]:
+    """Recognise every sentence's left-corner goals, then emit those a root reaches.
 
-    Recognition is a memoised recursion over goal keys ``("g", syms, i,
-    j)`` (``syms`` derive tokens i..j) and ``("lc", g0, b, k, j)`` (a
-    finished ``b`` ending at k grows into ``g0`` ending at j) and makes no
-    builder call.  A key maps to its derivable bodies (subgoal keys,
-    instances, rule tag), ``[]`` when it derives nothing, and is stored
-    when its recognition finishes, so ``memo`` lists every key after the
-    keys its bodies use.  ``g(syms,i,j)`` probes a split ``k`` only where
+    Recognition is a memoised recursion over goal keys ``("g", syms, w)``
+    (``syms`` derive the words ``w``) and ``("lc", g0, b, w)`` (a finished
+    ``b`` followed by the words ``w`` grows into ``g0``) and makes no
+    builder call.  ``w`` is the compile call's intern id of a word tuple,
+    and ``sp[i][j]`` that of ``tokens[i:j]`` in the sentence at hand.  A
+    key maps to its derivable bodies (subgoal keys, instances, rule tag),
+    ``[]`` when it derives nothing, and is stored when its recognition
+    finishes, so ``memo`` lists every key after the keys its bodies use,
+    across sentences too.  ``g(syms,i,j)`` probes a split ``k`` only where
     the CKY chart says ``syms[0]`` derives tokens i..k, the one condition
-    under which ``lc(syms[0], tokens[i], i+1, k)`` can derive.
+    under which ``lc(syms[0], tokens[i], i+1, k)`` can derive.  That cell
+    lies inside the span, so a key's bodies depend on its words alone.
     """
-    n = len(tokens)
     nts = grammar.nonterminals
     lc = grammar._lc_switches
     bits = grammar._symbol_bits
-    chart = _cky_chart(bits, tokens)
+    span_id: dict[tuple[str, ...], int] = {}
     memo: dict[tuple, list[tuple[list[tuple], tuple[SwitchInstance, ...], Optional[int]]]] = {}
 
     def recognise_g(syms: tuple[str, ...], i: int, j: int) -> Optional[tuple]:
-        key = ("g", syms, i, j)
+        key = ("g", syms, sp[i][j])
         bodies = memo.get(key)
         if bodies is None:
             bodies = []
@@ -713,7 +706,7 @@ def _compile_plcg_into(
         return key if bodies else None
 
     def recognise_lc(g0: str, b: str, k: int, j: int) -> Optional[tuple]:
-        key = ("lc", g0, b, k, j)
+        key = ("lc", g0, b, sp[k][j])
         bodies = memo.get(key)
         if bodies is None:
             # one body per rule application, tagged with the rule index: one
@@ -741,46 +734,51 @@ def _compile_plcg_into(
             memo[key] = bodies
         return key if bodies else None
 
-    try:
-        root = recognise_g((grammar.start,), 0, n)
-    except RecursionError:
-        raise ExplosionLimit(
-            f"left-corner recognition of a {n}-token sentence exceeds the recursion limit"
-        ) from None
-    if root is None:
-        raise Unparseable(f"no left-corner derivation of: {' '.join(tokens)}")
-    live = {root}
+    roots: list[tuple] = []
+    for tokens in sentences:
+        n = len(tokens)
+        sp = [[span_id.setdefault(tokens[i:j], len(span_id)) for j in range(n + 1)]
+              for i in range(n + 1)]
+        root = ("g", (grammar.start,), sp[0][n])
+        if root not in memo:
+            chart = _cky_chart(bits, tokens)
+            try:
+                recognise_g((grammar.start,), 0, n)
+            except RecursionError:
+                raise ExplosionLimit(
+                    f"left-corner recognition of a {n}-token sentence exceeds the recursion limit"
+                ) from None
+        if not memo[root]:
+            raise Unparseable(f"no left-corner derivation of: {' '.join(tokens)}")
+        roots.append(root)
+    live = set(roots)
     for key in reversed(memo):  # each key before the keys its bodies use
         if key in live:
             live.update(sub for subs, _, _ in memo[key] for sub in subs)
+    words = list(span_id)
     gid: dict[tuple, GoalId] = {}
     for key, bodies in memo.items():  # each key after the keys its bodies use
         if key in live:
             kind, *args = key
+            args[-1] = "[" + ",".join(words[args[-1]]) + "]"
             if kind == "g":
                 args[0] = render_term(args[0])
-            gid[key] = head = builder.goal(f"{ns}{kind}({','.join(map(str, args))})")
+            gid[key] = head = builder.goal(f"{kind}({','.join(args)})")
             for subs, inst, tag in bodies:
                 builder.add_body(head, [gid[sub] for sub in subs], inst, tag)
-    return gid[root]
+    return [gid[root] for root in roots]
 
 
 def compile_plcg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:
     """Left-corner explanation graph for one sentence."""
-    tokens = _check_sentence(grammar, sentence)
-    builder = GraphBuilder()
-    grammar._lc_switches.declare(builder)
-    root = _compile_plcg_into(builder, grammar, tokens, "")
-    builder.add_root(root)
-    return builder.build()
+    return compile_plcg_corpus(grammar, [sentence])[0]
 
 
 def compile_plcg_corpus(
     grammar: Grammar, sentences: Iterable[Sequence[str]]
 ) -> tuple[ExplanationGraph, list[GoalId]]:
-    builder = GraphBuilder()
-    grammar._lc_switches.declare(builder)
-    return _compile_corpus(builder, _compile_plcg_into, grammar, sentences)
+    """One shared left-corner graph for a corpus, tabled by words as ``compile_pcfg_corpus``."""
+    return _compile_corpus(grammar, sentences, _compile_plcg_into, grammar._lc_switches.decls)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -34,7 +35,13 @@ from explgraph.grammar import (
     tree_from_explanation,
     tree_goals_graph,
 )
-from explgraph.grammar import _LeftCornerSwitches, _compile_corpus, _search_derivation
+from explgraph.grammar import (
+    _LeftCornerSwitches,
+    _check_sentence,
+    _cky_chart,
+    _reach_sweep,
+    _search_derivation,
+)
 from explgraph.graph import (
     Explanation,
     GraphBuilder,
@@ -43,13 +50,13 @@ from explgraph.graph import (
     explanation_prob,
 )
 from explgraph.harness import fold_partition
-from explgraph.inference import goal_prob, viterbi
+from explgraph.inference import extract_viterbi, goal_prob, log_theta_vector, viterbi
 from explgraph.io import load_grammar
 from explgraph.learning import LearnConfig, em_map_learn, vt_learn
 from explgraph.tables import ParameterTable, PseudoCountTable
 from explgraph.terms import Term, render_term
 
-from conftest import random_grammar, toy_grammar
+from conftest import random_grammar, random_theta, toy_grammar
 
 DEMO20 = Path(__file__).resolve().parent.parent / "data" / "demo20.grammar"
 
@@ -162,8 +169,8 @@ def test_pcfg_chart_orders_narrow_spans_first(grammar):
     g = compile_pcfg(grammar, ["a", "b"])
     pos = {lab: i for i, lab in enumerate(g.labels)}
     order = {g.labels[goal]: i for i, goal in enumerate(g.topo_order)}
-    assert order["S(0,1)"] < order["S(0,2)"]
-    assert order["S(1,2)"] < order["S(0,2)"]
+    assert order["S([a])"] < order["S([a,b])"]
+    assert order["S([b])"] < order["S([a,b])"]
 
 
 def test_pcfg_inside_sums_all_derivations(grammar):
@@ -265,16 +272,20 @@ def test_corpus_graphs_pinned_for_both_frontends():
     # emitting goals that no root reaches, and again when chart-filtered
     # recognition changed the order in which it creates goals (the labelled
     # graph is checked against the former compiler in
-    # test_plcg_keeps_the_reachable_part_of_the_former_graph)
+    # test_plcg_keeps_the_reachable_part_of_the_former_graph).  Both pins
+    # were re-taken when goals came to be keyed by the words they span
+    # instead of per-sentence token positions (each labelled graph is
+    # checked against the positional one, root by root, in
+    # test_tabled_corpus_matches_positional_graph_per_root)
     demo20, sample = _demo20_corpus()
     pins = {
         "pcfg": (
             compile_pcfg_corpus,
-            "d114e46f9a4c44e5c54dfa0242b684a65ade0e135372833b3ac1e0bd395625d3",
+            "059e83016ddc5b2a642d7465b909ee2a3fe426d986e2d6e9bfd877a7bf2e9d2c",
         ),
         "plcg": (
             compile_plcg_corpus,
-            "3bf4800d70feaed3b6f8b1611694852a8ac77d0fa1ef227629b36d197f692e71",
+            "43e7ee824d6f40d4f660fdfeda42eb4c9070c0aa8aaf08e2fe345d75504d1084",
         ),
     }
     for mode, (compile_corpus, digest) in pins.items():
@@ -502,80 +513,199 @@ def _reference_compile_plcg_into(builder, grammar, tokens, ns, lc):
     return root
 
 
-def _reference_compile_plcg_corpus(grammar, sentences):
+def _reference_compile_pcfg_into(builder, grammar, tokens, ns):
+    """The former PCFG compiler: goals labelled by token positions,
+    ``A(i,j)`` and ``dot(r,t,i,j)``, built once per sentence."""
+    n = len(tokens)
+    nts = grammar.nonterminals
+    bits = grammar._symbol_bits
+    reach = _reach_sweep(bits, grammar.start, tokens, _cky_chart(bits, tokens))
+    bit = bits.bit
+
+    def span_goal(a, i, j):
+        return builder.goal(f"{ns}{a}({i},{j})")
+
+    def dot_kept(ridx, t, i, j):
+        return bool(reach[i][j] >> bit[(ridx, t)] & 1)
+
+    def sym_subgoals(s, i, j):
+        if s in nts:
+            return [span_goal(s, i, j)] if reach[i][j] >> bit[s] & 1 else None
+        return [] if (j == i + 1 and tokens[i] == s) else None
+
+    built_dots = set()
+
+    def build_dot(ridx, t, i, j):
+        gid = builder.goal(f"{ns}dot({ridx},{t},{i},{j})")
+        if (ridx, t, i, j) in built_dots:
+            return gid
+        built_dots.add((ridx, t, i, j))
+        rhs = grammar.rules[ridx].rhs
+        for k in range(i + t - 1, j):
+            last = sym_subgoals(rhs[t - 1], k, j)
+            if last is None:
+                continue
+            if t == 2:
+                first = sym_subgoals(rhs[0], i, k)
+                if first is not None:
+                    builder.add_body(gid, first + last)
+            elif dot_kept(ridx, t - 1, i, k):
+                builder.add_body(gid, [build_dot(ridx, t - 1, i, k)] + last)
+        return gid
+
+    for w in range(1, n + 1):
+        for i in range(0, n - w + 1):
+            j = i + w
+            for a in sorted(nts):
+                if not reach[i][j] >> bit[a] & 1:
+                    continue
+                gid = span_goal(a, i, j)
+                for ridx in grammar.rules_for[a]:
+                    rhs = grammar.rules[ridx].rhs
+                    m = len(rhs)
+                    inst = bits.rule_inst[ridx]
+                    if m == 1:
+                        subs = sym_subgoals(rhs[0], i, j)
+                        if subs is not None:
+                            builder.add_body(gid, subs, inst, ridx)
+                    elif m == 2:
+                        for k in range(i + 1, j):
+                            left = sym_subgoals(rhs[0], i, k)
+                            right = sym_subgoals(rhs[1], k, j)
+                            if left is not None and right is not None:
+                                builder.add_body(gid, left + right, inst, ridx)
+                    else:
+                        for k in range(i + m - 1, j):
+                            if not dot_kept(ridx, m - 1, i, k):
+                                continue
+                            last = sym_subgoals(rhs[m - 1], k, j)
+                            if last is not None:
+                                builder.add_body(
+                                    gid, [build_dot(ridx, m - 1, i, k)] + last, inst, ridx
+                                )
+    return span_goal(grammar.start, 0, n)
+
+
+def _reference_compile_corpus(grammar, sentences, mode):
+    """The former corpus compile: each distinct sentence ``u`` compiled by
+    the positional reference compiler of ``mode`` in its own namespace
+    ``s{u}:``, so phrases are never shared between or within sentences."""
     builder = GraphBuilder()
-    lc = _LeftCornerSwitches(grammar)
-    lc.declare(builder)
-    compile_into = partial(_reference_compile_plcg_into, lc=lc)
-    return _compile_corpus(builder, compile_into, grammar, sentences)
+    if mode == "pcfg":
+        builder.declare_switches(grammar._pcfg_decls)
+        compile_into = _reference_compile_pcfg_into
+    else:
+        lc = _LeftCornerSwitches(grammar)
+        builder.declare_switches(lc.decls)
+        compile_into = partial(_reference_compile_plcg_into, lc=lc)
+    root_of, goals = {}, []
+    for sent in sentences:
+        tokens = _check_sentence(grammar, sent)
+        if tokens not in root_of:
+            root_of[tokens] = compile_into(builder, grammar, tokens, f"s{len(root_of)}:")
+            builder.add_root(root_of[tokens])
+        goals.append(root_of[tokens])
+    return builder.build(), goals
 
 
-def _reference_compile_plcg(grammar, tokens):
-    builder = GraphBuilder()
-    lc = _LeftCornerSwitches(grammar)
-    lc.declare(builder)
-    builder.add_root(_reference_compile_plcg_into(builder, grammar, tuple(tokens), "", lc))
-    return builder.build()
+_POSITIONAL = re.compile(r"s(\d+):(.*?)(\d+),(\d+)\)")
 
 
-def _assert_reachable_part_equal(graph, goals, ref, ref_goals):
-    """``graph`` is ``ref`` restricted to the goals a root reaches, matched
-    by label: the same label set, levels, bodies in order (subgoal labels,
-    instances, tags), roots and observed goals, and the same switch
-    declarations in the same order.  Goal ids may differ from ``ref``'s,
-    but every goal must come after the goals its bodies use."""
-    ref_id = {ref.labels[g]: g for g in _reachable_from_roots(ref)}
-    assert sorted(graph.labels) == sorted(ref_id)
+def _word_label(label, distinct):
+    """The word label of a positional reference label: ``s{u}:X(...,i,j)``
+    becomes ``X(...,[w_i,...])`` over the words i..j of ``distinct[u]``."""
+    u, head, i, j = _POSITIONAL.fullmatch(label).groups()
+    return f"{head}{render_term(distinct[int(u)][int(i) : int(j)])})"
+
+
+def _assert_reachable_part_equal(graph, goals, ref, ref_goals, sentences, topological=True):
+    """``graph`` is ``ref`` restricted to the goals a root reaches, with
+    ``ref``'s positional labels mapped to word labels: the same label set,
+    levels, bodies in order (subgoal labels, instances, tags), roots and
+    observed goals, and the same switch declarations in the same order.
+    Every reference goal that maps to one word label must agree on its
+    level and bodies, which is what lets the tabled compilers build it
+    once.  Goal ids may differ from ``ref``'s; with ``topological``, every
+    goal must come after the goals its bodies use."""
+    distinct = list(dict.fromkeys(tuple(s) for s in sentences))
+    word = [_word_label(label, distinct) for label in ref.labels]
     assert list(graph.switches.items()) == list(ref.switches.items())
     level, ref_level = graph.compiled().level, ref.compiled().level
 
-    def bodies(g, x):
-        return [
-            ([g.labels[s] for s in b.subgoals], b.instances, b.tag) for b in g.formulas[x].bodies
-        ]
+    def bodies(g, labels, x):
+        return [([labels[s] for s in b.subgoals], b.instances, b.tag) for b in g.formulas[x].bodies]
 
+    ref_of = {}
+    for x in _reachable_from_roots(ref):
+        seen = ref_of.setdefault(word[x], (ref_level[x], bodies(ref, word, x)))
+        assert seen == (ref_level[x], bodies(ref, word, x)), ref.labels[x]
+    assert sorted(graph.labels) == sorted(ref_of)
     for x, label in enumerate(graph.labels):
-        assert level[x] == ref_level[ref_id[label]], label
-        assert bodies(graph, x) == bodies(ref, ref_id[label]), label
-        assert all(s < x for b in graph.formulas[x].bodies for s in b.subgoals), label
-    assert [graph.labels[r] for r in graph.roots] == [ref.labels[r] for r in ref.roots]
-    assert [graph.labels[x] for x in goals] == [ref.labels[x] for x in ref_goals]
+        assert (level[x], bodies(graph, graph.labels, x)) == ref_of[label], label
+        if topological:
+            assert all(s < x for b in graph.formulas[x].bodies for s in b.subgoals), label
+    assert [graph.labels[r] for r in graph.roots] == [word[r] for r in ref.roots]
+    assert [graph.labels[x] for x in goals] == [word[x] for x in ref_goals]
 
 
-def _plcg_equals_reference(grammar, sentences):
-    """Compare corpus and single-sentence graphs; False when unparseable."""
+def _equals_reference(grammar, sentences, mode="plcg"):
+    """Compare the tabled corpus graph of ``mode`` with the positional
+    reference (and, for one sentence, the single-sentence graph); False
+    when both refuse the corpus as unparseable."""
+    compile_corpus, compile_one = {
+        "pcfg": (compile_pcfg_corpus, compile_pcfg),
+        "plcg": (compile_plcg_corpus, compile_plcg),
+    }[mode]
     try:
-        ref, ref_goals = _reference_compile_plcg_corpus(grammar, sentences)
+        ref, ref_goals = _reference_compile_corpus(grammar, sentences, mode)
     except Unparseable:
         with pytest.raises(Unparseable):
-            compile_plcg_corpus(grammar, sentences)
+            compile_corpus(grammar, sentences)
         return False
-    _assert_reachable_part_equal(*compile_plcg_corpus(grammar, sentences), ref, ref_goals)
+    # the PCFG compilers create a dotted goal after the goal whose body uses it
+    check = partial(_assert_reachable_part_equal, topological=mode == "plcg")
+    check(*compile_corpus(grammar, sentences), ref, ref_goals, sentences)
     if len(sentences) == 1:
-        ref = _reference_compile_plcg(grammar, sentences[0])
-        graph = compile_plcg(grammar, sentences[0])
-        _assert_reachable_part_equal(graph, graph.roots, ref, ref.roots)
+        graph = compile_one(grammar, sentences[0])
+        check(graph, graph.roots, ref, ref.roots, sentences)
     return True
+
+
+def _assert_per_root_equal(graph, ref, theta):
+    """Every root of the tabled ``graph`` has the inside value, Viterbi log
+    probability, explanation and derivation of its root in the positional
+    ``ref``, bitwise (the roots correspond in order)."""
+    comp, ref_comp = graph.compiled(), ref.compiled()
+    lt, ref_lt = log_theta_vector(graph, theta), log_theta_vector(ref, theta)
+    roots, ref_roots = np.array(graph.roots), np.array(ref.roots)
+    assert np.array_equal(comp.inside_pass(lt)[0][roots], ref_comp.inside_pass(ref_lt)[0][ref_roots])
+    best, sel = comp.viterbi_pass(lt)
+    ref_best, ref_sel = ref_comp.viterbi_pass(ref_lt)
+    assert np.array_equal(best[roots], ref_best[ref_roots])
+    for r, ref_r in zip(graph.roots, ref.roots):
+        got = extract_viterbi(graph, sel, best, r).explanation
+        want = extract_viterbi(ref, ref_sel, ref_best, ref_r).explanation
+        assert (got, got.derivation) == (want, want.derivation), graph.labels[r]
 
 
 def test_plcg_keeps_the_reachable_part_of_the_former_graph(grammar):
     demo20, sample = _demo20_corpus()
     sentences = sample.sentences()
-    assert _plcg_equals_reference(demo20, sentences)
+    assert _equals_reference(demo20, sentences)
     singles = [
         (grammar, ["b", "a", "b", "a"]),
         (np_vp_grammar(), ["noun", "verb", "noun", "prep"]),
         (np_vp_grammar(), ["adj", "noun", "verb", "det", "adj", "noun"]),
     ] + [(demo20, s) for s in sorted(sentences, key=len)[::40]]
     for gram, tokens in singles:
-        assert _plcg_equals_reference(gram, [tokens]), tokens
+        assert _equals_reference(gram, [tokens]), tokens
     rng = np.random.default_rng(3)
     parsed = 0
     for _ in range(40):
         gram = random_grammar(rng)
         for _ in range(4):
             tokens = [str(t) for t in rng.choice(["a", "b"], size=int(rng.integers(1, 7)))]
-            parsed += _plcg_equals_reference(gram, [tokens])
+            parsed += _equals_reference(gram, [tokens])
     assert parsed >= 40
 
 
@@ -583,7 +713,35 @@ def test_plcg_long_right_branching_sentence_equals_reference():
     # each aux opens a new right-branching constituent, so unfiltered
     # recognition probes every split of every one of them
     demo20 = load_grammar(DEMO20)
-    assert _plcg_equals_reference(demo20, [["pro"] + ["aux"] * 40 + ["verb"]])
+    assert _equals_reference(demo20, [["pro"] + ["aux"] * 40 + ["verb"]])
+
+
+@pytest.mark.parametrize("mode", ["pcfg", "plcg"])
+@pytest.mark.parametrize("n, seed", [(200, 1), (200, 2), (1000, 1)])
+def test_tabled_corpus_matches_positional_graph_per_root(mode, n, seed):
+    # goals keyed by the words they span are shared between and within
+    # sentences; per root, and for learning on the whole corpus, the shared
+    # graph must give what the former graph, one namespace per sentence,
+    # gave: bitwise, except EM, whose sums over goals run in another order
+    demo20, sample = _demo20_corpus(n, seed)
+    sentences = sample.sentences()
+    compile_corpus = compile_pcfg_corpus if mode == "pcfg" else compile_plcg_corpus
+    graph, goals = compile_corpus(demo20, sentences)
+    ref, ref_goals = _reference_compile_corpus(demo20, sentences, mode)
+    check = partial(_assert_reachable_part_equal, topological=mode == "plcg")
+    check(graph, goals, ref, ref_goals, sentences)
+    _assert_per_root_equal(graph, ref, random_theta(np.random.default_rng(seed), graph))
+    vt_config = LearnConfig(method="vt", delta=1.0, restarts=2, seed=seed)
+    vt, vt_ref = vt_learn(graph, goals, vt_config), vt_learn(ref, ref_goals, vt_config)
+    assert (vt.iterations, vt.termination) == (vt_ref.iterations, vt_ref.termination)
+    for key, values in vt_ref.final_theta.data.items():
+        assert np.array_equal(vt.final_theta.data[key], values), key
+    assert [e.render() for e in vt.per_goal_viterbi] == [e.render() for e in vt_ref.per_goal_viterbi]
+    em_config = LearnConfig(method="em", seed=seed)
+    em, em_ref = em_map_learn(graph, goals, em_config), em_map_learn(ref, ref_goals, em_config)
+    assert (em.iterations, em.termination) == (em_ref.iterations, em_ref.termination)
+    for key, values in em_ref.final_theta.data.items():
+        np.testing.assert_allclose(em.final_theta.data[key], values, rtol=0, atol=1e-12)
 
 
 def test_plcg_compiles_without_changing_the_recursion_limit(monkeypatch):
@@ -1200,19 +1358,22 @@ DEMO20_VT_THETA = {
     ],
 }
 DEMO20_EM_THETA = {
-    "N": ["0x1.373e36c2097c8p-1", "0x1.f404d1dc2216fp-3", "0x1.2f02531bb7f73p-3"],
+    "N": ["0x1.373e36c2097c4p-1", "0x1.f404d1dc22181p-3", "0x1.2f02531bb7f6fp-3"],
     "NP": [
-        "0x1.65e720ddc83fcp-2", "0x1.ffaf4326110e3p-3", "0x1.4511fa788f5a6p-3",
-        "0x1.a1e3fc30a0812p-4", "0x1.765596b4def76p-4", "0x1.8d4edccc3d6e4p-5",
+        "0x1.65e720ddc8402p-2", "0x1.ffaf4326110e3p-3", "0x1.4511fa788f5a5p-3",
+        "0x1.a1e3fc30a0815p-4", "0x1.765596b4def58p-4", "0x1.8d4edccc3d6e5p-5",
     ],
     "PP": ["0x1.0000000000000p+0"],
     "S": ["0x1.6b74f0329161fp-1", "0x1.87e6b74f03292p-3", "0x1.948b0fcd6e9e0p-4"],
     "VP": [
-        "0x1.f4ad65ffe89d5p-3", "0x1.58917c68d294ep-2", "0x1.63acdc34677bap-4",
-        "0x1.3e782d4585c4dp-4", "0x1.0a48f1e5b229ep-3", "0x1.da5c2059126b8p-5",
-        "0x1.107a44eb09a7ep-4",
+        "0x1.f4ad65ffe89d1p-3", "0x1.58917c68d294fp-2", "0x1.63acdc34677bdp-4",
+        "0x1.3e782d4585c48p-4", "0x1.0a48f1e5b229ep-3", "0x1.da5c2059126bap-5",
+        "0x1.107a44eb09a7fp-4",
     ],
 }
+# The EM pins were re-taken when corpus goals came to be keyed by the words
+# they span: EM's sums over goals run in goal-id order, so the last bits
+# moved (by at most 1e-15); the VT pins, exact counts, did not move.
 
 
 def test_demo20_corpus_learning_pinned_theta():
