@@ -1,13 +1,16 @@
 """Array form of a validated explanation graph.
 
-Building the array form is the graph's validation, done in one walk over
-its formulas.  In goal-id order the walk checks each body (subgoal ids
-first, then switch instances) and appends its subgoal ids, slot ids,
-multiplicities and tag to flat lists.  A depth-first search over the
-resulting child lists gives the topological order, rejects cycles and
-sets each goal's level (every body's subgoals live in strictly lower
-levels).  A stable sort by level then lays out goals, bodies and parts
-level by level.
+Building the array form is the graph's validation, done in numpy over the
+graph's flat bodies (see :class:`explgraph.graph.ExplanationGraph`).  A
+stable sort by head puts the bodies in goal-id order, and repeat/cumsum
+gathers reorder their subgoal ids and switch parts to match.  Each switch
+instance object is resolved to its slot once, by identity.  The checks
+report the first offending body in goal-id order (a goal without bodies
+first, then a body's subgoal ids before its switch instances).  A
+depth-first search over the goals' child lists gives the topological
+order, rejects cycles and sets each goal's level (every body's subgoals
+live in strictly lower levels).  A stable sort by level then lays out
+goals, bodies and parts level by level.
 
 Every dynamic programme is one of two level loops, each taking one
 vectorised step per level:
@@ -36,13 +39,9 @@ probability zero.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import chain
-
 import numpy as np
 
-from .errors import CyclicGraph, DanglingReference
-from .graph import per_instance_memo
+from .errors import CyclicGraph, DanglingReference, ExplGraphError
 
 NEG_INF = float("-inf")
 # the largest float64 below 2**63, so a saturated use count fits int64
@@ -91,6 +90,63 @@ class _Level:
         self.bodies = bodies
         self.cparts = cparts
         self.sparts = sparts
+
+
+def _part_order(counts: np.ndarray, bodies: np.ndarray) -> np.ndarray:
+    """Indices that gather the parts of bodies stored one after another,
+    ``counts[k]`` parts for body k, into the body order ``bodies``."""
+    starts = np.cumsum(counts) - counts
+    c = counts[bodies]
+    return np.repeat(starts[bodies] - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
+
+
+def _instance_slots(instances: list, slot) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Slot and multiplicity of every instance, resolved once per instance object.
+
+    ``slot(switch, value)`` is called once for each distinct object, told
+    apart by identity, so no term is hashed and equal but distinct objects
+    each get their own verdict.  An instance whose switch or value is not
+    declared gets slot -1, and the error is returned under its ``id``, so
+    the caller can report the first one in goal-id order.
+    """
+    ids = np.fromiter(map(id, instances), dtype=np.uintp, count=len(instances))
+    distinct, code = np.unique(ids, return_inverse=True)
+    some = np.empty(len(distinct), dtype=np.int64)
+    some[code] = np.arange(len(ids))  # a position of each distinct object
+    slots, mults, errors = [], [], {}
+    for inst in map(instances.__getitem__, some.tolist()):
+        try:
+            resolved = slot(inst.switch, inst.value), inst.mult
+        except ExplGraphError as e:
+            errors[id(inst)] = e
+            resolved = -1, 1
+        slots.append(resolved[0])
+        mults.append(resolved[1])
+    return (
+        np.array(slots, dtype=np.int64)[code],
+        np.array(mults, dtype=np.float64)[code],
+        errors,
+    )
+
+
+def _first_error(graph, walk, child, dangling, slots, errors) -> Exception:
+    """What the checks report for the first offending body in goal-id
+    order: its first dangling subgoal id, else what its first bad switch
+    instance raised.  ``child`` and ``dangling`` hold the subgoal ids in
+    goal-id order (``walk``); ``slots`` and ``errors`` come from
+    :func:`_instance_slots`."""
+    sorder = _part_order(graph.n_instances, walk)
+    first = [np.flatnonzero(bad)[:1] for bad in (dangling, slots[sorder] < 0)]
+    bc, bs = (
+        np.searchsorted(np.cumsum(counts[walk]), k, side="right")
+        for counts, k in zip((graph.n_subgoals, graph.n_instances), first)
+    )
+    if len(bc) and (not len(bs) or bc[0] <= bs[0]):
+        return DanglingReference(
+            f"goal {graph.labels[graph.heads[walk[bc[0]]]]} references "
+            f"missing goal id {child[first[0][0]]}"
+        )
+    return errors[id(graph.instances[sorder[first[1][0]]])]
 
 
 def _topo_levels(kids: list[list[int]], labels) -> tuple[list[int], list[int]]:
@@ -142,62 +198,57 @@ class CompiledGraph:
     def __init__(self, graph):
         self.layout = graph.slots()
         n = graph.n_goals
-        slot_of = per_instance_memo(self.layout.slot)
-        kids, goal_nbodies = [], []  # per goal: subgoals of all its bodies, body count
-        body_ccount, body_scount, tags = [], [], []  # per body
-        spart_slot, spart_mult = [], []  # per switch part
-        for f in graph.formulas:
-            goal_kids: list[int] = []
-            for body in f.bodies:
-                for s in body.subgoals:
-                    if not 0 <= s < n:
-                        raise DanglingReference(
-                            f"goal {graph.labels[f.head]} references missing goal id {s}"
-                        )
-                goal_kids += body.subgoals
-                body_ccount.append(len(body.subgoals))
-                body_scount.append(len(body.instances))
-                tags.append(body.tag)
-                for inst in body.instances:
-                    spart_slot.append(slot_of(inst))
-                    spart_mult.append(inst.mult)
-            goal_nbodies.append(len(f.bodies))
-            kids.append(goal_kids)
+        goal_nbodies = np.bincount(graph.heads, minlength=n)
+        if not goal_nbodies.all():
+            raise ExplGraphError(f"goal {int(np.argmin(goal_nbodies))} has no bodies")
+        # the bodies in goal-id order, each goal's in order of arrival
+        walk = np.argsort(graph.heads, kind="stable")
+        child = graph.subgoals[_part_order(graph.n_subgoals, walk)]
+        slots, mults, errors = _instance_slots(graph.instances, self.layout.slot)
+        dangling = (child < 0) | (child >= n)
+        if dangling.any() or errors:
+            raise _first_error(graph, walk, child, dangling, slots, errors)
+        bounds = np.concatenate(([0], np.cumsum(graph.n_subgoals[walk])))[
+            np.concatenate(([0], np.cumsum(goal_nbodies)))
+        ].tolist()
+        flat = child.tolist()
+        kids = [flat[a:b] for a, b in zip(bounds, bounds[1:])]  # per goal, all its subgoals
         self.topo_order, level = _topo_levels(kids, graph.labels)
 
         # Stable sorts by level: goals, and the bodies of each level, keep
-        # goal-id order, and each body's parts stay contiguous.
+        # goal-id order; gathers keep each body's parts contiguous.
         self.level = level = np.array(level, dtype=np.int64)
-        goal_nbodies = np.array(goal_nbodies, dtype=np.int64)
         body_level = np.repeat(level, goal_nbodies)
-        cpart_level = np.repeat(body_level, body_ccount)
-        spart_level = np.repeat(body_level, body_scount)
         goals = np.argsort(level, kind="stable")
         bodies = np.argsort(body_level, kind="stable")
-        cparts = np.argsort(cpart_level, kind="stable")
-        sparts = np.argsort(spart_level, kind="stable")
+        arrival = walk[bodies]  # each laid-out body's index in the graph's flat arrays
+        sparts = _part_order(graph.n_instances, arrival)
 
         self.n_goals = n
         self.n_bodies = len(bodies)
         body_ids = np.arange(self.n_bodies, dtype=np.int64)
         self.body_head = np.repeat(goals, goal_nbodies[goals])
         self.body_local = bodies - (np.cumsum(goal_nbodies) - goal_nbodies)[self.body_head]
-        self.body_ccount = np.array(body_ccount, dtype=np.int64)[bodies]
+        self.body_ccount = graph.n_subgoals[arrival]
         self.body_cstart = np.cumsum(self.body_ccount) - self.body_ccount
-        self.body_scount = np.array(body_scount, dtype=np.int64)[bodies]
+        self.body_scount = graph.n_instances[arrival]
         self.body_sstart = np.cumsum(self.body_scount) - self.body_scount
         self.cpart_body = np.repeat(body_ids, self.body_ccount)
-        self.cpart_child = np.array(list(chain.from_iterable(kids)), dtype=np.int64)[cparts]
+        self.cpart_child = graph.subgoals[_part_order(graph.n_subgoals, arrival)]
         self.spart_body = np.repeat(body_ids, self.body_scount)
-        self.spart_slot = np.array(spart_slot, dtype=np.int64)[sparts]
-        self.spart_mult = np.array(spart_mult, dtype=np.float64)[sparts]
-        self.tags = [tags[b] for b in bodies.tolist()]
-        self.tagged = any(t is not None for t in tags)  # some body carries a frontend tag
+        self.spart_slot = slots[sparts]
+        self.spart_mult = mults[sparts]
+        self.tags = list(map(graph.tags.__getitem__, arrival.tolist()))
+        self.tagged = any(t is not None for t in graph.tags)  # some body carries a frontend tag
 
         n_levels = int(level.max()) + 1 if n else 0
-        gs, bs, cs, ss = (
+        gs, bs = (
             np.concatenate(([0], np.cumsum(np.bincount(x, minlength=n_levels)))).tolist()
-            for x in (level, body_level, cpart_level, spart_level)
+            for x in (level, body_level)
+        )
+        cs, ss = (
+            np.concatenate(([0], np.cumsum(counts)))[bs].tolist()
+            for counts in (self.body_ccount, self.body_scount)
         )
         nb = goal_nbodies[goals]
         seg_starts = np.cumsum(nb) - nb
@@ -211,12 +262,6 @@ class CompiledGraph:
             )
             for k in range(n_levels)
         ]
-
-    @cached_property
-    def sel_index(self) -> dict[tuple[int, int], int]:
-        """Global body index of each (goal, local body index) pair."""
-        pairs = zip(self.body_head.tolist(), self.body_local.tolist())
-        return dict(zip(pairs, range(self.n_bodies)))
 
     # -- the two level loops ----------------------------------------------
 

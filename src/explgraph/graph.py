@@ -9,6 +9,15 @@ picking one body per goal encountered; the graph shares substructure so
 that sum-product and argmax dynamic programming run in time linear in its
 size (see :mod:`explgraph.inference`).
 
+A graph holds its bodies as flat arrays, in the order they arrived: per
+body its head goal, subgoal count, switch-instance count and tag, plus
+the concatenated subgoal ids and :class:`SwitchInstance` objects.
+:class:`GraphBuilder` appends to them without making a :class:`Body`;
+:mod:`explgraph.compiled` lays them out for the passes.  ``formulas`` is
+a lazy view that builds a goal's :class:`DefiningFormula` when read, for
+the readers that walk bodies one by one (the text writer, the
+enumeration oracle, :func:`merge_graphs`).
+
 This module owns the data model, the validation entry point (whose
 checks run while :mod:`explgraph.compiled` flattens the graph), a
 desk-scale brute-force enumerator used as an oracle in tests, and the
@@ -19,8 +28,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     ExplGraphError,
@@ -46,7 +59,6 @@ __all__ = [
 ]
 
 GoalId = int
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -197,7 +209,13 @@ class DefiningFormula:
 
 
 class ExplanationGraph:
-    """Switch declarations plus one defining formula per defined goal.
+    """Switch declarations plus the bodies of every defined goal.
+
+    The bodies are flat (see the module docstring): body k belongs to goal
+    ``heads[k]``; its subgoal ids are the next ``n_subgoals[k]`` entries of
+    ``subgoals`` and its switch instances the next ``n_instances[k]``
+    entries of ``instances``, after those of bodies 0..k-1; ``tags[k]`` is
+    its tag.  A goal's bodies keep their order of arrival.
 
     Instances are built through :class:`GraphBuilder` or the file loader
     and are immutable once validated; all inference and learning routines
@@ -211,19 +229,56 @@ class ExplanationGraph:
         formulas: Sequence[DefiningFormula],
         roots: Sequence[GoalId],
     ):
+        bodies = [(g, b) for g, f in enumerate(formulas) for b in f.bodies]
+        self._init(
+            switches,
+            labels,
+            roots,
+            [g for g, _ in bodies],
+            [len(b.subgoals) for _, b in bodies],
+            [s for _, b in bodies for s in b.subgoals],
+            [len(b.instances) for _, b in bodies],
+            [i for _, b in bodies for i in b.instances],
+            [b.tag for _, b in bodies],
+        )
+
+    @classmethod
+    def _from_flat(cls, switches, labels, roots, *flat) -> "ExplanationGraph":
+        """A graph over flat bodies: heads, n_subgoals, subgoals,
+        n_instances, instances, tags."""
+        graph = cls.__new__(cls)
+        graph._init(switches, labels, roots, *flat)
+        return graph
+
+    def _init(
+        self, switches, labels, roots, heads, n_subgoals, subgoals, n_instances, instances, tags
+    ):
         self.switches = dict(switches)  # rendered switch name -> SwitchDecl
         self.labels = list(labels)
-        self.formulas = list(formulas)
         self.roots = list(roots)
+        self.heads, self.n_subgoals, self.subgoals, self.n_instances = (
+            np.array(x, dtype=np.int64) for x in (heads, n_subgoals, subgoals, n_instances)
+        )
+        self.instances = list(instances)
+        self.tags = list(tags)
         self.exclusiveness: Optional[str] = None  # cached diagnostic verdict
         self._compiled = None
         self._slots = None
+        self._formulas = None
 
     # -- basic accessors ------------------------------------------------
 
     @property
     def n_goals(self) -> int:
-        return len(self.formulas)
+        return len(self.labels)
+
+    @property
+    def formulas(self) -> Sequence[DefiningFormula]:
+        """One :class:`DefiningFormula` per goal, built from the flat bodies
+        each time it is read."""
+        if self._formulas is None:
+            self._formulas = _Formulas(self)
+        return self._formulas
 
     def goal_index(self, label: str) -> GoalId:
         matches = [i for i, lab in enumerate(self.labels) if lab == label]
@@ -247,11 +302,7 @@ class ExplanationGraph:
 
     def body_size(self) -> int:
         """Total number of atoms across all bodies (graph size)."""
-        return sum(
-            len(b.subgoals) + len(b.instances)
-            for f in self.formulas
-            for b in f.bodies
-        )
+        return len(self.subgoals) + len(self.instances)
 
     # -- slot layout shared by inference/learning -----------------------
 
@@ -273,16 +324,54 @@ class ExplanationGraph:
         return self._compiled
 
 
+class _Formulas(SequenceABC):
+    """A graph's defining formulas, indexed by goal id.  Reading one builds
+    it from the flat bodies; none is kept."""
+
+    def __init__(self, graph: ExplanationGraph):
+        self._graph = graph
+        self._order = np.argsort(graph.heads, kind="stable")  # by goal, then arrival
+        self._bounds = np.searchsorted(graph.heads[self._order], np.arange(graph.n_goals + 1))
+        self._cstart = np.cumsum(graph.n_subgoals) - graph.n_subgoals
+        self._sstart = np.cumsum(graph.n_instances) - graph.n_instances
+
+    def __len__(self) -> int:
+        return self._graph.n_goals
+
+    def __getitem__(self, goal):
+        g = self._graph
+        goal = range(len(self))[goal]
+        b = self._order[self._bounds[goal] : self._bounds[goal + 1]]
+        parts = (b, self._cstart[b], g.n_subgoals[b], self._sstart[b], g.n_instances[b])
+        bodies = (
+            Body(tuple(g.subgoals[c : c + nc].tolist()), tuple(g.instances[s : s + ns]), g.tags[k])
+            for k, c, nc, s, ns in zip(*(x.tolist() for x in parts))
+        )
+        return DefiningFormula(goal, tuple(bodies))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SequenceABC) and list(self) == list(other)
+
+
 class GraphBuilder:
-    """Incremental construction of an :class:`ExplanationGraph`."""
+    """Incremental construction of an :class:`ExplanationGraph`.
+
+    Bodies are appended to flat arrays as they arrive (see
+    :class:`ExplanationGraph`); checking them waits for :meth:`build`.
+    """
 
     def __init__(self):
         self._switches: dict = {}
         self._labels: list[str] = []
-        self._bodies: list[list[Body]] = []
         self._roots: list[GoalId] = []
         self._root_set: set[GoalId] = set()
         self._index: dict = {}
+        # per body: head, subgoal count, instance count, tag
+        self._heads, self._nsub, self._ninst = array("q"), array("q"), array("q")
+        self._tags: list = []
+        # the bodies' subgoal ids and switch instances, concatenated
+        self._subgoals = array("q")
+        self._instances: list[SwitchInstance] = []
 
     def declare_switch(self, switch: TermLike, values: Iterable[TermLike]) -> None:
         decl = SwitchDecl(switch, tuple(values))
@@ -305,7 +394,6 @@ class GraphBuilder:
             gid = len(self._labels)
             self._index[label] = gid
             self._labels.append(label)
-            self._bodies.append([])
         return gid
 
     def add_body(
@@ -321,7 +409,15 @@ class GraphBuilder:
         Viterbi explanation carries; the children of an untagged body are
         spliced into the node of the nearest tagged body above it.
         """
-        self._bodies[head].append(Body(tuple(subgoals), tuple(instances), tag))
+        if not 0 <= head < len(self._labels):
+            raise IndexError(f"no goal with id {head}")
+        n_sub, n_inst = len(self._subgoals), len(self._instances)
+        self._subgoals.extend(subgoals)
+        self._instances.extend(instances)
+        self._heads.append(head)
+        self._nsub.append(len(self._subgoals) - n_sub)
+        self._ninst.append(len(self._instances) - n_inst)
+        self._tags.append(tag)
 
     def add_root(self, goal: GoalId) -> None:
         if goal not in self._root_set:
@@ -330,45 +426,36 @@ class GraphBuilder:
 
     def build(self) -> ExplanationGraph:
         """The validated graph (see :func:`validate_graph`)."""
-        formulas = [
-            DefiningFormula(i, tuple(bodies)) for i, bodies in enumerate(self._bodies)
-        ]
-        graph = ExplanationGraph(self._switches, self._labels, formulas, self._roots)
+        graph = ExplanationGraph._from_flat(
+            self._switches,
+            self._labels,
+            self._roots,
+            self._heads,
+            self._nsub,
+            self._subgoals,
+            self._ninst,
+            self._instances,
+            self._tags,
+        )
         validate_graph(graph)
         return graph
-
-
-def per_instance_memo(fn: Callable[[TermLike, TermLike], T]) -> Callable[[SwitchInstance], T]:
-    """``fn(switch, value)`` of an instance, computed once per instance object.
-
-    Keyed by identity, so no term is hashed.  The memo holds every
-    instance it has seen, so no id is reused while it lives.
-    """
-    memo: dict[int, tuple[SwitchInstance, T]] = {}
-
-    def call(inst: SwitchInstance) -> T:
-        hit = memo.get(id(inst))
-        if hit is None:
-            hit = memo[id(inst)] = (inst, fn(inst.switch, inst.value))
-        return hit[1]
-
-    return call
 
 
 def validate_graph(graph: ExplanationGraph) -> list[GoalId]:
     """Check structural invariants and compute a bottom-up topological order.
 
-    Every referenced subgoal must exist, every switch instance must use a
-    declared value, and the head-calls-body relation must be acyclic.  The
+    Every goal must have a body, every referenced subgoal must exist,
+    every switch instance must use a declared value, and the
+    head-calls-body relation must be acyclic.  The
     returned order lists each goal after all goals it references.
 
     Validating a graph compiles it, so a validated graph is a compiled one
-    and ``graph.compiled()`` returns that one cached state.  A single walk
-    over the formulas checks the bodies in goal-id order (a body's subgoal
-    ids before its switch instances) while flattening them for
-    :class:`explgraph.compiled.CompiledGraph`; a depth-first search over
-    the flattened child lists then orders the goals or raises
-    ``CyclicGraph``.  Idempotent: a validated graph returns its cached order.
+    and ``graph.compiled()`` returns that one cached state.  The checks
+    report the first offending body in goal-id order (a body's subgoal ids
+    before its switch instances), then a depth-first search over the
+    goals' child lists orders them or raises ``CyclicGraph``; see
+    :class:`explgraph.compiled.CompiledGraph`.  Idempotent: a validated
+    graph returns its cached order.
     """
     return graph.compiled().topo_order
 

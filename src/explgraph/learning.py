@@ -24,6 +24,7 @@ initialisations; restarts are fully determined by (seed, restart index).
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -100,12 +101,42 @@ class LearnReport:
     converged: bool
     termination: str  # fixed_point | tol_reached | max_iter
     best_restart_index: int = 0
-    per_goal_viterbi: Optional[list[Explanation]] = None
+    per_goal_viterbi: Optional[Sequence[Explanation]] = None
     degenerate_switches: list[str] = field(default_factory=list)
 
     @property
     def objective(self) -> float:
         return self.objective_trace[-1]
+
+
+class _RowExplanations(SequenceABC):
+    """The explanations that exact count rows hold (see
+    :meth:`CompiledGraph.selected_multisets`), ``rows[pick[k]]`` for entry k.
+    Each row's explanation is built on first access, once."""
+
+    def __init__(self, layout, rows: np.ndarray, pick: list[int]):
+        self._source = (layout, rows, pick)
+        self._items: Optional[list[Explanation]] = None
+
+    def _list(self) -> list[Explanation]:
+        if self._items is None:
+            layout, rows, pick = self._source
+            expl = [layout.explanation((s, row[s]) for s in np.flatnonzero(row)) for row in rows]
+            self._items = [expl[k] for k in pick]
+            self._source = None
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._list())
+
+    def __getitem__(self, k):
+        return self._list()[k]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SequenceABC) and self._list() == list(other)
+
+    def __repr__(self) -> str:
+        return repr(self._list())
 
 
 def _observation_seeds(graph: ExplanationGraph, goals: Sequence[GoalId]) -> np.ndarray:
@@ -236,7 +267,8 @@ def vt_learn(
     (:meth:`CompiledGraph.selected_multisets`), and the run stops as soon
     as a pass's rows equal the previous pass's, even if a tie sent the
     argmax through a different derivation of the same multiset.  The
-    reported ``per_goal_viterbi`` is read off the best restart's rows.
+    reported ``per_goal_viterbi`` is read off the best restart's rows when
+    first read; the other restarts' rows are dropped with their reports.
     Pseudo counts must be strictly positive, which keeps every
     parameter nonzero across iterations; explanation overlap is irrelevant
     here because only one explanation per goal is ever scored.
@@ -249,7 +281,7 @@ def vt_learn(
     delta = config.delta_flat(graph)
     seeds_f = seeds.astype(float)
     observed = np.nonzero(seeds)[0]
-    final_rows: dict[int, np.ndarray] = {}
+    pick = np.searchsorted(observed, np.asarray(list(goals), dtype=np.int64)).tolist()
 
     def run(restart: int) -> LearnReport:
         theta = _initial_theta(graph, config, restart)
@@ -277,7 +309,6 @@ def vt_learn(
             with np.errstate(divide="ignore"):
                 _, sel = comp.viterbi_pass(np.log(theta))
             rows = comp.selected_multisets(sel, *comp.selected_counts_pass(sel, seeds), observed)
-        final_rows[restart] = rows
         _warn_degenerate(graph, degenerate)
         return LearnReport(
             method="vt",
@@ -286,16 +317,11 @@ def vt_learn(
             iterations=iterations,
             converged=converged,
             termination="fixed_point" if converged else "max_iter",
+            per_goal_viterbi=_RowExplanations(layout, rows, pick),
             degenerate_switches=degenerate,
         )
 
-    report = _best_restart(run, config)
-    per_goal = {
-        int(g): layout.explanation((s, row[s]) for s in np.flatnonzero(row))
-        for g, row in zip(observed, final_rows[report.best_restart_index])
-    }
-    report.per_goal_viterbi = [per_goal[int(g)] for g in goals]
-    return report
+    return _best_restart(run, config)
 
 
 def learn(graph, goals, config: LearnConfig) -> LearnReport:

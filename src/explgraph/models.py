@@ -122,42 +122,59 @@ class DataRow:
 
 def _row_label(row: DataRow, observed_class: bool) -> str:
     cls = row.cls if observed_class else MISSING
-    vals = ",".join(MISSING if v is None else v for v in row.values)
+    vals = ",".join([MISSING if v is None else v for v in row.values])
     return f"nbh({cls}|{vals})"
 
 
+class _AttrInstances(dict):
+    """One attribute switch's instances by value, each made on first use."""
+
+    def __init__(self, switch: Term):
+        super().__init__()
+        self.switch = switch
+
+    def __missing__(self, value: str) -> SwitchInstance:
+        inst = self[value] = SwitchInstance(self.switch, value)
+        return inst
+
+
 def _compile_nbh_into(
-    builder: GraphBuilder, spec: NBHSpec, row: DataRow, observed_class: bool, cache: dict
+    builder: GraphBuilder,
+    spec: NBHSpec,
+    row: DataRow,
+    label: str,
+    observed_class: bool,
+    cache: dict,
 ) -> GoalId:
-    """Add a row's goal to ``builder``.  ``cache``, one per compile call,
-    keeps each (c, h) pair of class instances, each attribute instance
-    (j, c, h, value) and each ``any(j,c,h)`` goal (j, c, h, None)."""
-    root = builder.goal(_row_label(row, observed_class))
-    classes = (row.cls,) if observed_class else spec.classes
-    for c in classes:
+    """Add a row's goal, labelled ``label``, to ``builder``.  ``cache``, one
+    per compile call, keeps per (c, h) pair the class instances, each
+    attribute's instances by value and the ``any(j,c,h)`` goals built so
+    far, by attribute index."""
+    root = builder.goal(label)
+    present = [(j, v) for j, v in enumerate(row.values) if v is not None]
+    missing = [j for j, v in enumerate(row.values) if v is None]
+    for c in (row.cls,) if observed_class else spec.classes:
         for h in spec.hidden_values:
-            head = cache.get((c, h))
-            if head is None:
-                head = cache[c, h] = [
+            if (c, h) not in cache:
+                head = [
                     SwitchInstance(spec.class_switch(), c),
                     SwitchInstance(spec.hclass_switch(c), h),
                 ]
-            instances = list(head)
+                by_value = [
+                    _AttrInstances(spec.attr_switch(j, c, h))
+                    for j in range(1, len(spec.attributes) + 1)
+                ]
+                cache[c, h] = head, by_value, {}
+            head, by_value, anys = cache[c, h]
             subgoals: list[GoalId] = []
-            for j, v in enumerate(row.values, start=1):
-                part = cache.get((j, c, h, v))
-                if part is None:
-                    if v is None:
-                        part = builder.goal(f"any({j},{c},{h})")
-                        for dv in spec.attributes[j - 1][1]:
-                            builder.add_body(
-                                part, [], [SwitchInstance(spec.attr_switch(j, c, h), dv)]
-                            )
-                    else:
-                        part = SwitchInstance(spec.attr_switch(j, c, h), v)
-                    cache[j, c, h, v] = part
-                (subgoals if v is None else instances).append(part)
-            builder.add_body(root, subgoals, instances)
+            for j in missing:
+                goal = anys.get(j)
+                if goal is None:
+                    goal = anys[j] = builder.goal(f"any({j + 1},{c},{h})")
+                    for v in spec.attributes[j][1]:
+                        builder.add_body(goal, (), (by_value[j][v],))
+                subgoals.append(goal)
+            builder.add_body(root, subgoals, head + [by_value[j][v] for j, v in present])
     return root
 
 
@@ -167,7 +184,8 @@ def compile_nbh(spec: NBHSpec, row: DataRow, observed_class: bool = True) -> Exp
     spec.check_row(row, need_class=observed_class)
     builder = GraphBuilder()
     spec.declare(builder)
-    root = _compile_nbh_into(builder, spec, row, observed_class, {})
+    label = _row_label(row, observed_class)
+    root = _compile_nbh_into(builder, spec, row, label, observed_class, {})
     builder.add_root(root)
     return builder.build()
 
@@ -186,7 +204,7 @@ def compile_nbh_corpus(
         label = _row_label(row, observed_class)
         gid = seen.get(label)
         if gid is None:
-            gid = _compile_nbh_into(builder, spec, row, observed_class, cache)
+            gid = _compile_nbh_into(builder, spec, row, label, observed_class, cache)
             builder.add_root(gid)
             seen[label] = gid
         goals.append(gid)

@@ -129,6 +129,30 @@ def random_grammar(rng, n_nonterminals=3, terminals=("a", "b")) -> Grammar:
     return Grammar(nts[0], list(dict.fromkeys(rules)))
 
 
+def interleaved(graph, rng):
+    """``graph`` rebuilt with its bodies arriving in a random interleaving
+    of the goals, each goal's bodies still in their order."""
+    builder = GraphBuilder()
+    builder.declare_switches(graph.switches)
+    for label in graph.labels:
+        builder.goal(label)
+    queues = [list(f.bodies) for f in graph.formulas]
+    heads = [g for g, queue in enumerate(queues) for _ in queue]
+    for g in rng.permutation(heads).tolist():
+        body = queues[g].pop(0)
+        builder.add_body(g, body.subgoals, body.instances, body.tag)
+    for r in graph.roots:
+        builder.add_root(r)
+    return builder.build()
+
+
+def body_index(comp) -> dict[tuple[int, int], int]:
+    """Global body index of each (goal, local body index) pair of a
+    ``CompiledGraph``, read off ``body_head`` and ``body_local``."""
+    pairs = zip(comp.body_head.tolist(), comp.body_local.tolist())
+    return dict(zip(pairs, range(comp.n_bodies)))
+
+
 def random_theta(rng, graph) -> ParameterTable:
     data = {}
     for key, decl in graph.switches.items():

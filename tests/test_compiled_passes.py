@@ -10,7 +10,11 @@ parameters) and on the demo20 N=200 corpus graphs, and the exact count
 rows of ``selected_multisets`` must hold the walk's multisets.
 ``reference_flatten`` keeps the flatten that levelled the goals of a
 validated graph and walked its bodies level by level; the one-walk
-construction must lay out the same arrays.
+construction must lay out the same arrays.  ``FormulaWalkCompiled`` keeps
+that one walk over ``graph.formulas``: the numpy construction over the
+graph's flat bodies must lay out the same arrays with the same dtypes,
+whatever order the bodies arrived in, and must raise what the walk raised
+on corrupted graphs.
 """
 
 import warnings
@@ -19,9 +23,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from explgraph.errors import DanglingReference, NoPath
+from explgraph.compiled import _Level, _topo_levels
+from explgraph.errors import (
+    CyclicGraph,
+    DanglingReference,
+    ExplGraphError,
+    MissingParameter,
+    NoPath,
+    UndeclaredValue,
+)
 from explgraph.grammar import compile_pcfg_corpus, compile_plcg_corpus, gen_corpus
-from explgraph.graph import GraphBuilder, SwitchInstance, per_instance_memo
+from explgraph.graph import Body, DefiningFormula, ExplanationGraph, GraphBuilder, SwitchInstance
 from explgraph.inference import log_theta_vector, viterbi
 from explgraph.io import load_grammar
 from explgraph.learning import LearnConfig, vt_learn
@@ -35,7 +47,13 @@ from explgraph.models import (
 )
 from explgraph.tables import ParameterTable
 
-from conftest import random_exclusive_graph, random_general_graph, random_theta
+from conftest import (
+    body_index,
+    interleaved,
+    random_exclusive_graph,
+    random_general_graph,
+    random_theta,
+)
 
 NEG_INF = float("-inf")
 DEMO20 = Path(__file__).resolve().parent.parent / "data" / "demo20.grammar"
@@ -248,7 +266,6 @@ def reference_flatten(graph):
     spart_body, spart_slot, spart_mult = [], [], []
     sel_index = {}
     levels = []
-    slot_of = per_instance_memo(layout.slot)
     for goals in goals_by_level:
         body_lo, cpart_lo, spart_lo = len(body_head), len(cpart_body), len(spart_body)
         seg_starts = []
@@ -265,7 +282,7 @@ def reference_flatten(graph):
                     cpart_child.append(s)
                 for inst in body.instances:
                     spart_body.append(bid)
-                    spart_slot.append(slot_of(inst))
+                    spart_slot.append(layout.slot(inst.switch, inst.value))
                     spart_mult.append(inst.mult)
         levels.append(
             (
@@ -383,7 +400,7 @@ def assert_flatten_equal(graph):
         assert (lv.sparts.start, lv.sparts.stop) == sparts
         assert all(type(x) is int for x in (lv.bodies.start, lv.cparts.stop, lv.sparts.stop))
     assert comp.n_bodies == ref["n_bodies"]
-    assert comp.sel_index == ref["sel_index"]
+    assert body_index(comp) == ref["sel_index"]
     assert comp.tags == ref["tags"] and comp.tagged == ref["tagged"]
     assert comp.topo_order == ref["topo_order"] == graph.topo_order
     assert not hasattr(comp, "graph")
@@ -410,12 +427,13 @@ def assert_rows_equal(graph, rng, pairs):
                 row[slot] = m
         assert_same(comp.selected_multisets(sel, eta, use, list(expl)), want)
 
-    first = np.array([comp.sel_index[(g, 0)] for g in range(n)], dtype=np.int64)
+    index = body_index(comp)
+    first = np.array([index[(g, 0)] for g in range(n)], dtype=np.int64)
     check(first, np.ones(n, dtype=np.int64))
     for _ in range(pairs):
         sel, prev = (
             np.array(
-                [comp.sel_index[(g, int(rng.integers(n_local[g])))] for g in range(n)],
+                [index[(g, int(rng.integers(n_local[g])))] for g in range(n)],
                 dtype=np.int64,
             )
             for _ in range(2)
@@ -480,6 +498,222 @@ def test_one_walk_flatten_equals_reference_on_model_graphs():
         assert_rows_equal(graph, rng, 20)
 
 
+class FormulaWalkCompiled:
+    """The former ``CompiledGraph.__init__``: one walk over ``graph.formulas``
+    that checks each body in goal-id order (subgoal ids, then switch
+    instances, each instance object resolved once by identity) while it
+    appends the body's parts to flat lists, then the same level layout."""
+
+    def __init__(self, graph):
+        self.layout = graph.slots()
+        n = graph.n_goals
+        memo = {}
+
+        def slot_of(inst):
+            hit = memo.get(id(inst))
+            if hit is None:
+                hit = memo[id(inst)] = (inst, self.layout.slot(inst.switch, inst.value))
+            return hit[1]
+
+        kids, goal_nbodies = [], []
+        body_ccount, body_scount, tags = [], [], []
+        spart_slot, spart_mult = [], []
+        for f in graph.formulas:
+            goal_kids = []
+            for body in f.bodies:
+                for s in body.subgoals:
+                    if not 0 <= s < n:
+                        raise DanglingReference(
+                            f"goal {graph.labels[f.head]} references missing goal id {s}"
+                        )
+                goal_kids += body.subgoals
+                body_ccount.append(len(body.subgoals))
+                body_scount.append(len(body.instances))
+                tags.append(body.tag)
+                for inst in body.instances:
+                    spart_slot.append(slot_of(inst))
+                    spart_mult.append(inst.mult)
+            goal_nbodies.append(len(f.bodies))
+            kids.append(goal_kids)
+        self.topo_order, level = _topo_levels(kids, graph.labels)
+
+        self.level = level = np.array(level, dtype=np.int64)
+        goal_nbodies = np.array(goal_nbodies, dtype=np.int64)
+        body_level = np.repeat(level, goal_nbodies)
+        cpart_level = np.repeat(body_level, body_ccount)
+        spart_level = np.repeat(body_level, body_scount)
+        goals = np.argsort(level, kind="stable")
+        bodies = np.argsort(body_level, kind="stable")
+        cparts = np.argsort(cpart_level, kind="stable")
+        sparts = np.argsort(spart_level, kind="stable")
+
+        self.n_goals = n
+        self.n_bodies = len(bodies)
+        body_ids = np.arange(self.n_bodies, dtype=np.int64)
+        self.body_head = np.repeat(goals, goal_nbodies[goals])
+        self.body_local = bodies - (np.cumsum(goal_nbodies) - goal_nbodies)[self.body_head]
+        self.body_ccount = np.array(body_ccount, dtype=np.int64)[bodies]
+        self.body_cstart = np.cumsum(self.body_ccount) - self.body_ccount
+        self.body_scount = np.array(body_scount, dtype=np.int64)[bodies]
+        self.body_sstart = np.cumsum(self.body_scount) - self.body_scount
+        self.cpart_body = np.repeat(body_ids, self.body_ccount)
+        flat_kids = [c for goal_kids in kids for c in goal_kids]
+        self.cpart_child = np.array(flat_kids, dtype=np.int64)[cparts]
+        self.spart_body = np.repeat(body_ids, self.body_scount)
+        self.spart_slot = np.array(spart_slot, dtype=np.int64)[sparts]
+        self.spart_mult = np.array(spart_mult, dtype=np.float64)[sparts]
+        self.tags = [tags[b] for b in bodies.tolist()]
+        self.tagged = any(t is not None for t in tags)
+
+        n_levels = int(level.max()) + 1 if n else 0
+        gs, bs, cs, ss = (
+            np.concatenate(([0], np.cumsum(np.bincount(x, minlength=n_levels)))).tolist()
+            for x in (level, body_level, cpart_level, spart_level)
+        )
+        nb = goal_nbodies[goals]
+        seg_starts = np.cumsum(nb) - nb
+        self.levels = [
+            _Level(
+                goals[gs[k] : gs[k + 1]],
+                seg_starts[gs[k] : gs[k + 1]] - bs[k],
+                slice(bs[k], bs[k + 1]),
+                slice(cs[k], cs[k + 1]),
+                slice(ss[k], ss[k + 1]),
+            )
+            for k in range(n_levels)
+        ]
+
+
+def assert_walk_equal(graph):
+    """Every array of the compiled graph equals the formula walk's, with
+    the same dtype, and so do its levels, tags and topological order."""
+    comp, ref = graph.compiled(), FormulaWalkCompiled(graph)
+    arrays = [k for k, v in vars(ref).items() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 12
+    assert arrays == [k for k, v in vars(comp).items() if isinstance(v, np.ndarray)]
+    for name in arrays:
+        assert_same(getattr(comp, name), getattr(ref, name))
+    assert len(comp.levels) == len(ref.levels)
+    for lv, ref_lv in zip(comp.levels, ref.levels):
+        for name in ("goals", "seg_starts", "seg_ids"):
+            assert_same(getattr(lv, name), getattr(ref_lv, name))
+        assert (lv.bodies, lv.cparts, lv.sparts) == (ref_lv.bodies, ref_lv.cparts, ref_lv.sparts)
+    assert (comp.n_goals, comp.n_bodies) == (ref.n_goals, ref.n_bodies)
+    assert comp.tags == ref.tags and comp.tagged == ref.tagged
+    assert comp.topo_order == ref.topo_order == graph.topo_order
+
+
+def test_flat_construction_equals_formula_walk_on_random_graphs():
+    rng = np.random.default_rng(64)
+    for make in (random_exclusive_graph, random_general_graph):
+        for _ in range(60):
+            graph, _ = make(rng)
+            assert_walk_equal(graph)
+            again = interleaved(graph, rng)
+            assert again.formulas == graph.formulas
+            assert_walk_equal(again)
+
+
+def _nbh_fold_rows(rng, n):
+    """Rows shaped like a cross-validation fold: 12 attributes over x, y
+    and z with about one value in ten missing."""
+    return [
+        DataRow(
+            str(rng.choice(["pos", "neg"])),
+            tuple(
+                None if rng.random() < 0.1 else str(rng.choice(["x", "y", "z"]))
+                for _ in range(12)
+            ),
+        )
+        for _ in range(n)
+    ]
+
+
+def test_flat_construction_equals_formula_walk_on_model_graphs():
+    rng = np.random.default_rng(65)
+    spec = NBHSpec(("pos", "neg"), 2, tuple((f"a{j}", ("x", "y", "z")) for j in range(1, 13)))
+    rows = _nbh_fold_rows(rng, 600)
+    nbh = [compile_nbh_corpus(spec, rows, observed)[0] for observed in (True, False)]
+    graphs = _demo20_graphs() + nbh + _path_graphs() + [GraphBuilder().build()]
+    assert graphs[0].compiled().tagged and not nbh[0].compiled().tagged
+    for graph in graphs:
+        assert_walk_equal(graph)
+        assert_walk_equal(interleaved(graph, rng))
+
+
+H, T = SwitchInstance("c", "h"), SwitchInstance("c", "t")
+ZZZ, YYY = SwitchInstance("c", "zzz"), SwitchInstance("c", "yyy")
+
+
+def _raised(build):
+    with pytest.raises(Exception) as info:
+        build()
+    return info.value
+
+
+def _assert_same_error(n_goals, bodies):
+    """``bodies``, (head, subgoals, instances) in order of arrival, built
+    by the builder and flattened from formulas must raise what the former
+    build raised: ``DefiningFormula`` per goal, then the formula walk."""
+    labels = [f"g{k}" for k in range(n_goals)]
+
+    def build():
+        b = GraphBuilder()
+        b.declare_switch("c", ("h", "t"))
+        for label in labels:
+            b.goal(label)
+        for head, subgoals, instances in bodies:
+            b.add_body(head, subgoals, instances)
+        b.add_root(0)
+        return b.build()
+
+    def formulas():
+        return [
+            DefiningFormula(g, tuple(Body(tuple(s), tuple(i)) for h, s, i in bodies if h == g))
+            for g in range(n_goals)
+        ]
+
+    def graph():
+        b = GraphBuilder()
+        b.declare_switch("c", ("h", "t"))
+        return ExplanationGraph(b._switches, labels, formulas(), [0])
+
+    want = _raised(lambda: FormulaWalkCompiled(graph()))
+    got = [_raised(build)]
+    if not str(want).endswith("has no bodies"):
+        got.append(_raised(lambda: graph().compiled()))
+    for e in got:
+        assert (type(e), str(e)) == (type(want), str(want))
+        if isinstance(want, CyclicGraph):
+            assert e.cycle == want.cycle
+    return want
+
+
+def test_validation_raises_what_the_formula_walk_raised():
+    ok = [(0, [1], [H]), (1, [2], [T]), (2, [], [H, T])]
+    cases = [
+        (DanglingReference, ok + [(1, [7], [H])]),
+        (DanglingReference, [(2, [-1], [H])] + ok),
+        (UndeclaredValue, ok + [(1, [], [ZZZ])]),
+        (MissingParameter, ok + [(2, [], [SwitchInstance("d", "h")])]),
+        (ExplGraphError, ok[:1] + ok[2:]),  # goal 1 has no bodies
+        (ExplGraphError, [(0, [9], [ZZZ]), (2, [], [H])]),  # ... before any body check
+        (CyclicGraph, ok + [(2, [0], [])]),
+        (CyclicGraph, [(2, [1], []), (1, [2], [H]), (0, [0], [T])]),
+        # a dangling id and a bad instance, in goal-id order and in arrival order
+        (DanglingReference, ok + [(0, [5], [H]), (1, [], [ZZZ])]),
+        (DanglingReference, ok + [(1, [], [ZZZ]), (0, [5], [H])]),
+        (UndeclaredValue, ok + [(0, [], [ZZZ]), (1, [5], [H])]),
+        (UndeclaredValue, ok + [(1, [5], [H]), (0, [], [ZZZ])]),
+        # in one body the subgoals come first; in one goal, the earlier body
+        (DanglingReference, ok + [(1, [5], [ZZZ])]),
+        (UndeclaredValue, ok + [(1, [], [YYY]), (1, [5], [H])]),
+        (UndeclaredValue, ok + [(2, [], [ZZZ]), (1, [], [H, YYY])]),
+    ]
+    for want, bodies in cases:
+        assert type(_assert_same_error(3, bodies)) is want
+
+
 def test_dangling_reference_precedes_a_later_undeclared_value():
     b = GraphBuilder()
     b.declare_switch("c", ("h",))
@@ -540,10 +774,11 @@ def test_rows_stay_exact_beyond_int64():
     comp = graph.compiled()
     h, t = (comp.layout.slot("c", v) for v in ("h", "t"))
     seeds = np.bincount([r], minlength=graph.n_goals)
+    index = body_index(comp)
     rows = []
     for local, k in ((0, 64), (1, 69)):
-        sel = np.array([comp.sel_index[(g, 0)] for g in range(graph.n_goals)], dtype=np.int64)
-        sel[r] = comp.sel_index[(r, local)]
+        sel = np.array([index[(g, 0)] for g in range(graph.n_goals)], dtype=np.int64)
+        sel[r] = index[(r, local)]
         (row,) = comp.selected_multisets(sel, *comp.selected_counts_pass(sel, seeds), [r])
         assert (row[h], row[t]) == (2**k, 2**k - 1)
         rows.append(row)

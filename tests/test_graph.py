@@ -23,9 +23,9 @@ from explgraph.graph import (
     enumerate_explanations,
     explanation_prob,
     merge_graphs,
-    per_instance_memo,
     validate_graph,
 )
+from explgraph.compiled import _instance_slots
 from explgraph.grammar import compile_pcfg_corpus
 from explgraph.tables import ParameterTable
 
@@ -160,13 +160,23 @@ def test_validate_reports_first_bad_instance():
     assert build(ok + ok).n_goals == 4
 
 
-def test_per_instance_memo_resolves_each_instance_object_once():
+def test_instance_slots_resolve_each_instance_object_once():
     calls = []
-    slot = per_instance_memo(lambda switch, value: calls.append((switch, value)) or len(calls))
-    a, b = SwitchInstance("c", "h"), SwitchInstance("c", "h")
-    assert [slot(a), slot(b), slot(a), slot(b)] == [1, 2, 1, 2]
-    assert slot(SwitchInstance("c", ["h"])) == 3  # no term is hashed
-    assert calls == [("c", "h"), ("c", "h"), ("c", ["h"])]
+
+    def slot(switch, value):
+        calls.append((switch, value))
+        if isinstance(value, list):
+            raise UndeclaredValue(f"no value {value}")
+        return len(calls)
+
+    a, b = SwitchInstance("c", "h", 2), SwitchInstance("c", "h")
+    c = SwitchInstance("c", ["h"])  # no term is hashed
+    slots, mults, errors = _instance_slots([a, b, a, c, b], slot)
+    assert sorted(calls, key=repr) == [("c", "h"), ("c", "h"), ("c", ["h"])]
+    # equal but distinct objects each get their own verdict
+    assert slots[0] == slots[2] != slots[1] == slots[4] and slots[3] == -1
+    assert mults.tolist() == [2.0, 1.0, 2.0, 1.0, 1.0] and mults.dtype == np.float64
+    assert list(errors) == [id(c)] and isinstance(errors[id(c)], UndeclaredValue)
 
 
 def test_cycle_detector_against_random_injections():

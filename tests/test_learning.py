@@ -24,7 +24,7 @@ from explgraph.learning import (
 )
 from explgraph.tables import ParameterTable, PseudoCountTable
 
-from conftest import random_exclusive_graph, random_general_graph, random_theta
+from conftest import body_index, random_exclusive_graph, random_general_graph, random_theta
 
 DEMO20 = Path(__file__).resolve().parent.parent / "data" / "demo20.grammar"
 
@@ -207,9 +207,8 @@ def test_vt_hand_executed_two_goal_example():
 def _vt_pass(comp, graph, seeds, choice, observed):
     """(sel, counts, use, rows of ``observed``) of a VT pass selecting
     local body ``choice[g]`` (default 0)."""
-    sel = np.array(
-        [comp.sel_index[(g, choice.get(g, 0))] for g in range(graph.n_goals)], dtype=np.int64
-    )
+    index = body_index(comp)
+    sel = np.array([index[(g, choice.get(g, 0))] for g in range(graph.n_goals)], dtype=np.int64)
     eta, use = comp.selected_counts_pass(sel, seeds)
     return sel, eta, use, comp.selected_multisets(sel, eta, use, observed)
 

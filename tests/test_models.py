@@ -7,13 +7,17 @@ import pytest
 from explgraph import models
 from explgraph.errors import AllZero, ExplGraphError, InvalidRow, NoPath
 from explgraph.graph import (
+    Body,
+    DefiningFormula,
     GraphBuilder,
     SwitchInstance,
     check_exclusiveness,
     enumerate_explanations,
     explanation_prob,
 )
+from explgraph.harness import ExperimentConfig, cv_run
 from explgraph.inference import goal_prob, inside_prob, viterbi
+from explgraph.learning import LearnConfig, learn
 from explgraph.models import (
     DataRow,
     EdgeGraph,
@@ -207,9 +211,9 @@ def _reference_compile_nbh_into(
     builder: GraphBuilder, spec: NBHSpec, row: DataRow, observed_class: bool
 ):
     """``models._compile_nbh_into`` as written before it cached instances
-    and ``any`` goals per compile call; the one change is that it reads
-    the builder's body list where it called the since-deleted
-    ``GraphBuilder.has_bodies``."""
+    and ``any`` goals per compile call; the one change is that it asks
+    whether the builder's flat body heads name the goal where it called
+    the since-deleted ``GraphBuilder.has_bodies``."""
     root = builder.goal(_row_label(row, observed_class))
     classes = (row.cls,) if observed_class else spec.classes
     for c in classes:
@@ -223,7 +227,7 @@ def _reference_compile_nbh_into(
                 v = row.values[j - 1]
                 if v is None:
                     any_goal = builder.goal(f"any({j},{c},{h})")
-                    if not builder._bodies[any_goal]:
+                    if any_goal not in builder._heads:
                         for dv in domain:
                             builder.add_body(
                                 any_goal, [], [SwitchInstance(spec.attr_switch(j, c, h), dv)]
@@ -249,6 +253,33 @@ def _reference_compile_nbh_corpus(spec, rows, observed_class=True):
             seen[label] = gid
         goals.append(gid)
     return builder.build(), goals
+
+
+def test_nbh_learning_and_classification_build_no_formula_objects(monkeypatch):
+    # the flat bodies carry the NBH path from rows to posteriors; only the
+    # lazy ``formulas`` view builds Body and DefiningFormula objects
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(Body, "__post_init__", refuse)
+    monkeypatch.setattr(DefiningFormula, "__post_init__", refuse)
+    rng = np.random.default_rng(91)
+    spec = _wide_spec(2)
+    rows = _random_rows(rng, spec, 60, 0.3)
+    graph, goals = compile_nbh_corpus(spec, rows)
+    report = learn(graph, goals, LearnConfig(method="map", delta=1.0))
+    assert len(nbh_classify_rows(spec, report.final_theta, rows)) == len(rows)
+    config = ExperimentConfig(
+        task="nbh",
+        method="map",
+        folds=3,
+        learn=LearnConfig(method="map", delta=1.0),
+        nbh_spec=spec,
+        nbh_rows=rows,
+    )
+    assert len(cv_run(config).folds) == 3
+    with pytest.raises(AssertionError, match="Body built"):
+        graph.formulas[0]
 
 
 def _reference_classify(spec, theta, row):

@@ -6,8 +6,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from conftest import random_grammar, random_theta  # noqa: E402
+from conftest import (  # noqa: E402
+    interleaved,
+    random_exclusive_graph,
+    random_general_graph,
+    random_grammar,
+    random_theta,
+)
 from explgraph.grammar import compile_pcfg_corpus, compile_plcg_corpus  # noqa: E402
+from explgraph.io import emit_expl_graph, load_expl_graph  # noqa: E402
 from test_grammar import (  # noqa: E402
     _assert_per_root_equal,
     _equals_reference,
@@ -89,3 +96,20 @@ def test_tabled_corpus_equals_positional_reference(seed, n_nonterminals, depth, 
         )
         ref, _ = _reference_compile_corpus(grammar, sentences, mode)
         _assert_per_root_equal(graph, ref, random_theta(rng, graph))
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), general=st.booleans())
+def test_text_format_round_trips_random_graphs(seed, general):
+    # bodies arrive interleaved across goals; the writer reads them back
+    # per goal through the lazy ``formulas`` view, and the loaded graph
+    # must hold the same goals, roots, switches and formulas
+    rng = np.random.default_rng(seed)
+    graph, _ = (random_general_graph if general else random_exclusive_graph)(rng)
+    graph = interleaved(graph, rng)
+    text = emit_expl_graph(graph)
+    again = load_expl_graph(text)
+    assert again.labels == graph.labels and again.roots == graph.roots
+    assert again.switches == graph.switches
+    assert again.formulas == graph.formulas and list(again.formulas) == list(graph.formulas)
+    assert emit_expl_graph(again) == text
