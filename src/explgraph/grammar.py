@@ -22,15 +22,18 @@ that recurs within or across sentences is one goal, built once, as
 PRISM's tabling shares recurring subgoals.  The labels are unambiguous
 because no token contains ``,``, ``[`` or ``]`` (``terms._RESERVED``).
 
-Both frontends recognise a sentence before they emit any goal, and emit
-only the goals a root reaches.  Both recognise from one bitmask CKY
-chart of the symbols that derive each span: the PCFG frontend sweeps it
-top-down into the goals the root reaches, and left-corner recognition
-tries a split only where the chart says the goal being grown derives the
-words up to it.  Both tag every body that applies a rule with the rule's
-index, so a Viterbi explanation carries its derivation and the parse tree
-is read off it in one walk.  The module also learns parameters from
-treebanks by counting, samples corpora, and scores predictions with
+Both frontends recognise a sentence before they emit any goal.  Both
+recognise from one bitmask CKY chart of the symbols that derive each
+span, into a memo that maps each goal key to its bodies and lists every
+key after the keys its bodies use; one emission loop (``_emit``) then
+emits the keys a root reaches.  PCFG recognition walks the chart down
+from the root and keeps each rule step at every split whose two sides
+the chart holds; left-corner recognition tries a split only where the
+chart says the goal being grown derives the words up to it.  Both tag
+every body that applies a rule with the rule's index, so a Viterbi
+explanation carries its derivation and the parse tree is read off it in
+one walk.  The module also learns parameters from treebanks by
+counting, samples corpora, and scores predictions with
 exact-labelled / unlabelled-bracketing / zero-crossing metrics.
 """
 
@@ -359,12 +362,20 @@ class _SymbolBits:
     parent bit) and ``units`` the unit rules (child bit, parent bit).  The
     step functions are memoised per cell mask; built once per grammar
     (``Grammar._symbol_bits``), the memos serve every sentence compiled
-    with it, and so does ``rule_inst``, the switch instances of each
-    rule's bodies.
+    with it.
+
+    ``steps`` serves the PCFG frontend.  Per goal head, ``("A",)`` for
+    nonterminal ``A`` or ``("dot", "r,t")`` for the dotted prefix ``(r, t)``,
+    it lists the head's rule steps in body order as (switch instances,
+    rule tag, ``t``, first bit, last bit, first side, last side), the
+    steps of ``pairs`` for the head's rules.  A step over ``t`` symbols
+    splits a span into its first ``t - 1`` symbols and its last one; a
+    unit rule (``t == 1``) has only a first side, over the whole span.  A
+    side is ``None`` for a terminal, else the pair (its goal head, the
+    head's steps).
     """
 
     def __init__(self, grammar: Grammar):
-        self.rule_inst = [(SwitchInstance(r.lhs, r.rhs),) for r in grammar.rules]
         self.bit: dict = {}
         for s in sorted(grammar.nonterminals) + sorted(grammar.terminals):
             self.bit[s] = len(self.bit)
@@ -373,20 +384,28 @@ class _SymbolBits:
                 self.bit[(ridx, t)] = len(self.bit)
         self.pairs: list[tuple[int, int, int]] = []
         self.units: list[tuple[int, int]] = []
+        self.steps: dict[tuple, list[tuple]] = {(a,): [] for a in grammar.nonterminals}
+        side = {a: ((a,), self.steps[a,]) for a in grammar.nonterminals}
         for ridx, rule in enumerate(grammar.rules):
             rhs, m = rule.rhs, len(rule.rhs)
+            inst = (SwitchInstance(rule.lhs, rhs),)
+            left, first = self.bit[rhs[0]], side.get(rhs[0])
             if m == 1:
-                self.units.append((self.bit[rhs[0]], self.bit[rule.lhs]))
-                continue
-            left = self.bit[rhs[0]]
+                self.units.append((left, self.bit[rule.lhs]))
+                self.steps[rule.lhs,].append((inst, ridx, 1, left, 0, first, None))
             for t in range(2, m + 1):
-                parent = self.bit[rule.lhs] if t == m else self.bit[(ridx, t)]
-                self.pairs.append((left, self.bit[rhs[t - 1]], parent))
+                right, last = self.bit[rhs[t - 1]], side.get(rhs[t - 1])
+                if t == m:
+                    parent = self.bit[rule.lhs]
+                    self.steps[rule.lhs,].append((inst, ridx, t, left, right, first, last))
+                else:
+                    parent, head = self.bit[(ridx, t)], ("dot", f"{ridx},{t}")
+                    self.steps[head] = [((), None, t, left, right, first, last)]
+                    first = (head, self.steps[head])
+                self.pairs.append((left, right, parent))
                 left = parent
         self._up: dict[tuple[int, int], int] = {}
         self._close: dict[int, int] = {}
-        self._down: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self._close_down: dict[tuple[int, int], int] = {}
 
     def combine(self, left: int, right: int) -> int:
         """Parent bits of every binary step over a (left, right) cell pair."""
@@ -415,42 +434,14 @@ class _SymbolBits:
             self._close[mask] = out
         return out
 
-    def close_down(self, need: int, cell: int) -> int:
-        """``need`` plus the unit-rule children in ``cell`` that it uses."""
-        key = (need, cell)
-        out = self._close_down.get(key)
-        if out is None:
-            out = need
-            changed = True
-            while changed:
-                changed = False
-                for cb, pb in self.units:
-                    if out >> pb & 1 and cell >> cb & 1 and not out >> cb & 1:
-                        out |= 1 << cb
-                        changed = True
-            self._close_down[key] = out
-        return out
-
-    def split_needs(self, need: int, left: int, right: int) -> tuple[int, int]:
-        """Left and right bits that binary steps into ``need`` use at one split."""
-        key = (need, left, right)
-        out = self._down.get(key)
-        if out is None:
-            lo = ro = 0
-            for lb, rb, pb in self.pairs:
-                if need >> pb & 1 and left >> lb & 1 and right >> rb & 1:
-                    lo |= 1 << lb
-                    ro |= 1 << rb
-            out = self._down[key] = (lo, ro)
-        return out
-
 
 def _cky_chart(bits: _SymbolBits, tokens: tuple[str, ...]) -> list[list[int]]:
     """Per span, the bits of every symbol that derives it: bitmask CKY.
 
-    ``chart[i][j]`` is the mask of span ``(i, j)``.  Both frontends build
-    it first: the PCFG frontend sweeps it top-down into the reachable
-    goals, and left-corner recognition probes only the splits it allows.
+    ``chart[i][j]`` is the mask of span ``(i, j)``; a terminal's bit is set
+    only in the width-1 cell of a token equal to it.  Both frontends build
+    it first and then recognise a sentence's goals from its root, probing
+    only the splits whose sides it holds.
     """
     n = len(tokens)
     chart = [[0] * (n + 1) for _ in range(n + 1)]
@@ -469,119 +460,112 @@ def _cky_chart(bits: _SymbolBits, tokens: tuple[str, ...]) -> list[list[int]]:
     return chart
 
 
-def _reach_sweep(
-    bits: _SymbolBits, start: str, tokens: tuple[str, ...], chart: list[list[int]]
-) -> list[list[int]]:
-    """Per span, the bits of the chart goals reachable from ``(start, 0, n)``.
-
-    A top-down sweep over the CKY ``chart`` from the full span that keeps
-    only the symbols some derivation of the sentence uses.  ``reach[i][j]``
-    is the mask of span ``(i, j)``.
-    """
-    n = len(tokens)
-    if not chart[0][n] >> bits.bit[start] & 1:
-        raise Unparseable(f"no derivation of: {' '.join(tokens)}")
-    reach = [[0] * (n + 1) for _ in range(n + 1)]
-    reach[0][n] = 1 << bits.bit[start]
-    for w in range(n, 0, -1):
-        for i in range(0, n - w + 1):
-            j = i + w
-            if not reach[i][j]:
-                continue
-            need = reach[i][j] = bits.close_down(reach[i][j], chart[i][j])
-            row, rrow = chart[i], reach[i]
-            for k in range(i + 1, j):
-                left, right = row[k], chart[k][j]
-                if left and right:
-                    lo, ro = bits.split_needs(need, left, right)
-                    rrow[k] |= lo
-                    reach[k][j] |= ro
-    return reach
-
-
 def _compile_pcfg_into(
     builder: GraphBuilder, grammar: Grammar, sentences: Iterable[tuple[str, ...]]
 ) -> list[GoalId]:
-    """Emit the chart goals each sentence's root reaches; one root per sentence.
+    """Recognise every sentence's chart goals from its root, then emit them.
 
-    A goal is keyed by its symbol or dotted prefix and the words it spans,
-    e.g. ``NP([the,dog])`` or ``dot(4,2,[the,big])``: after the reach sweep
-    a kept goal keeps every split on which both sides derive, so its bodies
-    depend on its words alone.  ``built`` holds the goals whose bodies
-    exist, so a goal that recurs in the corpus is built once, and a
-    sentence whose root is built is not charted again.
+    A goal key is a head and the compile call's intern id ``w`` of the
+    words it spans: ``("NP", w)`` for a nonterminal, labelled ``NP([the,
+    dog])``, or ``("dot", "4,2", w)`` for a dotted prefix, labelled
+    ``dot(4,2,[the,big])``.  Recognition walks the CKY chart down from the
+    root ``(start, w)`` in post-order, without recursion.  A key's bodies
+    are its head's steps (``_SymbolBits.steps``) at every split whose two
+    sides the chart holds, in rule order, then ascending split: every side
+    it tests lies inside the span, so a key's bodies depend on its words
+    alone.  A key is stored in ``memo`` when its walk finishes, so ``memo``
+    lists every key after the keys its bodies use, across sentences too,
+    and a sentence whose root is stored is not charted again.
     """
-    nts = grammar.nonterminals
     bits = grammar._symbol_bits
-    bit = bits.bit
-    order = sorted(nts)
-    goal_of: dict[tuple[str, str], GoalId] = {}
-    built: set[GoalId] = set()
+    start_bit, start_steps = bits.bit[grammar.start], bits.steps[grammar.start,]
+    span_id: dict[tuple[str, ...], int] = {}
+    memo: dict[tuple, list[tuple[list[tuple], tuple[SwitchInstance, ...], Optional[int]]]] = {}
+    roots: list[tuple] = []
 
-    def span_goal(a: str, text: str) -> GoalId:
-        gid = goal_of.get((a, text))
-        if gid is None:
-            gid = goal_of[a, text] = builder.goal(f"{a}({text})")
-        return gid
+    def span(i: int, j: int) -> int:
+        """Intern id of ``tokens[i:j]``, looked up once per span of a sentence."""
+        w = sp[i][j]
+        if w is None:
+            w = sp[i][j] = span_id.setdefault(tokens[i:j], len(span_id))
+        return w
 
-    def sym_subgoals(s: str, i: int, j: int) -> Optional[list[GoalId]]:
-        """Subgoal list covering one symbol, or None when it cannot."""
-        if s in nts:
-            return [span_goal(s, words[i][j])] if reach[i][j] >> bit[s] & 1 else None
-        return [] if (j == i + 1 and tokens[i] == s) else None
-
-    def prefix_subgoals(ridx: int, t: int, i: int, j: int) -> Optional[list[GoalId]]:
-        """Subgoal list covering a rule's first ``t`` symbols, or None."""
-        if t == 1:
-            return sym_subgoals(grammar.rules[ridx].rhs[0], i, j)
-        if not reach[i][j] >> bit[(ridx, t)] & 1:
-            return None
-        gid = builder.goal(f"dot({ridx},{t},{words[i][j]})")
-        if gid not in built:
-            built.add(gid)
-            add_bodies(gid, ridx, t, i, j)
-        return [gid]
-
-    def add_bodies(gid: GoalId, ridx: int, t: int, i: int, j: int, inst=(), tag=None) -> None:
-        """Bodies of ``gid`` deriving words i..j by a rule's first ``t`` symbols."""
-        rhs = grammar.rules[ridx].rhs
-        if t == 1:
-            subs = sym_subgoals(rhs[0], i, j)
-            if subs is not None:
-                builder.add_body(gid, subs, inst, tag)
-            return
-        for k in range(i + t - 1, j):
-            last = sym_subgoals(rhs[t - 1], k, j)
-            first = None if last is None else prefix_subgoals(ridx, t - 1, i, k)
-            if first is not None:
-                builder.add_body(gid, first + last, inst, tag)
-
-    roots: list[GoalId] = []
     for tokens in sentences:
         n = len(tokens)
-        root = (grammar.start, "[" + ",".join(tokens) + "]")
-        if goal_of.get(root) not in built:
-            reach = _reach_sweep(bits, grammar.start, tokens, _cky_chart(bits, tokens))
-            words = [[""] * (n + 1) for _ in range(n + 1)]
-            # goals bottom-up by width so subgoals exist before references
-            for w in range(1, n + 1):
-                for i in range(0, n - w + 1):
-                    j = i + w
-                    if not reach[i][j]:
+        root = (grammar.start, span_id.setdefault(tokens, len(span_id)))
+        if root not in memo:
+            chart = _cky_chart(bits, tokens)
+            if not chart[0][n] >> start_bit & 1:
+                raise Unparseable(f"no derivation of: {' '.join(tokens)}")
+            sp: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n + 1)]
+            stack = [(root, 0, n, start_steps)]
+            while stack:
+                key, i, j, steps = stack.pop()
+                if steps is None:  # the finish frame: ``i`` holds the key's bodies
+                    memo[key] = i
+                    continue
+                if key in memo:
+                    continue
+                bodies = []
+                stack.append((key, bodies, None, None))
+                kids = []
+                row = chart[i]
+                for inst, tag, t, fb, lb, first, last in steps:
+                    if t == 1:  # a unit rule: one side, over the whole span
+                        if row[j] >> fb & 1:
+                            subs = []
+                            if first is not None:
+                                sub = first[0] + (key[-1],)
+                                subs.append(sub)
+                                if sub not in memo:
+                                    kids.append((sub, i, j, first[1]))
+                            bodies.append((subs, inst, tag))
                         continue
-                    words[i][j] = "[" + ",".join(tokens[i:j]) + "]"
-                    for a in order:
-                        if not reach[i][j] >> bit[a] & 1:
-                            continue
-                        gid = span_goal(a, words[i][j])
-                        if gid in built:
-                            continue
-                        built.add(gid)
-                        for ridx in grammar.rules_for[a]:
-                            m = len(grammar.rules[ridx].rhs)
-                            add_bodies(gid, ridx, m, i, j, bits.rule_inst[ridx], ridx)
-        roots.append(goal_of[root])
-    return roots
+                    for k in range(i + t - 1, j):
+                        if row[k] >> fb & 1 and chart[k][j] >> lb & 1:
+                            subs = []
+                            if first is not None:
+                                sub = first[0] + (span(i, k),)
+                                subs.append(sub)
+                                if sub not in memo:
+                                    kids.append((sub, i, k, first[1]))
+                            if last is not None:
+                                sub = last[0] + (span(k, j),)
+                                subs.append(sub)
+                                if sub not in memo:
+                                    kids.append((sub, k, j, last[1]))
+                            bodies.append((subs, inst, tag))
+                stack.extend(reversed(kids))  # walk the subgoals left to right
+        roots.append(root)
+    return _emit(builder, memo, roots, list(span_id))
+
+
+def _emit(
+    builder: GraphBuilder, memo: dict[tuple, list], roots: list[tuple], words: list[tuple]
+) -> list[GoalId]:
+    """Emit the recognised keys the ``roots`` reach; return the roots' goal ids.
+
+    ``memo`` maps each key ``(kind, *args, w)`` to its bodies (subgoal keys,
+    switch instances, rule tag) and lists every key after the keys its
+    bodies use, so each goal is emitted after its subgoals.  A key's label
+    is ``kind(args,[words])``, with the words of intern id ``w`` in
+    ``words`` and a symbol-tuple argument rendered as a list.
+    """
+    live = set(roots)
+    for key in reversed(memo):  # each key before the keys its bodies use
+        if key in live:
+            live.update(sub for subs, _, _ in memo[key] for sub in subs)
+    gid: dict[tuple, GoalId] = {}
+    for key, bodies in memo.items():  # each key after the keys its bodies use
+        if key in live:
+            kind, *args = key
+            args[-1] = "[" + ",".join(words[args[-1]]) + "]"
+            if isinstance(args[0], tuple):
+                args[0] = render_term(args[0])
+            gid[key] = head = builder.goal(f"{kind}({','.join(args)})")
+            for subs, inst, tag in bodies:
+                builder.add_body(head, [gid[sub] for sub in subs], inst, tag)
+    return [gid[root] for root in roots]
 
 
 def _compile_corpus(
@@ -751,22 +735,7 @@ def _compile_plcg_into(
         if not memo[root]:
             raise Unparseable(f"no left-corner derivation of: {' '.join(tokens)}")
         roots.append(root)
-    live = set(roots)
-    for key in reversed(memo):  # each key before the keys its bodies use
-        if key in live:
-            live.update(sub for subs, _, _ in memo[key] for sub in subs)
-    words = list(span_id)
-    gid: dict[tuple, GoalId] = {}
-    for key, bodies in memo.items():  # each key after the keys its bodies use
-        if key in live:
-            kind, *args = key
-            args[-1] = "[" + ",".join(words[args[-1]]) + "]"
-            if kind == "g":
-                args[0] = render_term(args[0])
-            gid[key] = head = builder.goal(f"{kind}({','.join(args)})")
-            for subs, inst, tag in bodies:
-                builder.add_body(head, [gid[sub] for sub in subs], inst, tag)
-    return [gid[root] for root in roots]
+    return _emit(builder, memo, roots, list(span_id))
 
 
 def compile_plcg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:

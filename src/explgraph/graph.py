@@ -147,9 +147,6 @@ class Explanation:
     def merge(self, other: "Explanation") -> "Explanation":
         return Explanation(self.instances + other.instances)
 
-    def total_size(self) -> int:
-        return sum(m for _, m in self._items)
-
     def __len__(self) -> int:
         return len(self._items)
 

@@ -18,6 +18,7 @@ while Viterbi inference and Viterbi training remain exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import AllZero, ExplGraphError, InvalidRow, NoPath
 from .graph import ExplanationGraph, GoalId, GraphBuilder, SwitchDecl, SwitchInstance
 from .inference import inside_prob
 from .tables import ParameterTable
-from .terms import Term
+from .terms import Term, render_term
 
 __all__ = [
     "NBHSpec",
@@ -75,13 +76,17 @@ class NBHSpec:
         """Switch for attribute ``j`` (1-based) in cluster (c, h)."""
         return Term("attr", (j, c, h))
 
-    def declare(self, builder: GraphBuilder) -> None:
-        builder.declare_switch(self.class_switch(), self.classes)
+    @cached_property
+    def _decls(self) -> dict[str, SwitchDecl]:
+        """The switch declarations keyed by rendered name, built on the
+        first compile call and kept."""
+        decls = [SwitchDecl(self.class_switch(), self.classes)]
         for c in self.classes:
-            builder.declare_switch(self.hclass_switch(c), self.hidden_values)
+            decls.append(SwitchDecl(self.hclass_switch(c), self.hidden_values))
             for j, (_, domain) in enumerate(self.attributes, start=1):
                 for h in self.hidden_values:
-                    builder.declare_switch(self.attr_switch(j, c, h), domain)
+                    decls.append(SwitchDecl(self.attr_switch(j, c, h), domain))
+        return {render_term(d.id): d for d in decls}
 
     def check_row(self, row: "DataRow", need_class: bool) -> None:
         missing = row.cls is None
@@ -183,7 +188,7 @@ def compile_nbh(spec: NBHSpec, row: DataRow, observed_class: bool = True) -> Exp
     missing attributes, and (when the class is unobserved) the class."""
     spec.check_row(row, need_class=observed_class)
     builder = GraphBuilder()
-    spec.declare(builder)
+    builder.declare_switches(spec._decls)
     label = _row_label(row, observed_class)
     root = _compile_nbh_into(builder, spec, row, label, observed_class, {})
     builder.add_root(root)
@@ -195,7 +200,7 @@ def compile_nbh_corpus(
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """Shared graph over many rows; identical rows share one goal."""
     builder = GraphBuilder()
-    spec.declare(builder)
+    builder.declare_switches(spec._decls)
     goals: list[GoalId] = []
     cache: dict = {}
     seen: dict[str, GoalId] = {}
@@ -284,17 +289,18 @@ class EdgeGraph:
     def switch(self, u: int, v: int) -> Term:
         return Term("d_e", (u, v))
 
-    def declare(self, builder: GraphBuilder) -> None:
-        for u, v, _ in self.edges:
-            builder.declare_switch(self.switch(u, v), ("on", "off"))
-
-    def parameter_table(self) -> ParameterTable:
-        decls = {
-            str(self.switch(u, v)): SwitchDecl(self.switch(u, v), ("on", "off"))
+    @cached_property
+    def _decls(self) -> dict[str, SwitchDecl]:
+        """One on/off switch per edge, keyed by rendered name, built from
+        ``edges`` on first use and kept."""
+        return {
+            render_term(self.switch(u, v)): SwitchDecl(self.switch(u, v), ("on", "off"))
             for u, v, _ in self.edges
         }
-        data = {str(self.switch(u, v)): [p, 1.0 - p] for u, v, p in self.edges}
-        return ParameterTable(decls, data)
+
+    def parameter_table(self) -> ParameterTable:
+        data = {render_term(self.switch(u, v)): [p, 1.0 - p] for u, v, p in self.edges}
+        return ParameterTable(self._decls, data)
 
     def moves(self, u: int) -> list[tuple[int, Term]]:
         """Edge moves leaving ``u`` in either direction.
@@ -362,7 +368,7 @@ def compile_path_graph(graph: EdgeGraph, frm: int, to: int) -> ExplanationGraph:
     if frm not in nodes or to not in nodes:
         raise ExplGraphError(f"unknown node in query ({frm},{to})")
     builder = GraphBuilder()
-    graph.declare(builder)
+    builder.declare_switches(graph._decls)
     root = _compile_path_into(builder, graph, frm, to)
     if root is None:
         raise NoPath(f"no path from {frm} to {to}")
@@ -376,7 +382,7 @@ def compile_path_queries(
     """One shared graph for several reachability queries."""
     nodes = graph.nodes
     builder = GraphBuilder()
-    graph.declare(builder)
+    builder.declare_switches(graph._decls)
     goals = []
     memo: dict = {}
     for frm, to in queries:

@@ -241,7 +241,7 @@ def _reference_compile_nbh_into(
 
 def _reference_compile_nbh_corpus(spec, rows, observed_class=True):
     builder = GraphBuilder()
-    spec.declare(builder)
+    builder.declare_switches(spec._decls)
     goals, seen = [], {}
     for row in rows:
         spec.check_row(row, need_class=observed_class)

@@ -58,17 +58,19 @@ def _derive(grammar, rng, depth, shared=None):
     tokens=st.none() | st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=8),
 )
 def test_chart_filtered_plcg_equals_reference(seed, n_nonterminals, depth, tokens):
-    # the reference compiler probes every split; restricted to the goals a
-    # root reaches, its graph must equal the chart-filtered one by label,
-    # and both must refuse the same sentences.  ``tokens=None`` draws a
-    # sentence of the grammar, which both must parse.
+    # for each frontend, the positional reference compiler (for PLCG, one
+    # that probes every split; for PCFG, the top-down sweep of the chart),
+    # restricted to the goals a root reaches, must equal the compiled graph
+    # by label, and both must refuse the same sentences.  ``tokens=None``
+    # draws a sentence of the grammar, which both must parse.
     rng = np.random.default_rng(seed)
     grammar = random_grammar(rng, n_nonterminals)
     derived = tokens is None
     if derived:
         tokens = _derive(grammar, rng, depth)
         assume(len(tokens) <= 10)
-    assert _equals_reference(grammar, [tokens]) or not derived
+    for mode in ("pcfg", "plcg"):
+        assert _equals_reference(grammar, [tokens], mode) or not derived
 
 
 @SEEDED
