@@ -22,18 +22,17 @@ that recurs within or across sentences is one goal, built once, as
 PRISM's tabling shares recurring subgoals.  The labels are unambiguous
 because no token contains ``,``, ``[`` or ``]`` (``terms._RESERVED``).
 
-Both frontends recognise a sentence before they emit any goal.  Both
-recognise from one bitmask CKY chart of the symbols that derive each
-span, into a memo that maps each goal key to its bodies and lists every
-key after the keys its bodies use; one emission loop (``_emit``) then
-emits the keys a root reaches.  PCFG recognition walks the chart down
-from the root and keeps each rule step at every split whose two sides
-the chart holds; left-corner recognition tries a split only where the
-chart says the goal being grown derives the words up to it.  Both tag
-every body that applies a rule with the rule's index, so a Viterbi
-explanation carries its derivation and the parse tree is read off it in
-one walk.  The module also learns parameters from treebanks by
-counting, samples corpora, and scores predictions with
+Both frontends recognise a sentence before they emit any goal, by one
+core: a bitmask CKY chart of the symbols, dotted prefixes and rule
+suffixes that derive each span, one explicit-stack post-order walk
+(``_walk``) from the root that reads each key's bodies off the chart,
+with one bit test per split side, into a memo that lists every key after
+the keys its bodies use, and one emission loop (``_emit``) for the keys a
+root reaches.  A frontend supplies only how a key's bodies are read off
+the chart.  Both tag every body that applies a rule with the rule's
+index, so a Viterbi explanation carries its derivation and the parse
+tree is read off it in one walk.  The module also learns parameters from
+treebanks by counting, samples corpora, and scores predictions with
 exact-labelled / unlabelled-bracketing / zero-crossing metrics.
 """
 
@@ -338,7 +337,7 @@ class ParseTree:
 
 
 # ---------------------------------------------------------------------------
-# top-down chart compilation
+# chart recognition and emission, shared by both frontends
 # ---------------------------------------------------------------------------
 
 
@@ -355,14 +354,21 @@ def _check_sentence(grammar: Grammar, sentence: Sequence[str]) -> tuple[str, ...
 class _SymbolBits:
     """Bit-per-symbol tables for bitmask CKY over one grammar.
 
-    Every nonterminal, every terminal and every dotted prefix ``(rule, t)``
-    (the first ``t`` symbols of a rule longer than ``t``, for ``t >= 2``:
-    the grammar's implicit binarisation) owns one bit, so a chart cell is
-    one int.  ``pairs`` lists the binary steps (left bit, right bit,
-    parent bit) and ``units`` the unit rules (child bit, parent bit).  The
-    step functions are memoised per cell mask; built once per grammar
-    (``Grammar._symbol_bits``), the memos serve every sentence compiled
-    with it.
+    Every nonterminal, every terminal, the empty sequence ``()``, every
+    dotted prefix ``(rule, t)`` (the first ``t`` symbols of a rule longer
+    than ``t``, for ``t >= 2``: the grammar's implicit binarisation) and
+    every distinct rule suffix ``rhs[t:]`` of at least two symbols, for
+    ``t >= 1`` (the mirror image of the prefixes), owns one bit, so a
+    chart cell is one int.  ``pairs`` lists the binary steps (left bit,
+    right bit, parent bit): a prefix grows by its next symbol, a suffix is
+    its first symbol before the rest.  ``units`` lists the unit rules
+    (child bit, parent bit).  ``suffix`` maps every rule suffix
+    ``rhs[t:]``, ``t >= 1``, to its bit (a one-symbol suffix to its
+    symbol's, the empty one to the bit of ``()``, which only the empty
+    spans hold), so one chart cell says whether the symbols of a
+    left-corner goal derive a span.  The step functions are memoised per
+    cell mask; built once per grammar (``Grammar._symbol_bits``), the
+    memos serve every sentence compiled with it.
 
     ``steps`` serves the PCFG frontend.  Per goal head, ``("A",)`` for
     nonterminal ``A`` or ``("dot", "r,t")`` for the dotted prefix ``(r, t)``,
@@ -370,14 +376,14 @@ class _SymbolBits:
     rule tag, ``t``, first bit, last bit, first side, last side), the
     steps of ``pairs`` for the head's rules.  A step over ``t`` symbols
     splits a span into its first ``t - 1`` symbols and its last one; a
-    unit rule (``t == 1``) has only a first side, over the whole span.  A
-    side is ``None`` for a terminal, else the pair (its goal head, the
-    head's steps).
+    unit rule (``t == 1``) splits it at its end, into the rule's symbol
+    and ``()``.  A side is ``None`` for a terminal or ``()``, else its
+    goal head.
     """
 
     def __init__(self, grammar: Grammar):
         self.bit: dict = {}
-        for s in sorted(grammar.nonterminals) + sorted(grammar.terminals):
+        for s in sorted(grammar.nonterminals) + sorted(grammar.terminals) + [()]:
             self.bit[s] = len(self.bit)
         for ridx, rule in enumerate(grammar.rules):
             for t in range(2, len(rule.rhs)):
@@ -385,14 +391,14 @@ class _SymbolBits:
         self.pairs: list[tuple[int, int, int]] = []
         self.units: list[tuple[int, int]] = []
         self.steps: dict[tuple, list[tuple]] = {(a,): [] for a in grammar.nonterminals}
-        side = {a: ((a,), self.steps[a,]) for a in grammar.nonterminals}
+        side = {a: (a,) for a in grammar.nonterminals}
         for ridx, rule in enumerate(grammar.rules):
             rhs, m = rule.rhs, len(rule.rhs)
             inst = (SwitchInstance(rule.lhs, rhs),)
             left, first = self.bit[rhs[0]], side.get(rhs[0])
             if m == 1:
                 self.units.append((left, self.bit[rule.lhs]))
-                self.steps[rule.lhs,].append((inst, ridx, 1, left, 0, first, None))
+                self.steps[rule.lhs,].append((inst, ridx, 1, left, self.bit[()], first, None))
             for t in range(2, m + 1):
                 right, last = self.bit[rhs[t - 1]], side.get(rhs[t - 1])
                 if t == m:
@@ -401,9 +407,18 @@ class _SymbolBits:
                 else:
                     parent, head = self.bit[(ridx, t)], ("dot", f"{ridx},{t}")
                     self.steps[head] = [((), None, t, left, right, first, last)]
-                    first = (head, self.steps[head])
+                    first = head
                 self.pairs.append((left, right, parent))
                 left = parent
+        self.suffix: dict[tuple[str, ...], int] = {(): self.bit[()]}
+        for rule in grammar.rules:
+            for t in range(len(rule.rhs) - 1, 0, -1):
+                tail = rule.rhs[t:]
+                if len(tail) == 1:
+                    self.suffix[tail] = self.bit[tail[0]]
+                elif tail not in self.suffix:
+                    self.suffix[tail] = self.bit[tail] = len(self.bit)
+                    self.pairs.append((self.bit[tail[0]], self.suffix[tail[1:]], self.bit[tail]))
         self._up: dict[tuple[int, int], int] = {}
         self._close: dict[int, int] = {}
 
@@ -436,15 +451,17 @@ class _SymbolBits:
 
 
 def _cky_chart(bits: _SymbolBits, tokens: tuple[str, ...]) -> list[list[int]]:
-    """Per span, the bits of every symbol that derives it: bitmask CKY.
+    """Per span, the bits of every symbol, prefix and suffix that derives it: bitmask CKY.
 
     ``chart[i][j]`` is the mask of span ``(i, j)``; a terminal's bit is set
     only in the width-1 cell of a token equal to it.  Both frontends build
-    it first and then recognise a sentence's goals from its root, probing
-    only the splits whose sides it holds.
+    it first and then recognise a sentence's goals from its root, trying
+    only the splits whose sides it holds, each with one bit test per side.
     """
-    n = len(tokens)
+    n, empty, up = len(tokens), 1 << bits.bit[()], bits._up
     chart = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, row in enumerate(chart):
+        row[i] = empty  # the empty suffix derives every span of no tokens
     for i, tok in enumerate(tokens):
         chart[i][i + 1] = bits.close(1 << bits.bit[tok])
     for w in range(2, n + 1):
@@ -454,90 +471,35 @@ def _cky_chart(bits: _SymbolBits, tokens: tuple[str, ...]) -> list[list[int]]:
             acc = 0
             for k in range(i + 1, j):
                 left, right = row[k], chart[k][j]
-                if left and right:
-                    acc |= bits.combine(left, right)
+                if left and right:  # the memo of ``combine``, read inline
+                    pb = up.get((left, right))
+                    acc |= bits.combine(left, right) if pb is None else pb
             row[j] = bits.close(acc) if acc else 0
     return chart
 
 
-def _compile_pcfg_into(
-    builder: GraphBuilder, grammar: Grammar, sentences: Iterable[tuple[str, ...]]
-) -> list[GoalId]:
-    """Recognise every sentence's chart goals from its root, then emit them.
+def _walk(memo: dict[tuple, list], root: tuple, expand) -> None:
+    """Recognise the frame ``root`` and every key below it into ``memo``.
 
-    A goal key is a head and the compile call's intern id ``w`` of the
-    words it spans: ``("NP", w)`` for a nonterminal, labelled ``NP([the,
-    dog])``, or ``("dot", "4,2", w)`` for a dotted prefix, labelled
-    ``dot(4,2,[the,big])``.  Recognition walks the CKY chart down from the
-    root ``(start, w)`` in post-order, without recursion.  A key's bodies
-    are its head's steps (``_SymbolBits.steps``) at every split whose two
-    sides the chart holds, in rule order, then ascending split: every side
-    it tests lies inside the span, so a key's bodies depend on its words
-    alone.  A key is stored in ``memo`` when its walk finishes, so ``memo``
-    lists every key after the keys its bodies use, across sentences too,
-    and a sentence whose root is stored is not charted again.
+    A frame is a key and the token span ``(i, j)`` it covers.
+    ``expand(key, i, j)`` returns the key's candidate bodies (subgoal keys,
+    switch instances, rule tag), read off the chart, and one frame per
+    subgoal in body order.  The walk is an explicit-stack post-order walk,
+    so depth costs no recursion: a key is stored after the keys its
+    bodies use, with the bodies whose subgoals all derive (``[]`` when
+    none does), so ``memo`` lists every key after the keys its bodies use.
     """
-    bits = grammar._symbol_bits
-    start_bit, start_steps = bits.bit[grammar.start], bits.steps[grammar.start,]
-    span_id: dict[tuple[str, ...], int] = {}
-    memo: dict[tuple, list[tuple[list[tuple], tuple[SwitchInstance, ...], Optional[int]]]] = {}
-    roots: list[tuple] = []
-
-    def span(i: int, j: int) -> int:
-        """Intern id of ``tokens[i:j]``, looked up once per span of a sentence."""
-        w = sp[i][j]
-        if w is None:
-            w = sp[i][j] = span_id.setdefault(tokens[i:j], len(span_id))
-        return w
-
-    for tokens in sentences:
-        n = len(tokens)
-        root = (grammar.start, span_id.setdefault(tokens, len(span_id)))
-        if root not in memo:
-            chart = _cky_chart(bits, tokens)
-            if not chart[0][n] >> start_bit & 1:
-                raise Unparseable(f"no derivation of: {' '.join(tokens)}")
-            sp: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n + 1)]
-            stack = [(root, 0, n, start_steps)]
-            while stack:
-                key, i, j, steps = stack.pop()
-                if steps is None:  # the finish frame: ``i`` holds the key's bodies
-                    memo[key] = i
-                    continue
-                if key in memo:
-                    continue
-                bodies = []
-                stack.append((key, bodies, None, None))
-                kids = []
-                row = chart[i]
-                for inst, tag, t, fb, lb, first, last in steps:
-                    if t == 1:  # a unit rule: one side, over the whole span
-                        if row[j] >> fb & 1:
-                            subs = []
-                            if first is not None:
-                                sub = first[0] + (key[-1],)
-                                subs.append(sub)
-                                if sub not in memo:
-                                    kids.append((sub, i, j, first[1]))
-                            bodies.append((subs, inst, tag))
-                        continue
-                    for k in range(i + t - 1, j):
-                        if row[k] >> fb & 1 and chart[k][j] >> lb & 1:
-                            subs = []
-                            if first is not None:
-                                sub = first[0] + (span(i, k),)
-                                subs.append(sub)
-                                if sub not in memo:
-                                    kids.append((sub, i, k, first[1]))
-                            if last is not None:
-                                sub = last[0] + (span(k, j),)
-                                subs.append(sub)
-                                if sub not in memo:
-                                    kids.append((sub, k, j, last[1]))
-                            bodies.append((subs, inst, tag))
-                stack.extend(reversed(kids))  # walk the subgoals left to right
-        roots.append(root)
-    return _emit(builder, memo, roots, list(span_id))
+    stack = [root]
+    while stack:
+        key, i, j = stack.pop()
+        if j is None:  # the finish frame: ``i`` holds the key's bodies
+            if not all(memo[sub] for subs, _, _ in i for sub in subs):
+                i = [body for body in i if all(memo[sub] for sub in body[0])]
+            memo[key] = i
+        elif key not in memo:
+            bodies, kids = expand(key, i, j)
+            stack.append((key, bodies, None))
+            stack.extend(reversed(kids))  # walk the subgoals left to right
 
 
 def _emit(
@@ -569,15 +531,89 @@ def _emit(
 
 
 def _compile_corpus(
-    grammar: Grammar, sentences: Iterable[Sequence[str]], compile_into, decls
+    grammar: Grammar, sentences: Iterable[Sequence[str]], head: tuple, expander, refusal: str, decls
 ) -> tuple[ExplanationGraph, list[GoalId]]:
-    """One graph whose roots are the sentences' goals, in corpus order."""
+    """One graph whose roots are the sentences' goals, in corpus order.
+
+    A goal key is a frontend's head and the compile call's intern id ``w``
+    of the words it spans; a sentence's root is ``head + (w,)``.  A
+    sentence whose root is already recognised is neither charted nor
+    interned further.  Any other is charted, refused with ``refusal`` when
+    the chart's start cell lacks the start symbol, and walked from its
+    root with ``expander(grammar, tokens, chart, span)``, where ``span(i,
+    j)`` interns ``tokens[i:j]`` on first use.  Every key a sentence
+    tests lies inside the span it covers, so a key's bodies depend on its
+    words alone and one memo serves the whole corpus; ``_emit`` then emits
+    the keys the roots reach.
+    """
+    bits = grammar._symbol_bits
+    start_bit = bits.bit[grammar.start]
+    span_id: dict[tuple[str, ...], int] = {}
+    memo: dict[tuple, list] = {}
+    roots: list[tuple] = []
+
+    def span(i: int, j: int) -> int:
+        """Intern id of ``tokens[i:j]``, looked up once per span of a sentence."""
+        w = sp[i][j]
+        if w is None:
+            w = sp[i][j] = span_id.setdefault(tokens[i:j], len(span_id))
+        return w
+
+    for sentence in sentences:
+        tokens = _check_sentence(grammar, sentence)
+        n = len(tokens)
+        root = head + (span_id.setdefault(tokens, len(span_id)),)
+        if root not in memo:
+            chart = _cky_chart(bits, tokens)
+            if not chart[0][n] >> start_bit & 1:
+                raise Unparseable(f"{refusal}: {' '.join(tokens)}")
+            sp: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n + 1)]
+            _walk(memo, (root, 0, n), expander(grammar, tokens, chart, span))
+        roots.append(root)
     builder = GraphBuilder()
     builder.declare_switches(decls)
-    goals = compile_into(builder, grammar, (_check_sentence(grammar, s) for s in sentences))
+    goals = _emit(builder, memo, roots, list(span_id))
+    del memo, span_id  # free the recognition tables before build() lays out the graph
     for goal in goals:
         builder.add_root(goal)
     return builder.build(), goals
+
+
+# ---------------------------------------------------------------------------
+# top-down chart compilation
+# ---------------------------------------------------------------------------
+
+
+def _pcfg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int]], span):
+    """Rule-expansion bodies of a PCFG key, read off one sentence's chart.
+
+    A key is ``("NP", w)`` for a nonterminal, labelled ``NP([the,dog])``,
+    or ``("dot", "4,2", w)`` for a dotted prefix, labelled
+    ``dot(4,2,[the,big])``.  Its bodies are its head's steps
+    (``_SymbolBits.steps``) at every split whose two sides the chart
+    holds, in rule order, then ascending split, so every body derives.
+    """
+    steps_of = grammar._symbol_bits.steps
+
+    def expand(key: tuple, i: int, j: int) -> tuple[list, list]:
+        bodies, kids = [], []
+        row = chart[i]
+        for inst, tag, t, fb, lb, first, last in steps_of[key[:-1]]:
+            for k in range(i + t - 1, j) if t > 1 else (j,):
+                if row[k] >> fb & 1 and chart[k][j] >> lb & 1:
+                    subs = []
+                    if first is not None:
+                        sub = first + (span(i, k),)
+                        subs.append(sub)
+                        kids.append((sub, i, k))
+                    if last is not None:
+                        sub = last + (span(k, j),)
+                        subs.append(sub)
+                        kids.append((sub, k, j))
+                    bodies.append((subs, inst, tag))
+        return bodies, kids
+
+    return expand
 
 
 def compile_pcfg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:
@@ -589,7 +625,8 @@ def compile_pcfg_corpus(
     grammar: Grammar, sentences: Iterable[Sequence[str]]
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """One shared graph for a corpus; sentences share the goals of their common phrases."""
-    return _compile_corpus(grammar, sentences, _compile_pcfg_into, grammar._pcfg_decls)
+    head, refusal, decls = (grammar.start,), "no derivation of", grammar._pcfg_decls
+    return _compile_corpus(grammar, sentences, head, _pcfg_expand, refusal, decls)
 
 
 # ---------------------------------------------------------------------------
@@ -636,106 +673,71 @@ class _LeftCornerSwitches:
                 self.attach[a] = (SwitchInstance(switch, "att"), SwitchInstance(switch, "pro"))
 
 
-def _compile_plcg_into(
-    builder: GraphBuilder, grammar: Grammar, sentences: Iterable[tuple[str, ...]]
-) -> list[GoalId]:
-    """Recognise every sentence's left-corner goals, then emit those a root reaches.
+def _plcg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int]], span):
+    """Left-corner bodies of a key, read off one sentence's chart.
 
-    Recognition is a memoised recursion over goal keys ``("g", syms, w)``
-    (``syms`` derive the words ``w``) and ``("lc", g0, b, w)`` (a finished
-    ``b`` followed by the words ``w`` grows into ``g0``) and makes no
-    builder call.  ``w`` is the compile call's intern id of a word tuple,
-    and ``sp[i][j]`` that of ``tokens[i:j]`` in the sentence at hand.  A
-    key maps to its derivable bodies (subgoal keys, instances, rule tag),
-    ``[]`` when it derives nothing, and is stored when its recognition
-    finishes, so ``memo`` lists every key after the keys its bodies use,
-    across sentences too.  ``g(syms,i,j)`` probes a split ``k`` only where
-    the CKY chart says ``syms[0]`` derives tokens i..k, the one condition
-    under which ``lc(syms[0], tokens[i], i+1, k)`` can derive.  That cell
-    lies inside the span, so a key's bodies depend on its words alone.
+    A key is ``("g", syms, w)`` (the symbols ``syms`` derive the words
+    ``w``) or ``("lc", g0, b, w)`` (a finished ``b`` followed by the words
+    ``w`` grows into ``g0``).  Every ``syms`` is ``(start,)`` or a rule
+    suffix ``rhs[t:]``, ``t >= 1``, whose chart bit (``_SymbolBits.suffix``)
+    says whether it derives a span.  A ``g`` key is walked only where it
+    derives; it shifts ``tokens[i]`` and splits at every ``k`` where the
+    chart holds ``syms[0]`` over ``i..k`` and the rest over ``k..j``, the
+    splits where ``lc(syms[0], tokens[i])`` derives ``i+1..k``.  An ``lc``
+    key applies each rule ``A -> b beta`` at every ``m`` where the chart
+    holds ``beta`` over ``i..m``: it attaches where ``A`` is ``g0`` and
+    ``m`` is ``j``, and grows ``A`` over ``m..j``, the only body that can
+    fail to derive.  Bodies are in rule order, then ascending split.
     """
-    nts = grammar.nonterminals
-    lc = grammar._lc_switches
-    bits = grammar._symbol_bits
-    span_id: dict[tuple[str, ...], int] = {}
-    memo: dict[tuple, list[tuple[list[tuple], tuple[SwitchInstance, ...], Optional[int]]]] = {}
+    nts, rules = grammar.nonterminals, grammar.rules
+    lc, bits = grammar._lc_switches, grammar._symbol_bits
+    bit, suffix = bits.bit, bits.suffix
 
-    def recognise_g(syms: tuple[str, ...], i: int, j: int) -> Optional[tuple]:
-        key = ("g", syms, sp[i][j])
-        bodies = memo.get(key)
-        if bodies is None:
-            bodies = []
+    def expand(key: tuple, i: int, j: int) -> tuple[list, list]:
+        bodies, kids = [], []
+        row = chart[i]
+        if key[0] == "g":
+            syms = key[1]
             if not syms:
-                if i == j:
-                    bodies.append(([], (), None))
+                bodies.append(([], (), None))
+            elif syms[0] not in nts:  # the key derives, so tokens[i] is syms[0]
+                sub = ("g", syms[1:], span(i + 1, j))
+                bodies.append(([sub], (), None))
+                kids.append((sub, i + 1, j))
             else:
                 g0, rest = syms[0], syms[1:]
-                if g0 not in nts:
-                    if i < j and tokens[i] == g0:
-                        sub = recognise_g(rest, i + 1, j)
-                        if sub is not None:
-                            bodies.append(([sub], (), None))
-                elif i < j:
-                    shift = lc.first.get((g0, tokens[i]))
-                    if shift is not None:
-                        row, g_bit = chart[i], bits.bit[g0]
-                        for k in range(i + 1, j + 1):
-                            if not row[k] >> g_bit & 1:
-                                continue
-                            lc_key = recognise_lc(g0, tokens[i], i + 1, k)
-                            g_key = lc_key and recognise_g(rest, k, j)
-                            if g_key:
-                                bodies.append(([lc_key, g_key], (shift,), None))
-            memo[key] = bodies
-        return key if bodies else None
+                shift, gb, rb = lc.first[g0, tokens[i]], bit[g0], suffix[rest]
+                for k in range(i + 1, j + 1):
+                    if row[k] >> gb & 1 and chart[k][j] >> rb & 1:
+                        grown, tail = ("lc", g0, tokens[i], span(i + 1, k)), ("g", rest, span(k, j))
+                        bodies.append(([grown, tail], (shift,), None))
+                        kids += (grown, i + 1, k), (tail, k, j)
+            return bodies, kids
+        g0 = key[1]
+        attach = lc.attach.get(g0)
+        for ridx, choose in lc.grow.get((g0, key[2]), ()):
+            rule = rules[ridx]
+            beta = rule.rhs[1:]
+            fb = suffix[beta]
+            if rule.lhs == g0:
+                if row[j] >> fb & 1:
+                    done = ("g", beta, span(i, j))
+                    inst = (choose,) if attach is None else (choose, attach[0])
+                    bodies.append(([done], inst, ridx))
+                    kids.append((done, i, j))
+                if attach is None:
+                    continue
+                inst = (choose, attach[1])
+            else:
+                inst = (choose,)
+            for m in range(i, j + 1):
+                if row[m] >> fb & 1:
+                    mid, grown = ("g", beta, span(i, m)), ("lc", g0, rule.lhs, span(m, j))
+                    bodies.append(([mid, grown], inst, ridx))
+                    kids += (mid, i, m), (grown, m, j)
+        return bodies, kids
 
-    def recognise_lc(g0: str, b: str, k: int, j: int) -> Optional[tuple]:
-        key = ("lc", g0, b, sp[k][j])
-        bodies = memo.get(key)
-        if bodies is None:
-            # one body per rule application, tagged with the rule index: one
-            # subgoal finishes g0 (attach), two grow the rule's lhs further
-            bodies = []
-            attach = lc.attach.get(g0)
-            for ridx, choose in lc.grow.get((g0, b), ()):
-                rule = grammar.rules[ridx]
-                beta = rule.rhs[1:]
-                if rule.lhs == g0:
-                    done = recognise_g(beta, k, j)
-                    if done is not None:
-                        inst = (choose,) if attach is None else (choose, attach[0])
-                        bodies.append(([done], inst, ridx))
-                    if attach is None:
-                        continue
-                    inst = (choose, attach[1])
-                else:
-                    inst = (choose,)
-                for m in range(k, j + 1):
-                    mid = recognise_g(beta, k, m)
-                    nxt = mid and recognise_lc(g0, rule.lhs, m, j)
-                    if nxt:
-                        bodies.append(([mid, nxt], inst, ridx))
-            memo[key] = bodies
-        return key if bodies else None
-
-    roots: list[tuple] = []
-    for tokens in sentences:
-        n = len(tokens)
-        sp = [[span_id.setdefault(tokens[i:j], len(span_id)) for j in range(n + 1)]
-              for i in range(n + 1)]
-        root = ("g", (grammar.start,), sp[0][n])
-        if root not in memo:
-            chart = _cky_chart(bits, tokens)
-            try:
-                recognise_g((grammar.start,), 0, n)
-            except RecursionError:
-                raise ExplosionLimit(
-                    f"left-corner recognition of a {n}-token sentence exceeds the recursion limit"
-                ) from None
-        if not memo[root]:
-            raise Unparseable(f"no left-corner derivation of: {' '.join(tokens)}")
-        roots.append(root)
-    return _emit(builder, memo, roots, list(span_id))
+    return expand
 
 
 def compile_plcg(grammar: Grammar, sentence: Sequence[str]) -> ExplanationGraph:
@@ -747,7 +749,9 @@ def compile_plcg_corpus(
     grammar: Grammar, sentences: Iterable[Sequence[str]]
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """One shared left-corner graph for a corpus, tabled by words as ``compile_pcfg_corpus``."""
-    return _compile_corpus(grammar, sentences, _compile_plcg_into, grammar._lc_switches.decls)
+    head, refusal = ("g", (grammar.start,)), "no left-corner derivation of"
+    decls = grammar._lc_switches.decls
+    return _compile_corpus(grammar, sentences, head, _plcg_expand, refusal, decls)
 
 
 # ---------------------------------------------------------------------------
@@ -940,11 +944,8 @@ def count_ml(
     delta: Optional[PseudoCountTable] = None,
 ) -> ParameterTable:
     """Rule-expansion probabilities by (pseudo-)counting over a treebank."""
-    from .graph import SwitchDecl
-
-    switches = grammar.pcfg_switches()
-    decls = {a: SwitchDecl(a, rhss) for a, rhss in switches.items()}
-    counts = {a: np.zeros(len(rhss)) for a, rhss in switches.items()}
+    decls = grammar._pcfg_decls
+    counts = {a: np.zeros(len(decl.values)) for a, decl in decls.items()}
     for tree in treebank:
         grammar.validate_tree(tree)
         for (lhs, rhs), c in tree.rule_counts().items():

@@ -572,8 +572,7 @@ def merge_graphs(graphs: Sequence[ExplanationGraph]) -> tuple[ExplanationGraph, 
     builder = GraphBuilder()
     root_maps: list[list[GoalId]] = []
     for k, g in enumerate(graphs):
-        for decl in g.switches.values():
-            builder.declare_switch(decl.id, decl.values)
+        builder.declare_switches(g.switches)
         offsetted: dict[GoalId, GoalId] = {}
         for gid, label in enumerate(g.labels):
             offsetted[gid] = builder.goal(f"g{k}:{label}")

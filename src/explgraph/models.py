@@ -186,13 +186,7 @@ def _compile_nbh_into(
 def compile_nbh(spec: NBHSpec, row: DataRow, observed_class: bool = True) -> ExplanationGraph:
     """Explanation graph of one row; branches over hidden cluster, any
     missing attributes, and (when the class is unobserved) the class."""
-    spec.check_row(row, need_class=observed_class)
-    builder = GraphBuilder()
-    builder.declare_switches(spec._decls)
-    label = _row_label(row, observed_class)
-    root = _compile_nbh_into(builder, spec, row, label, observed_class, {})
-    builder.add_root(root)
-    return builder.build()
+    return compile_nbh_corpus(spec, [row], observed_class)[0]
 
 
 def compile_nbh_corpus(
@@ -322,16 +316,10 @@ def _path_label(u: int, target: int, visited: frozenset) -> str:
 
 
 def _compile_path_into(
-    builder: GraphBuilder,
-    graph: EdgeGraph,
-    frm: int,
-    target: int,
-    memo: Optional[dict] = None,
+    builder: GraphBuilder, graph: EdgeGraph, frm: int, target: int, memo: dict
 ) -> Optional[GoalId]:
     # states are shared across queries: (u, target, visited) determines the
     # goal completely, so the memo must outlive a single query
-    if memo is None:
-        memo = {}
 
     def build(u: int, visited: frozenset) -> Optional[GoalId]:
         key = (u, target, visited)
@@ -364,16 +352,7 @@ def _compile_path_into(
 def compile_path_graph(graph: EdgeGraph, frm: int, to: int) -> ExplanationGraph:
     """Explanation graph whose root explanations are the simple paths
     between two nodes (edges usable in either direction)."""
-    nodes = graph.nodes
-    if frm not in nodes or to not in nodes:
-        raise ExplGraphError(f"unknown node in query ({frm},{to})")
-    builder = GraphBuilder()
-    builder.declare_switches(graph._decls)
-    root = _compile_path_into(builder, graph, frm, to)
-    if root is None:
-        raise NoPath(f"no path from {frm} to {to}")
-    builder.add_root(root)
-    return builder.build()
+    return compile_path_queries(graph, [(frm, to)])[0]
 
 
 def compile_path_queries(

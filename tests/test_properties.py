@@ -1,5 +1,7 @@
 """Seeded property tests over the random generators in ``conftest``."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,14 @@ from conftest import (  # noqa: E402
     random_grammar,
     random_theta,
 )
-from explgraph.grammar import compile_pcfg_corpus, compile_plcg_corpus  # noqa: E402
+from explgraph.grammar import (  # noqa: E402
+    CFGRule,
+    Grammar,
+    _cky_chart,
+    _SymbolBits,
+    compile_pcfg_corpus,
+    compile_plcg_corpus,
+)
 from explgraph.io import emit_expl_graph, load_expl_graph  # noqa: E402
 from test_grammar import (  # noqa: E402
     _assert_per_root_equal,
@@ -98,6 +107,59 @@ def test_tabled_corpus_equals_positional_reference(seed, n_nonterminals, depth, 
         )
         ref, _ = _reference_compile_corpus(grammar, sentences, mode)
         _assert_per_root_equal(graph, ref, random_theta(rng, graph))
+
+
+def _derivability(grammar, tokens):
+    """``derives(syms, i, j)``: whether the symbols ``syms`` derive
+    ``tokens[i:j]``, by plain memoised recursion over the rules, with no
+    chart and no bits.  It terminates because no rule is empty and no
+    unit rules form a cycle."""
+
+    @lru_cache(maxsize=None)
+    def derives(syms, i, j):
+        if not syms:
+            return i == j
+        s, rest = syms[0], syms[1:]
+        if s not in grammar.nonterminals:
+            return i < j and tokens[i] == s and derives(rest, i + 1, j)
+        ends = range(i + 1, j - len(rest) + 1) if rest else (j,)
+        return any(
+            derives(grammar.rules[r].rhs, i, k) and derives(rest, k, j)
+            for k in ends
+            for r in grammar.rules_for[s]
+        )
+
+    return derives
+
+
+@SEEDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nonterminals=st.integers(1, 4),
+    tokens=st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=7),
+)
+def test_suffix_chart_bits_equal_derivability(seed, n_nonterminals, tokens):
+    # the left-corner frontend trusts one chart bit per rule suffix rhs[t:]
+    # (t >= 1, the empty suffix included) to say whether the suffix derives
+    # a span: over every span of the sentence, empty spans included, that
+    # bit must equal the derivability oracle's answer.
+    # One more rule joins two drawn right-hand sides, so suffixes of three
+    # or more symbols, built on shorter suffixes, occur too
+    rng = np.random.default_rng(seed)
+    drawn = random_grammar(rng, n_nonterminals).rules
+    joined = drawn[int(rng.integers(len(drawn)))].rhs + drawn[int(rng.integers(len(drawn)))].rhs
+    grammar = Grammar("N0", list(dict.fromkeys(drawn + [CFGRule("N0", joined)])))
+    tokens = tuple(t if t in grammar.terminals else "a" for t in tokens)
+    bits = _SymbolBits(grammar)
+    suffixes = {r.rhs[t:] for r in grammar.rules for t in range(1, len(r.rhs) + 1)}
+    assert set(bits.suffix) == suffixes
+    chart = _cky_chart(bits, tokens)
+    derives = _derivability(grammar, tokens)
+    n = len(tokens)
+    for tail, bit in bits.suffix.items():
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                assert bool(chart[i][j] >> bit & 1) == derives(tail, i, j), (tail, i, j)
 
 
 @SEEDED
