@@ -3,8 +3,8 @@
 Building the array form is the graph's validation, done in numpy over the
 graph's flat bodies (see :class:`explgraph.graph.ExplanationGraph`).  A
 stable sort by head puts the bodies in goal-id order, and repeat/cumsum
-gathers reorder their subgoal ids and switch parts to match.  Each switch
-instance object is resolved to its slot once, by identity.  The checks
+gathers reorder their subgoal ids and switch parts (slot ids and
+multiplicities, which the graph already holds) to match.  The checks
 report the first offending body in goal-id order (a goal without bodies
 first, then a body's subgoal ids before its switch instances).  A
 depth-first search over the goals' child lists gives the topological
@@ -38,6 +38,8 @@ probability zero.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,21 +77,18 @@ def _selected(bodies: slice, heads, h, sel) -> np.ndarray:
     return np.where(sel[heads] == np.arange(bodies.start, bodies.stop), h, 0.0)
 
 
-class _Level:
+class _Level(NamedTuple):
     """One topological level: its goals, where each goal's bodies start
-    within the level, and the slices of the flat body, child-part and
-    switch-part arrays that the level owns."""
+    within the level, each body's goal within the level, and the slices
+    of the flat body, child-part and switch-part arrays that the level
+    owns."""
 
-    def __init__(self, goals, seg_starts, bodies: slice, cparts: slice, sparts: slice):
-        self.goals = goals
-        self.seg_starts = seg_starts
-        self.seg_ids = np.repeat(
-            np.arange(len(seg_starts), dtype=np.int64),
-            np.diff(np.concatenate((seg_starts, [bodies.stop - bodies.start]))),
-        )
-        self.bodies = bodies
-        self.cparts = cparts
-        self.sparts = sparts
+    goals: np.ndarray
+    seg_starts: np.ndarray
+    seg_ids: np.ndarray
+    bodies: slice
+    cparts: slice
+    sparts: slice
 
 
 def _part_order(counts: np.ndarray, bodies: np.ndarray) -> np.ndarray:
@@ -100,43 +99,13 @@ def _part_order(counts: np.ndarray, bodies: np.ndarray) -> np.ndarray:
     return np.repeat(starts[bodies] - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
 
 
-def _instance_slots(instances: list, slot) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Slot and multiplicity of every instance, resolved once per instance object.
-
-    ``slot(switch, value)`` is called once for each distinct object, told
-    apart by identity, so no term is hashed and equal but distinct objects
-    each get their own verdict.  An instance whose switch or value is not
-    declared gets slot -1, and the error is returned under its ``id``, so
-    the caller can report the first one in goal-id order.
-    """
-    ids = np.fromiter(map(id, instances), dtype=np.uintp, count=len(instances))
-    distinct, code = np.unique(ids, return_inverse=True)
-    some = np.empty(len(distinct), dtype=np.int64)
-    some[code] = np.arange(len(ids))  # a position of each distinct object
-    slots, mults, errors = [], [], {}
-    for inst in map(instances.__getitem__, some.tolist()):
-        try:
-            resolved = slot(inst.switch, inst.value), inst.mult
-        except ExplGraphError as e:
-            errors[id(inst)] = e
-            resolved = -1, 1
-        slots.append(resolved[0])
-        mults.append(resolved[1])
-    return (
-        np.array(slots, dtype=np.int64)[code],
-        np.array(mults, dtype=np.float64)[code],
-        errors,
-    )
-
-
-def _first_error(graph, walk, child, dangling, slots, errors) -> Exception:
+def _first_error(graph, walk, child, dangling) -> Exception:
     """What the checks report for the first offending body in goal-id
-    order: its first dangling subgoal id, else what its first bad switch
-    instance raised.  ``child`` and ``dangling`` hold the subgoal ids in
-    goal-id order (``walk``); ``slots`` and ``errors`` come from
-    :func:`_instance_slots`."""
+    order: its first dangling subgoal id, else what resolving its first
+    unresolved switch part raised.  ``child`` and ``dangling`` hold the
+    subgoal ids in goal-id order (``walk``)."""
     sorder = _part_order(graph.n_instances, walk)
-    first = [np.flatnonzero(bad)[:1] for bad in (dangling, slots[sorder] < 0)]
+    first = [np.flatnonzero(bad)[:1] for bad in (dangling, graph.part_slot[sorder] < 0)]
     bc, bs = (
         np.searchsorted(np.cumsum(counts[walk]), k, side="right")
         for counts, k in zip((graph.n_subgoals, graph.n_instances), first)
@@ -146,7 +115,7 @@ def _first_error(graph, walk, child, dangling, slots, errors) -> Exception:
             f"goal {graph.labels[graph.heads[walk[bc[0]]]]} references "
             f"missing goal id {child[first[0][0]]}"
         )
-    return errors[id(graph.instances[sorder[first[1][0]]])]
+    return graph._unresolved[int(sorder[first[1][0]])][1]
 
 
 def _topo_levels(kids: list[list[int]], labels) -> tuple[list[int], list[int]]:
@@ -204,10 +173,9 @@ class CompiledGraph:
         # the bodies in goal-id order, each goal's in order of arrival
         walk = np.argsort(graph.heads, kind="stable")
         child = graph.subgoals[_part_order(graph.n_subgoals, walk)]
-        slots, mults, errors = _instance_slots(graph.instances, self.layout.slot)
         dangling = (child < 0) | (child >= n)
-        if dangling.any() or errors:
-            raise _first_error(graph, walk, child, dangling, slots, errors)
+        if dangling.any() or graph._unresolved:
+            raise _first_error(graph, walk, child, dangling)
         bounds = np.concatenate(([0], np.cumsum(graph.n_subgoals[walk])))[
             np.concatenate(([0], np.cumsum(goal_nbodies)))
         ].tolist()
@@ -236,26 +204,31 @@ class CompiledGraph:
         self.cpart_body = np.repeat(body_ids, self.body_ccount)
         self.cpart_child = graph.subgoals[_part_order(graph.n_subgoals, arrival)]
         self.spart_body = np.repeat(body_ids, self.body_scount)
-        self.spart_slot = slots[sparts]
-        self.spart_mult = mults[sparts]
+        self.spart_slot = graph.part_slot[sparts]
+        self.spart_mult = graph.part_mult[sparts]
         self.tags = list(map(graph.tags.__getitem__, arrival.tolist()))
         self.tagged = any(t is not None for t in graph.tags)  # some body carries a frontend tag
 
+        # Per goal and per body, in layout order: where the goal's bodies
+        # start and which goal a body has, both counted within the level.
         n_levels = int(level.max()) + 1 if n else 0
         gs, bs = (
-            np.concatenate(([0], np.cumsum(np.bincount(x, minlength=n_levels)))).tolist()
+            np.concatenate(([0], np.cumsum(np.bincount(x, minlength=n_levels))))
             for x in (level, body_level)
         )
         cs, ss = (
             np.concatenate(([0], np.cumsum(counts)))[bs].tolist()
             for counts in (self.body_ccount, self.body_scount)
         )
-        nb = goal_nbodies[goals]
-        seg_starts = np.cumsum(nb) - nb
+        nb, goal_level = goal_nbodies[goals], level[goals]
+        seg_starts = np.cumsum(nb) - nb - bs[goal_level]
+        seg_ids = np.repeat(np.arange(n, dtype=np.int64) - gs[goal_level], nb)
+        gs, bs = gs.tolist(), bs.tolist()
         self.levels = [
             _Level(
                 goals[gs[k] : gs[k + 1]],
-                seg_starts[gs[k] : gs[k + 1]] - bs[k],
+                seg_starts[gs[k] : gs[k + 1]],
+                seg_ids[bs[k] : bs[k + 1]],
                 slice(bs[k], bs[k + 1]),
                 slice(cs[k], cs[k + 1]),
                 slice(ss[k], ss[k + 1]),

@@ -46,7 +46,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .compiled import _topo_levels
 from .errors import (
+    CyclicGraph,
     ExplGraphError,
     ExplGraphWarning,
     ExplosionLimit,
@@ -63,7 +65,7 @@ from .graph import (
     SwitchDecl,
     SwitchInstance,
 )
-from .tables import ParameterTable, PseudoCountTable
+from .tables import ParameterTable, PseudoCountTable, SlotLayout
 from .terms import Term, check_symbol, render_term
 
 __all__ = [
@@ -154,35 +156,18 @@ class Grammar:
         return _LeftCornerSwitches(self)
 
     def _check_unit_cycles(self) -> None:
-        unit = {a: set() for a in self.nonterminals}
+        """Reject a cycle of unit rules, named from the first nonterminal
+        in sorted order whose depth-first search meets it."""
+        order = sorted(self.nonterminals)
+        index = {a: k for k, a in enumerate(order)}
+        unit = [[] for _ in order]
         for r in self.rules:
-            if len(r.rhs) == 1 and r.rhs[0] in self.nonterminals:
-                unit[r.lhs].add(r.rhs[0])
-        seen: dict[str, int] = {}
-        for a in self.nonterminals:
-            if a in seen:
-                continue
-            stack, path = [a], []
-            state = {}
-            while stack:
-                x = stack[-1]
-                if state.get(x, 0) == 0:
-                    state[x] = 1
-                    path.append(x)
-                    for y in unit[x]:
-                        if state.get(y, 0) == 1:
-                            cyc = path[path.index(y):] + [y]
-                            raise ExplGraphError(
-                                "unit-rule cycle: " + " -> ".join(cyc)
-                            )
-                        if state.get(y, 0) == 0:
-                            stack.append(y)
-                else:
-                    if state[x] == 1:
-                        state[x] = 2
-                        path.pop()
-                    stack.pop()
-            seen.update(state)
+            if len(r.rhs) == 1 and r.rhs[0] in index:
+                unit[index[r.lhs]].append(index[r.rhs[0]])
+        try:
+            _topo_levels(unit, order)
+        except CyclicGraph as e:
+            raise ExplGraphError("unit-rule cycle: " + " -> ".join(e.cycle)) from None
 
     def _lc_order(self, a: str) -> list[str]:
         """Left-corner closure of one nonterminal, in discovery order."""
@@ -372,13 +357,13 @@ class _SymbolBits:
 
     ``steps`` serves the PCFG frontend.  Per goal head, ``("A",)`` for
     nonterminal ``A`` or ``("dot", "r,t")`` for the dotted prefix ``(r, t)``,
-    it lists the head's rule steps in body order as (switch instances,
-    rule tag, ``t``, first bit, last bit, first side, last side), the
-    steps of ``pairs`` for the head's rules.  A step over ``t`` symbols
-    splits a span into its first ``t - 1`` symbols and its last one; a
-    unit rule (``t == 1``) splits it at its end, into the rule's symbol
-    and ``()``.  A side is ``None`` for a terminal or ``()``, else its
-    goal head.
+    it lists the head's rule steps in body order as (switch slots, in the
+    layout of ``Grammar._pcfg_decls``, rule tag, ``t``, first bit, last
+    bit, first side, last side), the steps of ``pairs`` for the head's
+    rules.  A step over ``t`` symbols splits a span into its first
+    ``t - 1`` symbols and its last one; a unit rule (``t == 1``) splits it
+    at its end, into the rule's symbol and ``()``.  A side is ``None`` for
+    a terminal or ``()``, else its goal head.
     """
 
     def __init__(self, grammar: Grammar):
@@ -392,9 +377,10 @@ class _SymbolBits:
         self.units: list[tuple[int, int]] = []
         self.steps: dict[tuple, list[tuple]] = {(a,): [] for a in grammar.nonterminals}
         side = {a: (a,) for a in grammar.nonterminals}
+        slot = SlotLayout(grammar._pcfg_decls).slot
         for ridx, rule in enumerate(grammar.rules):
             rhs, m = rule.rhs, len(rule.rhs)
-            inst = (SwitchInstance(rule.lhs, rhs),)
+            inst = (slot(rule.lhs, rhs),)
             left, first = self.bit[rhs[0]], side.get(rhs[0])
             if m == 1:
                 self.units.append((left, self.bit[rule.lhs]))
@@ -483,7 +469,7 @@ def _walk(memo: dict[tuple, list], root: tuple, expand) -> None:
 
     A frame is a key and the token span ``(i, j)`` it covers.
     ``expand(key, i, j)`` returns the key's candidate bodies (subgoal keys,
-    switch instances, rule tag), read off the chart, and one frame per
+    switch slots, rule tag), read off the chart, and one frame per
     subgoal in body order.  The walk is an explicit-stack post-order walk,
     so depth costs no recursion: a key is stored after the keys its
     bodies use, with the bodies whose subgoals all derive (``[]`` when
@@ -508,7 +494,7 @@ def _emit(
     """Emit the recognised keys the ``roots`` reach; return the roots' goal ids.
 
     ``memo`` maps each key ``(kind, *args, w)`` to its bodies (subgoal keys,
-    switch instances, rule tag) and lists every key after the keys its
+    switch slots, rule tag) and lists every key after the keys its
     bodies use, so each goal is emitted after its subgoals.  A key's label
     is ``kind(args,[words])``, with the words of intern id ``w`` in
     ``words`` and a symbol-tuple argument rendered as a list.
@@ -526,7 +512,7 @@ def _emit(
                 args[0] = render_term(args[0])
             gid[key] = head = builder.goal(f"{kind}({','.join(args)})")
             for subs, inst, tag in bodies:
-                builder.add_body(head, [gid[sub] for sub in subs], inst, tag)
+                builder.add_slot_body(head, [gid[sub] for sub in subs], inst, tag)
     return [gid[root] for root in roots]
 
 
@@ -638,39 +624,41 @@ class _LeftCornerSwitches:
     """The left-corner encoding's switches for one grammar.
 
     Built once per grammar (``Grammar._lc_switches``).  ``decls`` holds
-    the switch declarations by rendered name, in declaration order;
-    ``first[g, w]`` is the instance shifting word ``w`` for goal ``g``;
-    ``grow[g, b]`` pairs each rule index usable when a finished ``b``
-    grows toward ``g`` with its ``lc(g,b)`` instance; and ``attach[g]``
-    holds the ``att(g)`` instances (attach, project) where ``g`` is its
-    own left corner.
+    the switch declarations by rendered name, in declaration order, and
+    the tables hold slots of their layout: ``first[g, w]`` shifts word
+    ``w`` for goal ``g``; ``grow[g, b]`` pairs each rule index usable when
+    a finished ``b`` grows toward ``g`` with its ``lc(g,b)`` slot; and
+    ``attach[g]`` holds the ``att(g)`` slots (attach, project) where ``g``
+    is its own left corner.
     """
 
     def __init__(self, grammar: Grammar):
         rule_value = [Term("rule", (r.lhs, tuple(r.rhs))) for r in grammar.rules]
         self.decls: dict[str, SwitchDecl] = {}
-        self.first: dict[tuple[str, str], SwitchInstance] = {}
-        self.grow: dict[tuple[str, str], list[tuple[int, SwitchInstance]]] = {}
-        self.attach: dict[str, tuple[SwitchInstance, SwitchInstance]] = {}
+        first, grow, attach = {}, {}, {}  # the tables, as (switch, value) pairs
         order = sorted(grammar.nonterminals)
         for g in order:
             if grammar.first[g]:
                 switch = Term("first", (g,))
                 self.decls[render_term(switch)] = SwitchDecl(switch, tuple(grammar.first[g]))
                 for w in grammar.first[g]:
-                    self.first[g, w] = SwitchInstance(switch, w)
+                    first[g, w] = switch, w
             for b in grammar.left_corner[g]:
                 ridxs = grammar.lc_rule_values(g, b)
                 if ridxs:
                     switch = Term("lc", (g, b))
                     values = tuple(rule_value[i] for i in ridxs)
                     self.decls[render_term(switch)] = SwitchDecl(switch, values)
-                    self.grow[g, b] = [(i, SwitchInstance(switch, rule_value[i])) for i in ridxs]
+                    grow[g, b] = [(i, (switch, rule_value[i])) for i in ridxs]
         for a in order:
             if grammar.lc_rule_values(a, a):
                 switch = Term("att", (a,))
                 self.decls[render_term(switch)] = SwitchDecl(switch, ("att", "pro"))
-                self.attach[a] = (SwitchInstance(switch, "att"), SwitchInstance(switch, "pro"))
+                attach[a] = (switch, "att"), (switch, "pro")
+        slot = SlotLayout(self.decls).slot
+        self.first = {key: slot(*pair) for key, pair in first.items()}
+        self.grow = {key: [(i, slot(*pair)) for i, pair in v] for key, v in grow.items()}
+        self.attach = {key: (slot(*att), slot(*pro)) for key, (att, pro) in attach.items()}
 
 
 def _plcg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int]], span):

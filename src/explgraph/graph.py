@@ -10,13 +10,15 @@ that sum-product and argmax dynamic programming run in time linear in its
 size (see :mod:`explgraph.inference`).
 
 A graph holds its bodies as flat arrays, in the order they arrived: per
-body its head goal, subgoal count, switch-instance count and tag, plus
-the concatenated subgoal ids and :class:`SwitchInstance` objects.
-:class:`GraphBuilder` appends to them without making a :class:`Body`;
-:mod:`explgraph.compiled` lays them out for the passes.  ``formulas`` is
-a lazy view that builds a goal's :class:`DefiningFormula` when read, for
-the readers that walk bodies one by one (the text writer, the
-enumeration oracle, :func:`merge_graphs`).
+body its head goal, subgoal count, switch-part count and tag, plus the
+concatenated subgoal ids and, per switch part, its slot and multiplicity.
+The frontends hand :class:`GraphBuilder` slot ids; :class:`SwitchInstance`
+objects given to the builder or the constructor are resolved to slots by
+value.  :mod:`explgraph.compiled` lays the arrays out for the passes.
+``formulas`` is a lazy view that builds a goal's
+:class:`DefiningFormula`, instances included, when read, for the readers
+that walk bodies one by one (the text writer, the enumeration oracle,
+:func:`merge_graphs`).
 
 This module owns the data model, the validation entry point (whose
 checks run while :mod:`explgraph.compiled` flattens the graph), a
@@ -210,9 +212,11 @@ class ExplanationGraph:
 
     The bodies are flat (see the module docstring): body k belongs to goal
     ``heads[k]``; its subgoal ids are the next ``n_subgoals[k]`` entries of
-    ``subgoals`` and its switch instances the next ``n_instances[k]``
-    entries of ``instances``, after those of bodies 0..k-1; ``tags[k]`` is
-    its tag.  A goal's bodies keep their order of arrival.
+    ``subgoals`` and its switch parts the next ``n_instances[k]`` entries
+    of ``part_slot`` (each part's slot, -1 where its instance did not
+    resolve) and ``part_mult`` (its multiplicity), after those of bodies
+    0..k-1; ``tags[k]`` is its tag.  A goal's bodies keep their order of
+    arrival.
 
     Instances are built through :class:`GraphBuilder` or the file loader
     and are immutable once validated; all inference and learning routines
@@ -226,42 +230,37 @@ class ExplanationGraph:
         formulas: Sequence[DefiningFormula],
         roots: Sequence[GoalId],
     ):
-        bodies = [(g, b) for g, f in enumerate(formulas) for b in f.bodies]
-        self._init(
-            switches,
-            labels,
-            roots,
-            [g for g, _ in bodies],
-            [len(b.subgoals) for _, b in bodies],
-            [s for _, b in bodies for s in b.subgoals],
-            [len(b.instances) for _, b in bodies],
-            [i for _, b in bodies for i in b.instances],
-            [b.tag for _, b in bodies],
-        )
+        builder = GraphBuilder()
+        builder.declare_switches(switches)
+        builder._labels, builder._roots = list(labels), list(roots)
+        for g, f in enumerate(formulas):
+            for body in f.bodies:
+                builder.add_body(g, body.subgoals, body.instances, body.tag)
+        self._init(builder)
 
-    @classmethod
-    def _from_flat(cls, switches, labels, roots, *flat) -> "ExplanationGraph":
-        """A graph over flat bodies: heads, n_subgoals, subgoals,
-        n_instances, instances, tags."""
-        graph = cls.__new__(cls)
-        graph._init(switches, labels, roots, *flat)
-        return graph
-
-    def _init(
-        self, switches, labels, roots, heads, n_subgoals, subgoals, n_instances, instances, tags
-    ):
-        self.switches = dict(switches)  # rendered switch name -> SwitchDecl
-        self.labels = list(labels)
-        self.roots = list(roots)
-        self.heads, self.n_subgoals, self.subgoals, self.n_instances = (
-            np.array(x, dtype=np.int64) for x in (heads, n_subgoals, subgoals, n_instances)
+    def _init(self, b: "GraphBuilder") -> None:
+        """Take the goals and flat bodies of ``b``, resolving the switch
+        parts ``b`` holds as instances."""
+        self.switches = dict(b._switches)  # rendered switch name -> SwitchDecl
+        self.labels = list(b._labels)
+        self.roots = list(b._roots)
+        self.heads, self.n_subgoals, self.subgoals, self.n_instances, self.part_slot = (
+            np.array(x, dtype=np.int64)
+            for x in (b._heads, b._nsub, b._subgoals, b._ninst, b._slots)
         )
-        self.instances = list(instances)
-        self.tags = list(tags)
+        self.part_mult = np.ones(len(self.part_slot))
+        self.tags = list(b._tags)
         self.exclusiveness: Optional[str] = None  # cached diagnostic verdict
         self._compiled = None
         self._slots = None
         self._formulas = None
+        # part index -> (instance, what resolving it raised)
+        self._unresolved: dict[int, tuple[SwitchInstance, ExplGraphError]] = {}
+        if b._pending:
+            at, instances = map(list, zip(*b._pending))
+            slots, mults, errors = _resolve(instances, self.slots().slot)
+            self.part_slot[at], self.part_mult[at] = slots, mults
+            self._unresolved = {at[k]: (instances[k], e) for k, e in errors.items()}
 
     # -- basic accessors ------------------------------------------------
 
@@ -299,7 +298,7 @@ class ExplanationGraph:
 
     def body_size(self) -> int:
         """Total number of atoms across all bodies (graph size)."""
-        return len(self.subgoals) + len(self.instances)
+        return len(self.subgoals) + len(self.part_slot)
 
     # -- slot layout shared by inference/learning -----------------------
 
@@ -321,9 +320,27 @@ class ExplanationGraph:
         return self._compiled
 
 
+def _resolve(instances: Sequence[SwitchInstance], slot) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Slot and multiplicity of every switch instance, resolved by value.
+
+    ``slot(switch, value)`` is called for each instance in turn, so no term
+    is hashed.  An instance whose switch or value is not declared gets slot
+    -1, and what ``slot`` raised is returned under the instance's index,
+    so validation can report the first one in goal-id order.
+    """
+    slots, errors = np.full(len(instances), -1, dtype=np.int64), {}
+    for k, inst in enumerate(instances):
+        try:
+            slots[k] = slot(inst.switch, inst.value)
+        except ExplGraphError as e:
+            errors[k] = e
+    return slots, np.array([inst.mult for inst in instances], dtype=np.float64), errors
+
+
 class _Formulas(SequenceABC):
     """A graph's defining formulas, indexed by goal id.  Reading one builds
-    it from the flat bodies; none is kept."""
+    it from the flat bodies; no formula is kept, only one instance object
+    per (slot, multiplicity)."""
 
     def __init__(self, graph: ExplanationGraph):
         self._graph = graph
@@ -331,9 +348,22 @@ class _Formulas(SequenceABC):
         self._bounds = np.searchsorted(graph.heads[self._order], np.arange(graph.n_goals + 1))
         self._cstart = np.cumsum(graph.n_subgoals) - graph.n_subgoals
         self._sstart = np.cumsum(graph.n_instances) - graph.n_instances
+        self._made: dict[tuple[int, float], SwitchInstance] = {}
 
     def __len__(self) -> int:
         return self._graph.n_goals
+
+    def _instances(self, lo: int, hi: int) -> tuple[SwitchInstance, ...]:
+        """The switch instances of parts lo..hi-1."""
+        g, out = self._graph, []
+        slots, mults = (x[lo:hi].tolist() for x in (g.part_slot, g.part_mult))
+        for part, slot, mult in zip(range(lo, hi), slots, mults):
+            inst = g._unresolved[part][0] if slot < 0 else self._made.get((slot, mult))
+            if inst is None:
+                m = int(mult) if mult.is_integer() else mult
+                inst = self._made[slot, mult] = SwitchInstance(*g.slots().slot_pairs[slot], m)
+            out.append(inst)
+        return tuple(out)
 
     def __getitem__(self, goal):
         g = self._graph
@@ -341,7 +371,7 @@ class _Formulas(SequenceABC):
         b = self._order[self._bounds[goal] : self._bounds[goal + 1]]
         parts = (b, self._cstart[b], g.n_subgoals[b], self._sstart[b], g.n_instances[b])
         bodies = (
-            Body(tuple(g.subgoals[c : c + nc].tolist()), tuple(g.instances[s : s + ns]), g.tags[k])
+            Body(tuple(g.subgoals[c : c + nc].tolist()), self._instances(s, s + ns), g.tags[k])
             for k, c, nc, s, ns in zip(*(x.tolist() for x in parts))
         )
         return DefiningFormula(goal, tuple(bodies))
@@ -354,7 +384,8 @@ class GraphBuilder:
     """Incremental construction of an :class:`ExplanationGraph`.
 
     Bodies are appended to flat arrays as they arrive (see
-    :class:`ExplanationGraph`); checking them waits for :meth:`build`.
+    :class:`ExplanationGraph`); resolving their switch instances and
+    checking them waits for :meth:`build`.
     """
 
     def __init__(self):
@@ -363,12 +394,13 @@ class GraphBuilder:
         self._roots: list[GoalId] = []
         self._root_set: set[GoalId] = set()
         self._index: dict = {}
-        # per body: head, subgoal count, instance count, tag
+        # per body: head, subgoal count, switch-part count, tag
         self._heads, self._nsub, self._ninst = array("q"), array("q"), array("q")
         self._tags: list = []
-        # the bodies' subgoal ids and switch instances, concatenated
-        self._subgoals = array("q")
-        self._instances: list[SwitchInstance] = []
+        # the bodies' subgoal ids and switch-part slots, concatenated
+        self._subgoals, self._slots = array("q"), array("q")
+        # (part index, instance) of each part given as an instance, resolved by build()
+        self._pending: list[tuple[int, SwitchInstance]] = []
 
     def declare_switch(self, switch: TermLike, values: Iterable[TermLike]) -> None:
         decl = SwitchDecl(switch, tuple(values))
@@ -404,16 +436,27 @@ class GraphBuilder:
 
         A body with a ``tag`` becomes one node of the derivation that a
         Viterbi explanation carries; the children of an untagged body are
-        spliced into the node of the nearest tagged body above it.
+        spliced into the node of the nearest tagged body above it.  The
+        instances' switches may be declared later, up to :meth:`build`.
         """
+        instances, at = list(instances), len(self._slots)
+        self.add_slot_body(head, subgoals, [-1] * len(instances), tag)
+        self._pending += enumerate(instances, at)
+
+    def add_slot_body(
+        self, head: GoalId, subgoals: Iterable[GoalId], slots: Iterable[int], tag: object = None
+    ) -> None:
+        """:meth:`add_body` with one switch part of multiplicity 1 per slot
+        id of ``slots``, in the :class:`explgraph.tables.SlotLayout` of the
+        switches declared so far (later declarations do not move it)."""
         if not 0 <= head < len(self._labels):
             raise IndexError(f"no goal with id {head}")
-        n_sub, n_inst = len(self._subgoals), len(self._instances)
+        n_sub, n_inst = len(self._subgoals), len(self._slots)
         self._subgoals.extend(subgoals)
-        self._instances.extend(instances)
+        self._slots.extend(slots)
         self._heads.append(head)
         self._nsub.append(len(self._subgoals) - n_sub)
-        self._ninst.append(len(self._instances) - n_inst)
+        self._ninst.append(len(self._slots) - n_inst)
         self._tags.append(tag)
 
     def add_root(self, goal: GoalId) -> None:
@@ -423,17 +466,8 @@ class GraphBuilder:
 
     def build(self) -> ExplanationGraph:
         """The validated graph (see :func:`validate_graph`)."""
-        graph = ExplanationGraph._from_flat(
-            self._switches,
-            self._labels,
-            self._roots,
-            self._heads,
-            self._nsub,
-            self._subgoals,
-            self._ninst,
-            self._instances,
-            self._tags,
-        )
+        graph = ExplanationGraph.__new__(ExplanationGraph)
+        graph._init(self)
         validate_graph(graph)
         return graph
 

@@ -13,6 +13,9 @@ keeps paths simple (and the goal relation acyclic).  Distinct simple
 paths can share edges without conflicting on any switch, so the root's
 explanations overlap: sum-product values over this frontend are scores,
 while Viterbi inference and Viterbi training remain exact.
+
+The NBH frontend hands the builder slot ids, from a table built once per
+:class:`NBHSpec`; the path frontend hands it switch instances.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .errors import AllZero, ExplGraphError, InvalidRow, NoPath
 from .graph import ExplanationGraph, GoalId, GraphBuilder, SwitchDecl, SwitchInstance
 from .inference import inside_prob
-from .tables import ParameterTable
+from .tables import ParameterTable, SlotLayout
 from .terms import Term, render_term
 
 __all__ = [
@@ -88,6 +91,24 @@ class NBHSpec:
                     decls.append(SwitchDecl(self.attr_switch(j, c, h), domain))
         return {render_term(d.id): d for d in decls}
 
+    @cached_property
+    def _slots(self) -> dict:
+        """Per (class, cluster) pair, the slots of its class and cluster
+        draws and, per attribute, of each value in domain order, in the
+        layout of ``_decls``; built on the first compile call and kept."""
+        slot = SlotLayout(self._decls).slot
+        return {
+            (c, h): (
+                [slot(self.class_switch(), c), slot(self.hclass_switch(c), h)],
+                [
+                    {v: slot(self.attr_switch(j, c, h), v) for v in domain}
+                    for j, (_, domain) in enumerate(self.attributes, start=1)
+                ],
+            )
+            for c in self.classes
+            for h in self.hidden_values
+        }
+
     def check_row(self, row: "DataRow", need_class: bool) -> None:
         missing = row.cls is None
         if (missing and need_class) or (not missing and row.cls not in self.classes):
@@ -131,55 +152,31 @@ def _row_label(row: DataRow, observed_class: bool) -> str:
     return f"nbh({cls}|{vals})"
 
 
-class _AttrInstances(dict):
-    """One attribute switch's instances by value, each made on first use."""
-
-    def __init__(self, switch: Term):
-        super().__init__()
-        self.switch = switch
-
-    def __missing__(self, value: str) -> SwitchInstance:
-        inst = self[value] = SwitchInstance(self.switch, value)
-        return inst
-
-
 def _compile_nbh_into(
     builder: GraphBuilder,
     spec: NBHSpec,
     row: DataRow,
     label: str,
     observed_class: bool,
-    cache: dict,
+    anys: dict,
 ) -> GoalId:
-    """Add a row's goal, labelled ``label``, to ``builder``.  ``cache``, one
-    per compile call, keeps per (c, h) pair the class instances, each
-    attribute's instances by value and the ``any(j,c,h)`` goals built so
-    far, by attribute index."""
+    """Add a row's goal, labelled ``label``, to ``builder``.  ``anys``, one
+    per compile call, keeps the ``any(j,c,h)`` goals built so far."""
     root = builder.goal(label)
     present = [(j, v) for j, v in enumerate(row.values) if v is not None]
     missing = [j for j, v in enumerate(row.values) if v is None]
     for c in (row.cls,) if observed_class else spec.classes:
         for h in spec.hidden_values:
-            if (c, h) not in cache:
-                head = [
-                    SwitchInstance(spec.class_switch(), c),
-                    SwitchInstance(spec.hclass_switch(c), h),
-                ]
-                by_value = [
-                    _AttrInstances(spec.attr_switch(j, c, h))
-                    for j in range(1, len(spec.attributes) + 1)
-                ]
-                cache[c, h] = head, by_value, {}
-            head, by_value, anys = cache[c, h]
+            head, by_value = spec._slots[c, h]
             subgoals: list[GoalId] = []
             for j in missing:
-                goal = anys.get(j)
+                goal = anys.get((j, c, h))
                 if goal is None:
-                    goal = anys[j] = builder.goal(f"any({j + 1},{c},{h})")
-                    for v in spec.attributes[j][1]:
-                        builder.add_body(goal, (), (by_value[j][v],))
+                    goal = anys[j, c, h] = builder.goal(f"any({j + 1},{c},{h})")
+                    for s in by_value[j].values():
+                        builder.add_slot_body(goal, (), (s,))
                 subgoals.append(goal)
-            builder.add_body(root, subgoals, head + [by_value[j][v] for j, v in present])
+            builder.add_slot_body(root, subgoals, head + [by_value[j][v] for j, v in present])
     return root
 
 
@@ -196,14 +193,14 @@ def compile_nbh_corpus(
     builder = GraphBuilder()
     builder.declare_switches(spec._decls)
     goals: list[GoalId] = []
-    cache: dict = {}
+    anys: dict = {}
     seen: dict[str, GoalId] = {}
     for row in rows:
         spec.check_row(row, need_class=observed_class)
         label = _row_label(row, observed_class)
         gid = seen.get(label)
         if gid is None:
-            gid = _compile_nbh_into(builder, spec, row, label, observed_class, cache)
+            gid = _compile_nbh_into(builder, spec, row, label, observed_class, anys)
             builder.add_root(gid)
             seen[label] = gid
         goals.append(gid)

@@ -14,7 +14,9 @@ construction must lay out the same arrays.  ``FormulaWalkCompiled`` keeps
 that one walk over ``graph.formulas``: the numpy construction over the
 graph's flat bodies must lay out the same arrays with the same dtypes,
 whatever order the bodies arrived in, and must raise what the walk raised
-on corrupted graphs.
+on corrupted graphs.  A graph the frontends build from slot ids must
+compile to the same arrays as its rebuild from ``formulas``, whose
+instances the constructor resolves by value.
 """
 
 import warnings
@@ -32,7 +34,13 @@ from explgraph.errors import (
     NoPath,
     UndeclaredValue,
 )
-from explgraph.grammar import compile_pcfg_corpus, compile_plcg_corpus, gen_corpus
+from explgraph.grammar import (
+    compile_pcfg,
+    compile_pcfg_corpus,
+    compile_plcg,
+    compile_plcg_corpus,
+    gen_corpus,
+)
 from explgraph.graph import Body, DefiningFormula, ExplanationGraph, GraphBuilder, SwitchInstance
 from explgraph.inference import log_theta_vector, viterbi
 from explgraph.io import load_grammar
@@ -572,16 +580,23 @@ class FormulaWalkCompiled:
         )
         nb = goal_nbodies[goals]
         seg_starts = np.cumsum(nb) - nb
-        self.levels = [
-            _Level(
-                goals[gs[k] : gs[k + 1]],
-                seg_starts[gs[k] : gs[k + 1]] - bs[k],
-                slice(bs[k], bs[k + 1]),
-                slice(cs[k], cs[k + 1]),
-                slice(ss[k], ss[k + 1]),
+        self.levels = []
+        for k in range(n_levels):
+            starts = seg_starts[gs[k] : gs[k + 1]] - bs[k]
+            seg_ids = np.repeat(
+                np.arange(len(starts), dtype=np.int64),
+                np.diff(np.concatenate((starts, [bs[k + 1] - bs[k]]))),
             )
-            for k in range(n_levels)
-        ]
+            self.levels.append(
+                _Level(
+                    goals[gs[k] : gs[k + 1]],
+                    starts,
+                    seg_ids,
+                    slice(bs[k], bs[k + 1]),
+                    slice(cs[k], cs[k + 1]),
+                    slice(ss[k], ss[k + 1]),
+                )
+            )
 
 
 def assert_walk_equal(graph):
@@ -639,6 +654,37 @@ def test_flat_construction_equals_formula_walk_on_model_graphs():
     for graph in graphs:
         assert_walk_equal(graph)
         assert_walk_equal(interleaved(graph, rng))
+
+
+def assert_rebuilt_equal(graph):
+    """``graph``, built from slot ids, rebuilt through the constructor from
+    its ``formulas`` (whose instances it resolves by value) compiles to the
+    same arrays, dtypes, levels, tags and order, and reads back the same
+    formulas."""
+    again = ExplanationGraph(graph.switches, graph.labels, graph.formulas, graph.roots)
+    comp, ref = again.compiled(), graph.compiled()
+    arrays = [k for k, v in vars(ref).items() if isinstance(v, np.ndarray)]
+    assert arrays == [k for k, v in vars(comp).items() if isinstance(v, np.ndarray)]
+    for name in arrays:
+        assert_same(getattr(comp, name), getattr(ref, name))
+    assert len(comp.levels) == len(ref.levels)
+    for lv, ref_lv in zip(comp.levels, ref.levels):
+        for name in ("goals", "seg_starts", "seg_ids"):
+            assert_same(getattr(lv, name), getattr(ref_lv, name))
+        assert (lv.bodies, lv.cparts, lv.sparts) == (ref_lv.bodies, ref_lv.cparts, ref_lv.sparts)
+    assert comp.tags == ref.tags and comp.topo_order == ref.topo_order
+    assert again.formulas == graph.formulas
+
+
+def test_slot_built_graphs_equal_their_rebuild_from_formulas():
+    demo20 = load_grammar(DEMO20)
+    sentences = gen_corpus(demo20, demo20.pcfg_parameter_table(), 200, seed=1).sentences()
+    one = [compile(demo20, s) for s in sentences[:20] for compile in (compile_pcfg, compile_plcg)]
+    spec = NBHSpec(("pos", "neg"), 2, tuple((f"a{j}", ("x", "y", "z")) for j in range(1, 13)))
+    rows = _nbh_fold_rows(np.random.default_rng(66), 300)
+    nbh = [compile_nbh_corpus(spec, rows, observed)[0] for observed in (True, False)]
+    for graph in _demo20_graphs() + one + nbh:
+        assert_rebuilt_equal(graph)
 
 
 H, T = SwitchInstance("c", "h"), SwitchInstance("c", "t")

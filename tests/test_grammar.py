@@ -135,6 +135,28 @@ def test_grammar_rejects_unit_cycles():
         Grammar("A", [CFGRule("A", ("A",)), CFGRule("A", ("a",))])
 
 
+def test_unit_cycle_message_is_independent_of_the_hash_seed():
+    # the nonterminals are a set; the cycle is named from their sorted order
+    script = "\n".join([
+        "from explgraph.grammar import CFGRule, Grammar",
+        "rules = [('S', 'A'), ('A', 'B'), ('B', 'A'), ('B', 'b')]",
+        "try:",
+        "    Grammar('S', [CFGRule(lhs, (rhs,)) for lhs, rhs in rules])",
+        "except Exception as e:",
+        "    print(e)",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        out.append(done.stdout)
+    assert out == ["unit-rule cycle: A -> B -> A\n"] * 2
+
+
 def test_left_corner_relation_is_reflexive_transitive(grammar):
     assert grammar.left_corner["S"][0] == "S"
     assert set(grammar.left_corner["S"]) == {"S", "a", "b"}
@@ -435,7 +457,8 @@ def test_plcg_unparseable(grammar):
 def _reference_compile_plcg_into(builder, grammar, tokens, ns, lc):
     """The former left-corner compiler: it creates each goal as soon as
     the goal's own bodies succeed, so goals that no root reaches stay in
-    the graph.  (It also raised the interpreter's recursion limit to
+    the graph.  It reads the switch slots of ``lc`` and hands them to the
+    builder as they are.  (It also raised the interpreter's recursion limit to
     10,000 while it ran; that block is left out here.)"""
     n = len(tokens)
     nts = grammar.nonterminals
@@ -470,8 +493,8 @@ def _reference_compile_plcg_into(builder, grammar, tokens, ns, lc):
         if not bodies:
             return None
         gid = builder.goal(f"{ns}g({render_term(tuple(syms))},{i},{j})")
-        for subs, inst in bodies:
-            builder.add_body(gid, subs, inst)
+        for subs, slots in bodies:
+            builder.add_slot_body(gid, subs, slots)
         memo[key] = gid
         return gid
 
@@ -509,8 +532,8 @@ def _reference_compile_plcg_into(builder, grammar, tokens, ns, lc):
         if not bodies:
             return None
         gid = builder.goal(f"{ns}lc({g0},{b},{k},{j})")
-        for subs, inst, ridx in bodies:
-            builder.add_body(gid, subs, inst, ridx)
+        for subs, slots, ridx in bodies:
+            builder.add_slot_body(gid, subs, slots, ridx)
         memo[key] = gid
         return gid
 

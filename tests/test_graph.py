@@ -18,16 +18,17 @@ from explgraph.graph import (
     Explanation,
     ExplanationGraph,
     GraphBuilder,
+    SwitchDecl,
     SwitchInstance,
+    _resolve,
     check_exclusiveness,
     enumerate_explanations,
     explanation_prob,
     merge_graphs,
     validate_graph,
 )
-from explgraph.compiled import _instance_slots
 from explgraph.grammar import compile_pcfg_corpus
-from explgraph.tables import ParameterTable
+from explgraph.tables import ParameterTable, SlotLayout
 
 from conftest import random_exclusive_graph, random_general_graph, random_theta, toy_grammar
 
@@ -160,23 +161,37 @@ def test_validate_reports_first_bad_instance():
     assert build(ok + ok).n_goals == 4
 
 
-def test_instance_slots_resolve_each_instance_object_once():
+def test_resolve_gives_each_instance_the_slot_of_its_value():
+    layout = SlotLayout({"c": SwitchDecl("c", ("t", "h"))})
     calls = []
 
     def slot(switch, value):
         calls.append((switch, value))
-        if isinstance(value, list):
-            raise UndeclaredValue(f"no value {value}")
-        return len(calls)
+        return layout.slot(switch, value)
 
     a, b = SwitchInstance("c", "h", 2), SwitchInstance("c", "h")
-    c = SwitchInstance("c", ["h"])  # no term is hashed
-    slots, mults, errors = _instance_slots([a, b, a, c, b], slot)
-    assert sorted(calls, key=repr) == [("c", "h"), ("c", "h"), ("c", ["h"])]
-    # equal but distinct objects each get their own verdict
-    assert slots[0] == slots[2] != slots[1] == slots[4] and slots[3] == -1
+    c = SwitchInstance("c", ["h"])  # unhashable: rejected without hashing
+    slots, mults, errors = _resolve([a, b, a, c, SwitchInstance("c", "t")], slot)
+    assert calls == [("c", "h"), ("c", "h"), ("c", "h"), ("c", ["h"]), ("c", "t")]
+    assert slots.tolist() == [1, 1, 1, -1, 0] and slots.dtype == np.int64
     assert mults.tolist() == [2.0, 1.0, 2.0, 1.0, 1.0] and mults.dtype == np.float64
-    assert list(errors) == [id(c)] and isinstance(errors[id(c)], UndeclaredValue)
+    assert list(errors) == [3] and isinstance(errors[3], UndeclaredValue)
+
+
+def test_switch_declared_after_a_body_that_uses_it():
+    b = GraphBuilder()
+    g = b.goal("g")
+    b.add_body(g, [], [SwitchInstance("c", "t"), SwitchInstance("d", 1, 3)])
+    b.declare_switch("d", (0, 1))
+    b.declare_switch("c", ("h", "t"))
+    b.add_root(g)
+    graph = b.build()
+    assert graph.compiled().spart_slot.tolist() == [3, 1]
+    assert graph.compiled().spart_mult.tolist() == [1.0, 3.0]
+    assert graph.formulas[g].bodies[0].instances == (
+        SwitchInstance("c", "t"),
+        SwitchInstance("d", 1, 3),
+    )
 
 
 def test_cycle_detector_against_random_injections():

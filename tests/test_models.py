@@ -256,13 +256,14 @@ def _reference_compile_nbh_corpus(spec, rows, observed_class=True):
 
 
 def test_nbh_learning_and_classification_build_no_formula_objects(monkeypatch):
-    # the flat bodies carry the NBH path from rows to posteriors; only the
-    # lazy ``formulas`` view builds Body and DefiningFormula objects
+    # the flat bodies, switch parts as slot ids, carry the NBH path from
+    # rows to posteriors; only the lazy ``formulas`` view builds Body,
+    # DefiningFormula and SwitchInstance objects
     def refuse(self):
         raise AssertionError(f"{type(self).__name__} built")
 
-    monkeypatch.setattr(Body, "__post_init__", refuse)
-    monkeypatch.setattr(DefiningFormula, "__post_init__", refuse)
+    for cls in (Body, DefiningFormula, SwitchInstance):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
     rng = np.random.default_rng(91)
     spec = _wide_spec(2)
     rows = _random_rows(rng, spec, 60, 0.3)
@@ -278,7 +279,7 @@ def test_nbh_learning_and_classification_build_no_formula_objects(monkeypatch):
         nbh_rows=rows,
     )
     assert len(cv_run(config).folds) == 3
-    with pytest.raises(AssertionError, match="Body built"):
+    with pytest.raises(AssertionError, match="SwitchInstance built"):
         graph.formulas[0]
 
 
