@@ -1014,6 +1014,13 @@ class CorpusSample:
         return [t for _, t in self.samples]
 
 
+def _uniforms(rng: np.random.Generator, block: int = 1024):
+    """Successive ``rng.random()`` values, drawn ``block`` at a time: a
+    block of PCG64 doubles equals as many successive scalar draws."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
 def gen_corpus(
     grammar: Grammar,
     theta: ParameterTable,
@@ -1028,7 +1035,7 @@ def gen_corpus(
     than renormalising it.  Raises :class:`VanishingAcceptance` when the
     rejection rate exceeds 99%.
     """
-    rng = np.random.default_rng(seed)
+    draw = _uniforms(np.random.default_rng(seed)).__next__
     # plain float lists: bisect_right compares the same float64 values as
     # np.searchsorted(side="right") without a numpy call per draw
     cum = {
@@ -1043,7 +1050,7 @@ def gen_corpus(
     def sample(a: str, depth: int, tokens: list[str]) -> ParseTree:
         if depth >= max_depth:
             raise TooDeep()
-        pick = min(bisect_right(cum[a], rng.random()), len(cum[a]) - 1)
+        pick = min(bisect_right(cum[a], draw()), len(cum[a]) - 1)
         ridx = grammar.rules_for[a][pick]
         kids = []
         for s in grammar.rules[ridx].rhs:

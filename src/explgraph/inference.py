@@ -69,9 +69,6 @@ class InsideTable:
     def __getitem__(self, goal: GoalId) -> float:
         return float(np.exp(self.log[goal]))
 
-    def log_value(self, goal: GoalId) -> float:
-        return float(self.log[goal])
-
 
 @dataclass
 class ViterbiResult:

@@ -1,6 +1,6 @@
 """Parameter estimation on explanation graphs.
 
-Three learners share one interface:
+Three learners share one interface and one loop:
 
 * ``em`` maximises the log likelihood of the observed goals, summing over
   explanations via expected counts from one inside and one outside pass
@@ -17,6 +17,16 @@ Three learners share one interface:
   no exclusiveness assumption is needed since only one explanation per
   goal is ever scored.
 
+The method only picks the pass (``_InsidePass`` or ``_ViterbiPass``).
+Each pass scores the current parameters bottom-up, appends the observed
+goals' log values plus ``sum delta * log theta`` to the objective trace,
+applies the method's stop test, and otherwise renormalises the pass's
+counts plus the pseudo counts.  After the last allowed update the loop
+scores the parameters once more, so every trace ends at ``final_theta``;
+that pass still tests the last ``em``/``map`` update, but it is never a
+``vt`` fixed point.  ``iterations`` counts updates for ``em`` and ``map``
+and passes for ``vt``.
+
 Every learner supports random restarts on jittered near-uniform
 initialisations; restarts are fully determined by (seed, restart index).
 """
@@ -26,11 +36,12 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ExplGraphError, ExplGraphWarning, ZeroEvidence
+from .errors import AllZero, ExplGraphError, ExplGraphWarning, ZeroEvidence
 from .graph import Explanation, ExplanationGraph, GoalId
 from .inference import check_nonzero, log_theta_vector
 from .tables import ExpectedCounts, ParameterTable, PseudoCountTable
@@ -140,6 +151,7 @@ class _RowExplanations(SequenceABC):
 
 
 def _observation_seeds(graph: ExplanationGraph, goals: Sequence[GoalId]) -> np.ndarray:
+    graph.require_validated()
     if len(goals) == 0:
         raise ExplGraphError("no observed goals")
     ids = np.asarray(list(goals), dtype=np.int64)
@@ -157,24 +169,6 @@ def _initial_theta(graph: ExplanationGraph, config: LearnConfig, restart: int) -
         weights = 1.0 + rng.uniform(0.0, config.jitter, layout.n_slots)
     theta, _ = layout.normalize(weights)
     return theta
-
-
-def expected_counts(
-    graph: ExplanationGraph, goals: Sequence[GoalId], theta: ParameterTable
-) -> ExpectedCounts:
-    """Expected switch occurrence counts given the observed goals.
-
-    One inside pass plus one posterior-weighted top-down pass over the
-    shared graph; observation multiplicities are handled by seeding each
-    observed goal with its count.
-    """
-    comp = graph.compiled()
-    seeds = _observation_seeds(graph, goals)
-    inside, scores = comp.inside_pass(log_theta_vector(graph, theta))
-    check_nonzero(graph, np.nonzero(seeds)[0], inside, ZeroEvidence)
-    eta, _ = comp.expected_counts_pass(inside, scores, seeds)
-    return ExpectedCounts.from_flat(graph.slots(), eta)
-
 
 
 def _obs_total(seeds_f: np.ndarray, values: np.ndarray) -> float:
@@ -196,86 +190,59 @@ def _warn_degenerate(graph, degenerate) -> None:
         )
 
 
-def em_map_learn(
-    graph: ExplanationGraph, goals: Sequence[GoalId], config: LearnConfig
-) -> LearnReport:
-    """Expectation-maximisation (or MAP with pseudo counts) on the graph.
+class _InsidePass:
+    """``em`` and ``map`` at fixed parameters: the goals' log inside values,
+    and the expected counts of one outside pass when an update asks.  The
+    run stops when the objective changes by at most ``tol`` relative."""
 
-    The objective trace records the log likelihood (plus the log prior
-    term for ``map``) once per pass, starting at the initial parameters;
-    iteration stops when the relative objective change drops below
-    ``config.tol`` or after ``config.max_iter`` updates.
-    """
-    if config.method not in ("em", "map"):
-        raise ExplGraphError("em_map_learn handles methods 'em' and 'map'")
-    comp = graph.compiled()
-    layout = graph.slots()
-    seeds = _observation_seeds(graph, goals)
-    delta = config.delta_flat(graph)
-    seeds_f = seeds.astype(float)
-    observed = np.nonzero(seeds)[0]
+    termination = "tol_reached"
+    counts_passes = False  # ``iterations`` counts updates
 
-    def run(restart: int) -> LearnReport:
-        theta = _initial_theta(graph, config, restart)
-        trace: list[float] = []
-        degenerate: list[str] = []
-        converged = False
-        iterations = 0
-        with np.errstate(divide="ignore"):
-            log_theta = np.log(theta)
-        inside, scores = comp.inside_pass(log_theta)
-        check_nonzero(graph, observed, inside, ZeroEvidence)
-        prev = _obs_total(seeds_f, inside) + _prior_term(delta, log_theta)
-        trace.append(prev)
-        for it in range(1, config.max_iter + 1):
-            iterations = it
-            eta, _ = comp.expected_counts_pass(inside, scores, seeds)
-            theta, degenerate = layout.normalize(eta + delta)
-            with np.errstate(divide="ignore"):
-                log_theta = np.log(theta)
-            inside, scores = comp.inside_pass(log_theta)
-            check_nonzero(graph, observed, inside, ZeroEvidence)
-            current = _obs_total(seeds_f, inside) + _prior_term(delta, log_theta)
-            trace.append(current)
-            if abs(current - prev) <= config.tol * max(1.0, abs(prev)):
-                converged = True
-                break
-            prev = current
-        _warn_degenerate(graph, degenerate)
-        return LearnReport(
-            method=config.method,
-            final_theta=ParameterTable.from_flat(layout, theta),
-            objective_trace=trace,
-            iterations=iterations,
-            converged=converged,
-            termination="tol_reached" if converged else "max_iter",
-            degenerate_switches=degenerate,
-        )
+    def __init__(self, graph, log_theta, seeds, observed):
+        self._comp, self._seeds = graph.compiled(), seeds
+        self.values, self._scores = self._comp.inside_pass(log_theta)
+        check_nonzero(graph, observed, self.values, ZeroEvidence)
 
-    return _best_restart(run, config)
+    def stops(self, trace: list[float], tol: float, prev) -> bool:
+        return len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2]))
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._comp.expected_counts_pass(self.values, self._scores, self._seeds)[0]
 
 
-def vt_learn(
-    graph: ExplanationGraph, goals: Sequence[GoalId], config: LearnConfig
-) -> LearnReport:
-    """Viterbi training: coordinate ascent on explanations and parameters.
+class _ViterbiPass:
+    """``vt`` at fixed parameters: the goals' Viterbi values and the integer
+    counts of the selected explanations, so the update does not depend on
+    summation order.  The observed goals' explanations are read, when first
+    asked for, as exact count rows (:meth:`CompiledGraph.selected_multisets`),
+    and the run stops as soon as a pass's rows equal the previous pass's,
+    even if a tie sent the argmax through another derivation of the same
+    multiset."""
 
-    Each pass computes the Viterbi explanation of every observed goal
-    under the current parameters and then renormalises selected-plus-
-    pseudo counts.  Termination is exact multiset identity: every pass
-    reads the observed goals' explanations as exact integer count rows
-    (:meth:`CompiledGraph.selected_multisets`), and the run stops as soon
-    as a pass's rows equal the previous pass's, even if a tie sent the
-    argmax through a different derivation of the same multiset.  The
-    reported ``per_goal_viterbi`` is read off the best restart's rows when
-    first read; the other restarts' rows are dropped with their reports.
-    Pseudo counts must be strictly positive, which keeps every
-    parameter nonzero across iterations; explanation overlap is irrelevant
-    here because only one explanation per goal is ever scored.
-    """
-    if config.method != "vt":
-        raise ExplGraphError("vt_learn handles method 'vt'")
-    comp = graph.compiled()
+    termination = "fixed_point"
+    counts_passes = True  # ``iterations`` counts passes
+
+    def __init__(self, graph, log_theta, seeds, observed):
+        self._comp, self._observed = graph.compiled(), observed
+        self.values, self._sel = self._comp.viterbi_pass(log_theta)
+        check_nonzero(graph, observed, self.values, AllZero)
+        self.counts, self._use = self._comp.selected_counts_pass(self._sel, seeds)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self._comp.selected_multisets(self._sel, self.counts, self._use, self._observed)
+
+    def stops(self, trace: list[float], tol: float, prev) -> bool:
+        return prev is not None and np.array_equal(self.rows, prev.rows)
+
+
+_PASSES = {"em": _InsidePass, "map": _InsidePass, "vt": _ViterbiPass}
+
+
+def _learn(graph: ExplanationGraph, goals: Sequence[GoalId], config: LearnConfig) -> LearnReport:
+    """The loop of every learner (see the module docstring)."""
+    method = _PASSES[config.method]
     layout = graph.slots()
     seeds = _observation_seeds(graph, goals)
     delta = config.delta_flat(graph)
@@ -287,41 +254,62 @@ def vt_learn(
         theta = _initial_theta(graph, config, restart)
         trace: list[float] = []
         degenerate: list[str] = []
-        rows = None
-        converged = False
-        iterations = 0
-        for it in range(1, config.max_iter + 1):
-            iterations = it
+        prev = None
+        for updates in range(config.max_iter + 1):
             with np.errstate(divide="ignore"):
                 log_theta = np.log(theta)
-            best, sel = comp.viterbi_pass(log_theta)
-            check_nonzero(graph, observed, best)
-            trace.append(_obs_total(seeds_f, best) + _prior_term(delta, log_theta))
-            # integer counts, so the update does not depend on summation order
-            eta, use = comp.selected_counts_pass(sel, seeds)
-            prev, rows = rows, comp.selected_multisets(sel, eta, use, observed)
-            if prev is not None and np.array_equal(rows, prev):
-                converged = True
+            cur = method(graph, log_theta, seeds, observed)
+            trace.append(_obs_total(seeds_f, cur.values) + _prior_term(delta, log_theta))
+            iteration = updates + method.counts_passes
+            converged = iteration <= config.max_iter and cur.stops(trace, config.tol, prev)
+            if converged or updates == config.max_iter:
                 break
-            theta, degenerate = layout.normalize(eta + delta)
-        if not converged:
-            # keep the reported explanations consistent with final_theta
-            with np.errstate(divide="ignore"):
-                _, sel = comp.viterbi_pass(np.log(theta))
-            rows = comp.selected_multisets(sel, *comp.selected_counts_pass(sel, seeds), observed)
+            theta, degenerate = layout.normalize(cur.counts + delta)
+            prev = cur
         _warn_degenerate(graph, degenerate)
         return LearnReport(
-            method="vt",
+            method=config.method,
             final_theta=ParameterTable.from_flat(layout, theta),
             objective_trace=trace,
-            iterations=iterations,
+            iterations=min(iteration, config.max_iter),
             converged=converged,
-            termination="fixed_point" if converged else "max_iter",
-            per_goal_viterbi=_RowExplanations(layout, rows, pick),
+            termination=method.termination if converged else "max_iter",
+            per_goal_viterbi=_RowExplanations(layout, cur.rows, pick) if method is _ViterbiPass else None,
             degenerate_switches=degenerate,
         )
 
     return _best_restart(run, config)
+
+
+def em_map_learn(
+    graph: ExplanationGraph, goals: Sequence[GoalId], config: LearnConfig
+) -> LearnReport:
+    """Expectation-maximisation (or MAP with pseudo counts) on the graph.
+
+    The run stops when the relative objective change drops to
+    ``config.tol`` or after ``config.max_iter`` updates.
+    """
+    if config.method not in ("em", "map"):
+        raise ExplGraphError("em_map_learn handles methods 'em' and 'map'")
+    return _learn(graph, goals, config)
+
+
+def vt_learn(
+    graph: ExplanationGraph, goals: Sequence[GoalId], config: LearnConfig
+) -> LearnReport:
+    """Viterbi training: coordinate ascent on explanations and parameters.
+
+    The run stops at the first pass whose observed goals' explanations,
+    as count multisets, equal the previous pass's, or after
+    ``config.max_iter`` passes.  ``per_goal_viterbi`` is read off the best
+    restart's last rows when first read.  Pseudo counts must be strictly
+    positive, which keeps every parameter nonzero across iterations;
+    explanation overlap is irrelevant because only one explanation per
+    goal is ever scored.
+    """
+    if config.method != "vt":
+        raise ExplGraphError("vt_learn handles method 'vt'")
+    return _learn(graph, goals, config)
 
 
 def learn(graph, goals, config: LearnConfig) -> LearnReport:
@@ -355,6 +343,20 @@ def _best_restart(run, config: LearnConfig) -> LearnReport:
     return best_report
 
 
+def expected_counts(
+    graph: ExplanationGraph, goals: Sequence[GoalId], theta: ParameterTable
+) -> ExpectedCounts:
+    """Expected switch occurrence counts given the observed goals.
+
+    One inside pass plus one posterior-weighted top-down pass over the
+    shared graph; observation multiplicities are handled by seeding each
+    observed goal with its count.
+    """
+    seeds = _observation_seeds(graph, goals)
+    em = _InsidePass(graph, log_theta_vector(graph, theta), seeds, np.nonzero(seeds)[0])
+    return ExpectedCounts.from_flat(graph.slots(), em.counts)
+
+
 def objective(
     method: str,
     graph: ExplanationGraph,
@@ -374,25 +376,17 @@ def objective(
     """
     if method not in METHODS:
         raise ExplGraphError(f"unknown learning method {method!r}")
-    comp = graph.compiled()
     layout = graph.slots()
     seeds = _observation_seeds(graph, goals)
-    observed = np.nonzero(seeds)[0]
     log_theta = log_theta_vector(graph, theta)
     delta_flat = np.zeros(layout.n_slots) if delta is None else layout.flatten(delta)
-
-    if method in ("em", "map"):
-        inside, _ = comp.inside_pass(log_theta)
-        check_nonzero(graph, observed, inside, ZeroEvidence)
-        value = _obs_total(seeds.astype(float), inside)
-        if method == "map":
-            value += _prior_term(delta_flat, log_theta)
-        return value
-
-    best, sel = comp.viterbi_pass(log_theta)
-    check_nonzero(graph, observed, best)
-    eta, _ = comp.selected_counts_pass(sel, seeds)
-    used = eta > 0
-    with np.errstate(invalid="ignore"):
-        term = (eta + delta_flat) * log_theta
-    return float(np.sum(term[used]))
+    scored = _PASSES[method](graph, log_theta, seeds, np.nonzero(seeds)[0])
+    if method == "vt":
+        eta = scored.counts
+        with np.errstate(invalid="ignore"):
+            term = (eta + delta_flat) * log_theta
+        return float(np.sum(term[eta > 0]))
+    value = _obs_total(seeds.astype(float), scored.values)
+    if method == "map":
+        value += _prior_term(delta_flat, log_theta)
+    return value

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import itertools
 import math
@@ -23,6 +24,7 @@ from explgraph.errors import (
 )
 from explgraph.grammar import (
     CFGRule,
+    CorpusSample,
     Grammar,
     ParseTree,
     compile_pcfg,
@@ -1359,6 +1361,79 @@ def test_gen_corpus_vanishing_acceptance():
     grammar = Grammar("S", [CFGRule("S", ("S", "S")), CFGRule("S", ("a",))], [0.99, 0.01])
     with pytest.raises(VanishingAcceptance):
         gen_corpus(grammar, grammar.pcfg_parameter_table(), 10, seed=0, max_depth=3)
+
+
+def _reference_gen_corpus(grammar, theta, n, seed=0, max_depth=20):
+    """The sampler before it drew its uniforms in blocks: one
+    ``rng.random()`` call per rule choice."""
+    rng = np.random.default_rng(seed)
+    cum = {
+        a: np.cumsum(theta.vector(a, len(grammar.rules_for[a]))).tolist()
+        for a in grammar.rules_for
+    }
+
+    class TooDeep(Exception):
+        pass
+
+    def sample(a, depth, tokens):
+        if depth >= max_depth:
+            raise TooDeep()
+        pick = min(bisect.bisect_right(cum[a], rng.random()), len(cum[a]) - 1)
+        kids = []
+        for s in grammar.rules[grammar.rules_for[a][pick]].rhs:
+            if s in grammar.nonterminals:
+                kids.append(sample(s, depth + 1, tokens))
+            else:
+                kids.append(s)
+                tokens.append(s)
+        return ParseTree(a, tuple(kids))
+
+    samples = []
+    rejected = attempted = 0
+    while len(samples) < n:
+        attempted += 1
+        tokens = []
+        try:
+            tree = sample(grammar.start, 0, tokens)
+        except TooDeep:
+            rejected += 1
+            if attempted >= 100 and rejected / attempted > 0.99:
+                raise VanishingAcceptance(
+                    f"rejected {rejected} of {attempted} draws at max_depth={max_depth}"
+                ) from None
+            continue
+        samples.append((tokens, tree))
+    return CorpusSample(samples, rejected, attempted)
+
+
+@pytest.mark.parametrize("n, max_depth", [(1, 20), (1000, 20), (300, 6), (500, 4)])
+def test_block_draws_equal_the_scalar_sampler(n, max_depth):
+    demo20 = load_grammar(DEMO20)
+    theta = demo20.pcfg_parameter_table()
+    rejections = 0
+    for seed in range(5):
+        sample = gen_corpus(demo20, theta, n, seed=seed, max_depth=max_depth)
+        want = _reference_gen_corpus(demo20, theta, n, seed=seed, max_depth=max_depth)
+        assert sample.samples == want.samples
+        assert (sample.rejected, sample.attempted) == (want.rejected, want.attempted)
+        rejections += sample.rejected
+    assert (rejections > 0) == (max_depth < 20)
+
+
+def test_block_draws_vanish_where_the_scalar_sampler_does():
+    grammar = Grammar("S", [CFGRule("S", ("S", "S")), CFGRule("S", ("a",))], [0.99, 0.01])
+    theta = grammar.pcfg_parameter_table()
+
+    def outcome(sampler, seed):
+        try:
+            sample = sampler(grammar, theta, 10, seed=seed, max_depth=3)
+        except VanishingAcceptance as e:
+            return str(e)
+        return sample.samples, sample.rejected, sample.attempted
+
+    outcomes = [outcome(gen_corpus, seed) for seed in range(8)]
+    assert outcomes == [outcome(_reference_gen_corpus, seed) for seed in range(8)]
+    assert sum(isinstance(o, str) for o in outcomes) >= 4
 
 
 def _depth(tree):

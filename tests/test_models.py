@@ -289,7 +289,7 @@ def _reference_classify(spec, theta, row):
         spec, [DataRow(c, row.values) for c in spec.classes]
     )
     table = inside_prob(graph, theta)
-    logs = np.array([table.log_value(r) for r in roots])
+    logs = np.array([table.log[r] for r in roots])
     if np.all(np.isneginf(logs)):
         raise AllZero("all class scores are zero for this row")
     shift = logs - logs.max()
