@@ -355,15 +355,16 @@ class _SymbolBits:
     cell mask; built once per grammar (``Grammar._symbol_bits``), the
     memos serve every sentence compiled with it.
 
-    ``steps`` serves the PCFG frontend.  Per goal head, ``("A",)`` for
-    nonterminal ``A`` or ``("dot", "r,t")`` for the dotted prefix ``(r, t)``,
-    it lists the head's rule steps in body order as (switch slots, in the
-    layout of ``Grammar._pcfg_decls``, rule tag, ``t``, first bit, last
-    bit, first side, last side), the steps of ``pairs`` for the head's
-    rules.  A step over ``t`` symbols splits a span into its first
-    ``t - 1`` symbols and its last one; a unit rule (``t == 1``) splits it
-    at its end, into the rule's symbol and ``()``.  A side is ``None`` for
-    a terminal or ``()``, else its goal head.
+    ``layout`` is the slot layout of ``Grammar._pcfg_decls`` and
+    ``rule_slot[r]`` the slot of rule ``r``.  ``steps`` serves the PCFG
+    frontend.  Per goal head, ``("A",)`` for nonterminal ``A`` or
+    ``("dot", "r,t")`` for the dotted prefix ``(r, t)``, it lists the
+    head's rule steps in body order as (switch slots, rule tag, ``t``,
+    first bit, last bit, first side, last side), the steps of ``pairs``
+    for the head's rules.  A step over ``t`` symbols splits a span into
+    its first ``t - 1`` symbols and its last one; a unit rule (``t ==
+    1``) splits it at its end, into the rule's symbol and ``()``.  A side
+    is ``None`` for a terminal or ``()``, else its goal head.
     """
 
     def __init__(self, grammar: Grammar):
@@ -377,10 +378,11 @@ class _SymbolBits:
         self.units: list[tuple[int, int]] = []
         self.steps: dict[tuple, list[tuple]] = {(a,): [] for a in grammar.nonterminals}
         side = {a: (a,) for a in grammar.nonterminals}
-        slot = SlotLayout(grammar._pcfg_decls).slot
+        self.layout = SlotLayout(grammar._pcfg_decls)
+        self.rule_slot = [self.layout.slot(r.lhs, r.rhs) for r in grammar.rules]
         for ridx, rule in enumerate(grammar.rules):
             rhs, m = rule.rhs, len(rule.rhs)
-            inst = (slot(rule.lhs, rhs),)
+            inst = (self.rule_slot[ridx],)
             left, first = self.bit[rhs[0]], side.get(rhs[0])
             if m == 1:
                 self.units.append((left, self.bit[rule.lhs]))
@@ -625,7 +627,7 @@ class _LeftCornerSwitches:
 
     Built once per grammar (``Grammar._lc_switches``).  ``decls`` holds
     the switch declarations by rendered name, in declaration order, and
-    the tables hold slots of their layout: ``first[g, w]`` shifts word
+    the tables hold slots of their ``layout``: ``first[g, w]`` shifts word
     ``w`` for goal ``g``; ``grow[g, b]`` pairs each rule index usable when
     a finished ``b`` grows toward ``g`` with its ``lc(g,b)`` slot; and
     ``attach[g]`` holds the ``att(g)`` slots (attach, project) where ``g``
@@ -655,7 +657,8 @@ class _LeftCornerSwitches:
                 switch = Term("att", (a,))
                 self.decls[render_term(switch)] = SwitchDecl(switch, ("att", "pro"))
                 attach[a] = (switch, "att"), (switch, "pro")
-        slot = SlotLayout(self.decls).slot
+        self.layout = SlotLayout(self.decls)
+        slot = self.layout.slot
         self.first = {key: slot(*pair) for key, pair in first.items()}
         self.grow = {key: [(i, slot(*pair)) for i, pair in v] for key, v in grow.items()}
         self.attach = {key: (slot(*att), slot(*pro)) for key, (att, pro) in attach.items()}
@@ -790,7 +793,8 @@ def tree_from_explanation(
     (tree,) = walk.sequence((grammar.start,), derivation)
     if walk.pos != len(tokens):
         raise InconsistentExplanation("derivation does not cover the sentence")
-    if Explanation(walk.uses) != explanation:
+    pairs = walk.tables.layout.slot_pairs
+    if {pairs[s]: m for s, m in walk.uses.items()} != dict(explanation.items()):
         raise InconsistentExplanation("derivation does not reproduce the explanation")
     return tree
 
@@ -839,18 +843,30 @@ def _search_derivation(graph: ExplanationGraph, explanation: Explanation, limit:
 class _TreeWalk:
     """One left-to-right walk of a derivation over a sentence.
 
-    ``pos`` is the next token to consume and ``uses`` collects the
-    derivation's switch instances, to be compared with the explanation.
-    A step that the grammar or the sentence does not allow raises
-    :class:`InconsistentExplanation`.
+    ``pos`` is the next token to consume and ``uses`` counts the slots of
+    the derivation's switch instances, in the layout of ``tables``, to be
+    compared with the explanation: a PCFG node's rule slot
+    (``_SymbolBits.rule_slot``) or a left-corner chain's slots
+    (``_LeftCornerSwitches``).  A step that the grammar or the sentence
+    does not allow raises :class:`InconsistentExplanation`.
     """
 
     def __init__(self, grammar: Grammar, tokens: tuple[str, ...], mode: str):
         self.grammar = grammar
         self.tokens = tokens
         self.pos = 0
-        self.uses: list[SwitchInstance] = []
-        self.subtree = self.expand if mode == "pcfg" else self.left_corner
+        self.uses: dict[int, int] = {}
+        if mode == "pcfg":
+            self.tables, self.subtree = grammar._symbol_bits, self.expand
+        else:
+            self.tables, self.subtree = grammar._lc_switches, self.left_corner
+
+    def use(self, slot: Optional[int], refusal: str = "") -> None:
+        """Count one use of ``slot``; ``None``, a switch the grammar lacks,
+        raises ``refusal``."""
+        if slot is None:
+            raise InconsistentExplanation(refusal)
+        self.uses[slot] = self.uses.get(slot, 0) + 1
 
     def token(self) -> str:
         if self.pos >= len(self.tokens):
@@ -858,11 +874,11 @@ class _TreeWalk:
         self.pos += 1
         return self.tokens[self.pos - 1]
 
-    def rule(self, node) -> tuple[CFGRule, tuple]:
+    def rule(self, node) -> tuple[int, CFGRule, tuple]:
         ridx, kids = node
         if not 0 <= ridx < len(self.grammar.rules):
             raise InconsistentExplanation(f"derivation names no rule {ridx}")
-        return self.grammar.rules[ridx], kids
+        return ridx, self.grammar.rules[ridx], kids
 
     def sequence(self, symbols: Sequence[str], nodes: tuple) -> list:
         """Children covering ``symbols``, one node per nonterminal, in order."""
@@ -883,10 +899,10 @@ class _TreeWalk:
 
     def expand(self, symbol: str, node) -> ParseTree:
         """Rule-expansion node: its rule rewrites ``symbol``."""
-        rule, kids = self.rule(node)
+        ridx, rule, kids = self.rule(node)
         if rule.lhs != symbol:
             raise InconsistentExplanation(f"derivation expands {rule.lhs} where {symbol} stands")
-        self.uses.append(SwitchInstance(rule.lhs, rule.rhs))
+        self.use(self.tables.rule_slot[ridx])
         return ParseTree(symbol, tuple(self.sequence(rule.rhs, kids)))
 
     def left_corner(self, goal: str, node) -> ParseTree:
@@ -897,26 +913,24 @@ class _TreeWalk:
         nonterminal of ``beta`` attaches (A is the goal); one more child is
         the chain's next node.
         """
-        grammar = self.grammar
+        lc, nts = self.tables, self.grammar.nonterminals
         label = done = self.token()
-        self.uses.append(SwitchInstance(Term("first", (goal,)), label))
-        self_lc = bool(grammar.lc_rule_values(goal, goal))
+        self.use(lc.first.get((goal, label)), f"derivation shifts {label!r} for {goal}")
+        attach = lc.attach.get(goal)
         while True:
-            rule, kids = self.rule(node)
-            if rule.rhs[0] != label or rule.lhs not in grammar.left_corner[goal]:
-                raise InconsistentExplanation(f"derivation applies {rule} to a finished {label}")
-            value = Term("rule", (rule.lhs, tuple(rule.rhs)))
-            self.uses.append(SwitchInstance(Term("lc", (goal, label)), value))
+            ridx, rule, kids = self.rule(node)
+            grow = dict(lc.grow.get((goal, label), ()))
+            self.use(grow.get(ridx), f"derivation applies {rule} to a finished {label}")
             beta = rule.rhs[1:]
-            arity = sum(s in grammar.nonterminals for s in beta)
+            arity = sum(s in nts for s in beta)
             if len(kids) == arity and rule.lhs == goal:
-                if self_lc:
-                    self.uses.append(SwitchInstance(Term("att", (goal,)), "att"))
+                if attach is not None:
+                    self.use(attach[0])
                 return ParseTree(goal, (done, *self.sequence(beta, kids)))
             if len(kids) != arity + 1:
                 raise InconsistentExplanation(f"derivation does not finish {rule.lhs} as {goal}")
             if rule.lhs == goal:
-                self.uses.append(SwitchInstance(Term("att", (goal,)), "pro"))
+                self.use(None if attach is None else attach[1], f"derivation projects {goal}")
             done = ParseTree(rule.lhs, (done, *self.sequence(beta, kids[:-1])))
             label, node = rule.lhs, kids[-1]
 
@@ -931,25 +945,21 @@ def count_ml(
     treebank: Sequence[ParseTree],
     delta: Optional[PseudoCountTable] = None,
 ) -> ParameterTable:
-    """Rule-expansion probabilities by (pseudo-)counting over a treebank."""
-    decls = grammar._pcfg_decls
-    counts = {a: np.zeros(len(decl.values)) for a, decl in decls.items()}
+    """Rule-expansion probabilities by (pseudo-)counting over a treebank.
+
+    The counts fill the slots of the PCFG layout and are normalised as the
+    learners' M-step normalises them (:meth:`SlotLayout.normalize`), so on
+    complete data counting and learning agree bit for bit.
+    """
+    layout = grammar._symbol_bits.layout
+    counts = np.zeros(layout.n_slots)
     for tree in treebank:
         grammar.validate_tree(tree)
         for (lhs, rhs), c in tree.rule_counts().items():
-            counts[lhs][decls[lhs].value_index(tuple(rhs))] += c
+            counts[layout.slot(lhs, rhs)] += c
     if delta is not None:
-        for a in counts:
-            counts[a] = counts[a] + delta.vector(a, len(decls[a].values))
-    data = {}
-    flagged = []
-    for a, vec in counts.items():
-        s = vec.sum()
-        if s <= 0:
-            flagged.append(a)
-            data[a] = np.full(len(vec), 1.0 / len(vec))
-        else:
-            data[a] = vec / s
+        counts += layout.flatten(delta)
+    theta, flagged = layout.normalize(counts)
     if flagged:
         warnings.warn(
             "nonterminals unseen in the treebank got uniform probabilities: "
@@ -957,7 +967,7 @@ def count_ml(
             ExplGraphWarning,
             stacklevel=2,
         )
-    return ParameterTable(decls, data)
+    return ParameterTable.from_flat(layout, theta)
 
 
 @dataclass

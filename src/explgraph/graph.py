@@ -178,8 +178,8 @@ class Explanation:
 class Body:
     """One disjunct of a defining formula: subgoal refs plus switch instances.
 
-    ``tag`` is the provenance a frontend records for the body (the grammar
-    frontends store a rule index); it takes no part in equality.
+    ``tag`` is the provenance a frontend records for the body (a rule
+    index, or the node a path move reaches); it takes no part in equality.
     """
 
     subgoals: tuple[GoalId, ...] = ()

@@ -42,7 +42,6 @@ from .models import (
     nbh_classify_rows,
     six_node_demo_graph,
 )
-from .terms import render_term
 
 __all__ = [
     "ExperimentConfig",
@@ -270,29 +269,13 @@ class SessionResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _edges_of(explanation) -> list[tuple[int, int]]:
-    out = []
-    for (s, v), m in explanation.items():
-        if render_term(v) == "on":
-            out.append((s.args[0], s.args[1]))
-    return out
-
-
-def _path_nodes(explanation, start: int) -> list[int]:
-    """Node sequence of a simple path from its undirected edge set."""
-    edges = _edges_of(explanation)
-    nodes = [start]
-    remaining = list(edges)
-    while remaining:
-        nxt = None
-        for e in list(remaining):
-            if nodes[-1] in e:
-                nxt = e[0] if e[1] == nodes[-1] else e[1]
-                remaining.remove(e)
-                break
-        if nxt is None:
-            return nodes + [None]  # not a path from start; report as-is
-        nodes.append(nxt)
+def _route(explanation, start: int) -> list[int]:
+    """The nodes of a path explanation's route, read off its derivation:
+    each move body is tagged with the node it moves to."""
+    nodes, derivation = [start], explanation.derivation
+    while derivation:
+        ((node, derivation),) = derivation
+        nodes.append(node)
     return nodes
 
 
@@ -315,7 +298,7 @@ def run_session(delta: float = 1.0, seed: int = 0, strict: bool = True) -> Sessi
     lines.append("?- viterbi path(1,4)")
     lines.append(f"P = {pre.prob:.6g}")
     lines.append("VE = " + pre.explanation.render())
-    lines.append(f"route: {' -> '.join(map(str, _path_nodes(pre.explanation, 1)))}")
+    lines.append(f"route: {' -> '.join(map(str, _route(pre.explanation, 1)))}")
 
     verdict = check_exclusiveness(enumerate_explanations(graph, g14))
     lines.append(f"exclusiveness of expl(path(1,4)): {verdict}")
@@ -335,18 +318,18 @@ def run_session(delta: float = 1.0, seed: int = 0, strict: bool = True) -> Sessi
     lines.append("?- viterbi path(1,4)")
     lines.append(f"P = {post.prob:.6g}")
     lines.append("VE = " + post.explanation.render())
-    lines.append(f"route: {' -> '.join(map(str, _path_nodes(post.explanation, 1)))}")
+    lines.append(f"route: {' -> '.join(map(str, _route(post.explanation, 1)))}")
 
     def check(name, cond):
         if not cond:
             diagnostics.append(f"check failed: {name}")
 
-    check("pre-learning route is 1 -> 2 -> 3 -> 4", _path_nodes(pre.explanation, 1) == _PRE_PATH)
+    check("pre-learning route is 1 -> 2 -> 3 -> 4", _route(pre.explanation, 1) == _PRE_PATH)
     check(
         "pre-learning probability is 0.432",
         abs(pre.prob - _PRE_PROB) <= 1e-9 * _PRE_PROB,
     )
-    check("post-learning route is 1 -> 6 -> 5 -> 4", _path_nodes(post.explanation, 1) == _POST_PATH)
+    check("post-learning route is 1 -> 6 -> 5 -> 4", _route(post.explanation, 1) == _POST_PATH)
     check("training reached a fixed point", report.termination == "fixed_point")
 
     ok = not diagnostics

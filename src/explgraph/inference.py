@@ -77,10 +77,10 @@ class ViterbiResult:
     ``choice_trace`` records, for every goal reachable through the
     selected bodies, the index of the body it selected.  When the graph's
     bodies carry frontend tags (the grammar frontends tag each rule
-    application), ``explanation.derivation`` holds the selected proof as
-    nested ``(tag, children)`` tuples, from which
-    :func:`explgraph.grammar.tree_from_explanation` reads the parse tree
-    in linear time.  Ties between bodies of equal score go to the lowest
+    application, the path frontend each move), ``explanation.derivation``
+    holds the selected proof as nested ``(tag, children)`` tuples, from
+    which :func:`explgraph.grammar.tree_from_explanation` reads the parse
+    tree in linear time.  Ties between bodies of equal score go to the lowest
     body index of each goal, for both the explanation and the derivation.
     """
 

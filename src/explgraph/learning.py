@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 METHODS = ("em", "map", "vt")
+# ``jittered_uniform`` draws per-slot weights 1 + U(0, JITTER)
+JITTER = 0.01
 
 
 @dataclass
@@ -66,7 +68,7 @@ class LearnConfig:
     ``pseudo_counts`` wins over the scalar ``delta`` when both are given;
     with neither, ``map`` and ``vt`` default to 1.0 per (switch, value)
     and ``em`` uses none (pseudo counts are ignored under ``em``).
-    ``init`` is ``"jittered_uniform"`` (per-slot weights 1 + U(0, jitter),
+    ``init`` is ``"jittered_uniform"`` (per-slot weights 1 + U(0, 0.01),
     normalised) or ``"uniform"``.
     """
 
@@ -78,7 +80,6 @@ class LearnConfig:
     restarts: int = 1
     seed: int = 0
     init: str = "jittered_uniform"
-    jitter: float = 0.01
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -166,7 +167,7 @@ def _initial_theta(graph: ExplanationGraph, config: LearnConfig, restart: int) -
         weights = np.ones(layout.n_slots)
     else:
         rng = np.random.default_rng((config.seed, restart))
-        weights = 1.0 + rng.uniform(0.0, config.jitter, layout.n_slots)
+        weights = 1.0 + rng.uniform(0.0, JITTER, layout.n_slots)
     theta, _ = layout.normalize(weights)
     return theta
 
@@ -181,12 +182,14 @@ def _obs_total(seeds_f: np.ndarray, values: np.ndarray) -> float:
 
 
 def _warn_degenerate(graph, degenerate) -> None:
+    """Warn at the caller of ``learn``, ``em_map_learn`` or ``vt_learn``: the
+    stack level skips this, ``run``, ``_best_restart``, ``_learn`` and the entry."""
     if degenerate:
         warnings.warn(
             "switches never observed in any goal's derivations keep their "
             "prior/uniform parameters: " + ", ".join(degenerate),
             ExplGraphWarning,
-            stacklevel=3,
+            stacklevel=6,
         )
 
 
@@ -313,10 +316,8 @@ def vt_learn(
 
 
 def learn(graph, goals, config: LearnConfig) -> LearnReport:
-    """Dispatch to the learner selected by ``config.method``."""
-    if config.method == "vt":
-        return vt_learn(graph, goals, config)
-    return em_map_learn(graph, goals, config)
+    """The learner selected by ``config.method``."""
+    return _learn(graph, goals, config)
 
 
 def _prior_term(delta: np.ndarray, log_theta: np.ndarray) -> float:

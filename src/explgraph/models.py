@@ -15,7 +15,9 @@ explanations overlap: sum-product values over this frontend are scores,
 while Viterbi inference and Viterbi training remain exact.
 
 The NBH frontend hands the builder slot ids, from a table built once per
-:class:`NBHSpec`; the path frontend hands it switch instances.
+:class:`NBHSpec`; the path frontend hands it switch instances and tags
+each move with the node it moves to, so a Viterbi explanation's
+derivation is its route.
 """
 
 from __future__ import annotations
@@ -334,12 +336,12 @@ def _compile_path_into(
                 continue
             child = build(z, visited | {z})
             if child is not None:
-                bodies.append(([child], [SwitchInstance(sw, "on")]))
+                bodies.append(([child], [SwitchInstance(sw, "on")], z))
         if not bodies:
             return None
         gid = builder.goal(_path_label(u, target, visited))
-        for subs, inst in bodies:
-            builder.add_body(gid, subs, inst)
+        for subs, inst, z in bodies:
+            builder.add_body(gid, subs, inst, z)
         memo[key] = gid
         return gid
 

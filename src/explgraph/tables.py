@@ -43,8 +43,9 @@ class SlotLayout:
             self.offsets[k] = off
             off += len(self.decls[k].values)
         self.n_slots = off
-        # reduceat segment starts, one per switch
+        # reduceat segment starts and segment sizes, one per switch
         self.starts = np.array([self.offsets[k] for k in self.keys], dtype=np.int64)
+        self.sizes = np.diff(self.starts, append=self.n_slots)
         # reverse lookup: slot -> (switch, value)
         self.slot_pairs: list[tuple[TermLike, TermLike]] = [
             (d.id, v) for d in self.decls.values() for v in d.values
@@ -87,15 +88,11 @@ class SlotLayout:
         reported back as degenerate.
         """
         sums = np.add.reduceat(flat, self.starts)
-        degenerate = [k for k, s in zip(self.keys, sums) if s <= 0.0]
-        out = np.empty_like(flat)
-        for k, s in zip(self.keys, sums):
-            lo = self.offsets[k]
-            hi = lo + len(self.decls[k].values)
-            if s <= 0.0:
-                out[lo:hi] = 1.0 / (hi - lo)
-            else:
-                out[lo:hi] = flat[lo:hi] / s
+        zero = sums <= 0.0
+        degenerate = [self.keys[k] for k in np.flatnonzero(zero).tolist()]
+        # a degenerate switch's entries become 1 / its size, the others entry / sum
+        spread = np.repeat(zero, self.sizes)
+        out = np.where(spread, 1.0, flat) / np.repeat(np.where(zero, self.sizes, sums), self.sizes)
         return out, degenerate
 
 

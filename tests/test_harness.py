@@ -180,9 +180,26 @@ def test_cv_config_validation():
         ExperimentConfig(task="pcfg", folds=2, grammar=grammar)
 
 
+SESSION_TRANSCRIPT = """\
+?- viterbi path(1,4)
+P = 0.432
+VE = {d_e(1,2)=on, d_e(2,3)=on, d_e(3,4)=on}
+route: 1 -> 2 -> 3 -> 4
+exclusiveness of expl(path(1,4)): overlapping
+?- learn([path(1,4), path(1,3), path(2,4), path(2,5), path(3,6)]) by vt
+vt: 2 passes, fixed_point, objective -16.2086
+?- viterbi path(1,4)
+P = 0.355556
+VE = {d_e(1,6)=on, d_e(5,4)=on, d_e(6,5)=on}
+route: 1 -> 6 -> 5 -> 4
+session ok
+"""
+
+
 def test_session_checks_pass():
     result = run_session()
     assert result.ok
+    assert result.transcript == SESSION_TRANSCRIPT
     assert "P = 0.432" in result.transcript
     assert "route: 1 -> 2 -> 3 -> 4" in result.transcript
     assert "route: 1 -> 6 -> 5 -> 4" in result.transcript

@@ -19,10 +19,11 @@ from explgraph.learning import (
     LearnConfig,
     em_map_learn,
     expected_counts,
+    learn,
     objective,
     vt_learn,
 )
-from explgraph.tables import ParameterTable, PseudoCountTable
+from explgraph.tables import ParameterTable, PseudoCountTable, SlotLayout
 
 from conftest import body_index, random_exclusive_graph, random_general_graph, random_theta
 
@@ -169,6 +170,19 @@ def test_degenerate_switch_flagged():
     report = em_map_learn(graph, [g], LearnConfig(method="map", delta=2.0))
     assert report.degenerate_switches == []
     assert report.final_theta.vector("unused") == pytest.approx([1 / 3] * 3)
+
+
+def test_degenerate_warning_points_at_the_caller(monkeypatch):
+    graph, g = choice_goal()
+    normalize = SlotLayout.normalize
+    # vt and map never leave a switch degenerate (their pseudo counts are
+    # positive), so every entry point is made to flag switch s
+    monkeypatch.setattr(SlotLayout, "normalize", lambda self, flat: (normalize(self, flat)[0], ["s"]))
+    for call, method in ((learn, "em"), (learn, "vt"), (em_map_learn, "map"), (vt_learn, "vt")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(graph, [g], LearnConfig(method=method, max_iter=1))
+        assert caught and {w.filename for w in caught} == {__file__}, (call, method)
 
 
 # -- VT -----------------------------------------------------------------------
