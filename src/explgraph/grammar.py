@@ -23,7 +23,7 @@ PRISM's tabling shares recurring subgoals.  The labels are unambiguous
 because no token contains ``,``, ``[`` or ``]`` (``terms._RESERVED``).
 
 Both frontends recognise a sentence before they emit any goal, by one
-core: a bitmask CKY chart of the symbols, dotted prefixes and rule
+core: a position-major CKY chart of the symbols, dotted prefixes and rule
 suffixes that derive each span, one explicit-stack post-order walk
 (``_walk``) from the root that reads each key's bodies off the chart,
 with one bit test per split side, into a memo that lists every key after
@@ -147,7 +147,7 @@ class Grammar:
 
     @cached_property
     def _symbol_bits(self) -> "_SymbolBits":
-        """Bitmask CKY tables, built on the first compile call and kept."""
+        """CKY chart bit tables, built on the first compile call and kept."""
         return _SymbolBits(self)
 
     @cached_property
@@ -337,23 +337,22 @@ def _check_sentence(grammar: Grammar, sentence: Sequence[str]) -> tuple[str, ...
 
 
 class _SymbolBits:
-    """Bit-per-symbol tables for bitmask CKY over one grammar.
+    """Bit-per-symbol tables for the position-major CKY chart of one grammar.
 
     Every nonterminal, every terminal, the empty sequence ``()``, every
     dotted prefix ``(rule, t)`` (the first ``t`` symbols of a rule longer
     than ``t``, for ``t >= 2``: the grammar's implicit binarisation) and
     every distinct rule suffix ``rhs[t:]`` of at least two symbols, for
-    ``t >= 1`` (the mirror image of the prefixes), owns one bit, so a
-    chart cell is one int.  ``pairs`` lists the binary steps (left bit,
-    right bit, parent bit): a prefix grows by its next symbol, a suffix is
-    its first symbol before the rest.  ``units`` lists the unit rules
-    (child bit, parent bit).  ``suffix`` maps every rule suffix
-    ``rhs[t:]``, ``t >= 1``, to its bit (a one-symbol suffix to its
-    symbol's, the empty one to the bit of ``()``, which only the empty
-    spans hold), so one chart cell says whether the symbols of a
-    left-corner goal derive a span.  The step functions are memoised per
-    cell mask; built once per grammar (``Grammar._symbol_bits``), the
-    memos serve every sentence compiled with it.
+    ``t >= 1`` (the mirror image of the prefixes), owns one bit, a row of
+    each chart width (``_chart_corpus``).  ``pairs`` lists the binary
+    steps (left bit, right bit, parent bit): a prefix grows by its next
+    symbol, a suffix is its first symbol before the rest; ``by_left``
+    groups them by left bit.  ``units`` lists the unit rules (child bit,
+    parent bit).  ``suffix`` maps every rule suffix ``rhs[t:]``, ``t >=
+    1``, to its bit (a one-symbol suffix to its symbol's, the empty one to
+    the bit of ``()``, which only the empty spans hold), so one chart bit
+    says whether the symbols of a left-corner goal derive a span.  Built
+    once per grammar (``Grammar._symbol_bits``).
 
     ``layout`` is the slot layout of ``Grammar._pcfg_decls`` and
     ``rule_slot[r]`` the slot of rule ``r``.  ``steps`` serves the PCFG
@@ -407,63 +406,84 @@ class _SymbolBits:
                 elif tail not in self.suffix:
                     self.suffix[tail] = self.bit[tail] = len(self.bit)
                     self.pairs.append((self.bit[tail[0]], self.suffix[tail[1:]], self.bit[tail]))
-        self._up: dict[tuple[int, int], int] = {}
-        self._close: dict[int, int] = {}
-
-    def combine(self, left: int, right: int) -> int:
-        """Parent bits of every binary step over a (left, right) cell pair."""
-        key = (left, right)
-        out = self._up.get(key)
-        if out is None:
-            out = 0
-            for lb, rb, pb in self.pairs:
-                if left >> lb & 1 and right >> rb & 1:
-                    out |= 1 << pb
-            self._up[key] = out
-        return out
-
-    def close(self, mask: int) -> int:
-        """``mask`` plus every nonterminal it derives through unit rules."""
-        out = self._close.get(mask)
-        if out is None:
-            out = mask
-            changed = True
-            while changed:
-                changed = False
-                for cb, pb in self.units:
-                    if out >> cb & 1 and not out >> pb & 1:
-                        out |= 1 << pb
-                        changed = True
-            self._close[mask] = out
-        return out
+        below: list[list[int]] = [[] for _ in self.bit]
+        for cb, pb in self.units:
+            below[pb].append(cb)
+        level = _topo_levels(below, list(self.bit))[1]  # the grammar has no unit cycle
+        self.units.sort(key=lambda unit: level[unit[0]])  # so one pass closes a chart row
+        by_left: dict[int, list[tuple[int, int]]] = {}
+        for lb, rb, pb in self.pairs:
+            by_left.setdefault(lb, []).append((rb, pb))
+        self.by_left = list(by_left.items())
 
 
-def _cky_chart(bits: _SymbolBits, tokens: tuple[str, ...]) -> list[list[int]]:
-    """Per span, the bits of every symbol, prefix and suffix that derives it: bitmask CKY.
+# Tokens per chart chunk: a chunk's rows are ints of about this many bits.
+_CHUNK_TOKENS = 2048
 
-    ``chart[i][j]`` is the mask of span ``(i, j)``; a terminal's bit is set
-    only in the width-1 cell of a token equal to it.  Both frontends build
-    it first and then recognise a sentence's goals from its root, trying
-    only the splits whose sides it holds, each with one bit test per side.
+
+def _chart_corpus(
+    bits: _SymbolBits, sentences: Iterable[tuple[str, ...]]
+) -> dict[tuple[str, ...], tuple[list[list[int]], int]]:
+    """Per sentence, its chunk's position-major chart and its offset there.
+
+    The sentences, sorted by length, are laid end to end in chunks of
+    about ``_CHUNK_TOKENS`` tokens, each followed by one position that
+    holds no token.  In a chunk's chart, bit ``p`` of ``chart[w][b]``
+    says that bit ``b``'s symbol, prefix or suffix derives the ``w``
+    tokens from position ``p`` on, so a sentence at offset ``off`` holds
+    span ``(i, k)`` as ``chart[k - i][b] >> (off + i) & 1``.  Width 0 holds
+    only ``()``, at every position; width 1 the tokens, closed under the
+    unit rules; each wider row ORs ``chart[w1][lb] & chart[w - w1][rb] >>
+    w1`` over the binary steps and their splits and is then closed.  A
+    span across two sentences would need a side that starts at the empty
+    position between them, which no row holds at width 1 or more.  Sorting
+    keeps a short sentence out of a long one's width loop.
     """
-    n, empty, up = len(tokens), 1 << bits.bit[()], bits._up
-    chart = [[0] * (n + 1) for _ in range(n + 1)]
-    for i, row in enumerate(chart):
-        row[i] = empty  # the empty suffix derives every span of no tokens
-    for i, tok in enumerate(tokens):
-        chart[i][i + 1] = bits.close(1 << bits.bit[tok])
-    for w in range(2, n + 1):
-        for i in range(0, n - w + 1):
-            j = i + w
-            row = chart[i]
-            acc = 0
-            for k in range(i + 1, j):
-                left, right = row[k], chart[k][j]
-                if left and right:  # the memo of ``combine``, read inline
-                    pb = up.get((left, right))
-                    acc |= bits.combine(left, right) if pb is None else pb
-            row[j] = bits.close(acc) if acc else 0
-    return chart
+    charts: dict[tuple[str, ...], tuple[list[list[int]], int]] = {}
+    chunk: list[tuple[str, ...]] = []
+    size = 0
+    for tokens in sorted(sentences, key=len):
+        if chunk and size + len(tokens) >= _CHUNK_TOKENS:
+            _chart(bits, chunk, charts)
+            chunk, size = [], 0
+        chunk.append(tokens)
+        size += len(tokens) + 1
+    if chunk:
+        _chart(bits, chunk, charts)
+    return charts
+
+
+def _chart(bits: _SymbolBits, chunk: list[tuple[str, ...]], charts: dict) -> None:
+    """Chart one chunk of sentences, shortest first, into ``charts`` (``_chart_corpus``)."""
+    bit, units, n_bits = bits.bit, bits.units, len(bits.bit)
+    chart: list[list[int]] = []
+    row = [0] * n_bits
+    p = 0
+    for tokens in chunk:
+        charts[tokens] = chart, p
+        for tok in tokens:
+            row[bit[tok]] |= 1 << p
+            p += 1
+        p += 1  # the empty position after each sentence
+    empty = [0] * n_bits
+    empty[bit[()]] = (1 << p) - 1
+    chart.append(empty)
+    lefts: list[list] = [[]]  # per width, the non-zero rows of left bits with their steps
+    for w in range(1, len(chunk[-1]) + 1):
+        if w > 1:  # width 1 is the token row
+            row = [0] * n_bits
+            for w1 in range(1, w):
+                rights = chart[w - w1]
+                for left, steps in lefts[w1]:
+                    for rb, pb in steps:
+                        right = rights[rb]
+                        if right:
+                            row[pb] |= left & right >> w1
+        for cb, pb in units:  # close under the unit rules, children first
+            if row[cb]:
+                row[pb] |= row[cb]
+        chart.append(row)
+        lefts.append([(row[lb], steps) for lb, steps in bits.by_left if row[lb]])
 
 
 def _walk(memo: dict[tuple, list], root: tuple, expand) -> None:
@@ -524,18 +544,36 @@ def _compile_corpus(
     """One graph whose roots are the sentences' goals, in corpus order.
 
     A goal key is a frontend's head and the compile call's intern id ``w``
-    of the words it spans; a sentence's root is ``head + (w,)``.  A
-    sentence whose root is already recognised is neither charted nor
-    interned further.  Any other is charted, refused with ``refusal`` when
-    the chart's start cell lacks the start symbol, and walked from its
-    root with ``expander(grammar, tokens, chart, span)``, where ``span(i,
-    j)`` interns ``tokens[i:j]`` on first use.  Every key a sentence
-    tests lies inside the span it covers, so a key's bodies depend on its
-    words alone and one memo serves the whole corpus; ``_emit`` then emits
-    the keys the roots reach.
+    of the words it spans; a sentence's root is ``head + (w,)``.  The
+    sentences are checked in corpus order up to the first that fails
+    ``_check_sentence``, and those before it are charted in one call
+    (``_chart_corpus``).  The first of them whose chart lacks the start
+    symbol over the whole sentence is refused with ``refusal``, else the
+    failed check is raised, so the error is the first in corpus order.  A
+    sentence whose root is not yet recognised is then walked from its root
+    with ``expander(grammar, tokens, chart, off, span)``, where ``span(i,
+    j)`` interns ``tokens[i:j]`` on first use.  Every key a sentence tests
+    lies inside the span it covers, so a key's bodies depend on its words
+    alone and one memo serves the whole corpus; ``_emit`` then emits the
+    keys the roots reach.
     """
     bits = grammar._symbol_bits
     start_bit = bits.bit[grammar.start]
+    checked: list[tuple[str, ...]] = []
+    failed = None
+    for sentence in sentences:
+        try:
+            checked.append(_check_sentence(grammar, sentence))
+        except Unparseable as e:
+            failed = e
+            break
+    charts = _chart_corpus(bits, dict.fromkeys(checked))
+    for tokens in checked:
+        chart, off = charts[tokens]
+        if not chart[len(tokens)][start_bit] >> off & 1:
+            raise Unparseable(f"{refusal}: {' '.join(tokens)}")
+    if failed is not None:
+        raise failed
     span_id: dict[tuple[str, ...], int] = {}
     memo: dict[tuple, list] = {}
     roots: list[tuple] = []
@@ -547,17 +585,14 @@ def _compile_corpus(
             w = sp[i][j] = span_id.setdefault(tokens[i:j], len(span_id))
         return w
 
-    for sentence in sentences:
-        tokens = _check_sentence(grammar, sentence)
+    for tokens in checked:
         n = len(tokens)
         root = head + (span_id.setdefault(tokens, len(span_id)),)
         if root not in memo:
-            chart = _cky_chart(bits, tokens)
-            if not chart[0][n] >> start_bit & 1:
-                raise Unparseable(f"{refusal}: {' '.join(tokens)}")
             sp: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n + 1)]
-            _walk(memo, (root, 0, n), expander(grammar, tokens, chart, span))
+            _walk(memo, (root, 0, n), expander(grammar, tokens, *charts[tokens], span))
         roots.append(root)
+    del charts  # free the charts before _emit and build() lay out the graph
     builder = GraphBuilder()
     builder.declare_switches(decls)
     goals = _emit(builder, memo, roots, list(span_id))
@@ -572,8 +607,8 @@ def _compile_corpus(
 # ---------------------------------------------------------------------------
 
 
-def _pcfg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int]], span):
-    """Rule-expansion bodies of a PCFG key, read off one sentence's chart.
+def _pcfg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int]], off: int, span):
+    """Rule-expansion bodies of a PCFG key, read off a sentence's chart at ``off``.
 
     A key is ``("NP", w)`` for a nonterminal, labelled ``NP([the,dog])``,
     or ``("dot", "4,2", w)`` for a dotted prefix, labelled
@@ -585,10 +620,10 @@ def _pcfg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int
 
     def expand(key: tuple, i: int, j: int) -> tuple[list, list]:
         bodies, kids = [], []
-        row = chart[i]
+        at = off + i
         for inst, tag, t, fb, lb, first, last in steps_of[key[:-1]]:
             for k in range(i + t - 1, j) if t > 1 else (j,):
-                if row[k] >> fb & 1 and chart[k][j] >> lb & 1:
+                if chart[k - i][fb] >> at & 1 and chart[j - k][lb] >> (off + k) & 1:
                     subs = []
                     if first is not None:
                         sub = first + (span(i, k),)
@@ -664,8 +699,8 @@ class _LeftCornerSwitches:
         self.attach = {key: (slot(*att), slot(*pro)) for key, (att, pro) in attach.items()}
 
 
-def _plcg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int]], span):
-    """Left-corner bodies of a key, read off one sentence's chart.
+def _plcg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int]], off: int, span):
+    """Left-corner bodies of a key, read off a sentence's chart at ``off``.
 
     A key is ``("g", syms, w)`` (the symbols ``syms`` derive the words
     ``w``) or ``("lc", g0, b, w)`` (a finished ``b`` followed by the words
@@ -686,7 +721,7 @@ def _plcg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int
 
     def expand(key: tuple, i: int, j: int) -> tuple[list, list]:
         bodies, kids = [], []
-        row = chart[i]
+        at = off + i
         if key[0] == "g":
             syms = key[1]
             if not syms:
@@ -699,7 +734,7 @@ def _plcg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int
                 g0, rest = syms[0], syms[1:]
                 shift, gb, rb = lc.first[g0, tokens[i]], bit[g0], suffix[rest]
                 for k in range(i + 1, j + 1):
-                    if row[k] >> gb & 1 and chart[k][j] >> rb & 1:
+                    if chart[k - i][gb] >> at & 1 and chart[j - k][rb] >> (off + k) & 1:
                         grown, tail = ("lc", g0, tokens[i], span(i + 1, k)), ("g", rest, span(k, j))
                         bodies.append(([grown, tail], (shift,), None))
                         kids += (grown, i + 1, k), (tail, k, j)
@@ -711,7 +746,7 @@ def _plcg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int
             beta = rule.rhs[1:]
             fb = suffix[beta]
             if rule.lhs == g0:
-                if row[j] >> fb & 1:
+                if chart[j - i][fb] >> at & 1:
                     done = ("g", beta, span(i, j))
                     inst = (choose,) if attach is None else (choose, attach[0])
                     bodies.append(([done], inst, ridx))
@@ -722,7 +757,7 @@ def _plcg_expand(grammar: Grammar, tokens: tuple[str, ...], chart: list[list[int
             else:
                 inst = (choose,)
             for m in range(i, j + 1):
-                if row[m] >> fb & 1:
+                if chart[m - i][fb] >> at & 1:
                     mid, grown = ("g", beta, span(i, m)), ("lc", g0, rule.lhs, span(m, j))
                     bodies.append(([mid, grown], inst, ridx))
                     kids += (mid, i, m), (grown, m, j)

@@ -40,7 +40,6 @@ from explgraph.grammar import (
 from explgraph.grammar import (
     _LeftCornerSwitches,
     _check_sentence,
-    _cky_chart,
     _search_derivation,
 )
 from explgraph.graph import (
@@ -186,6 +185,21 @@ def test_pcfg_two_tokens(grammar):
 def test_pcfg_unparseable_token(grammar):
     with pytest.raises(Unparseable):
         compile_pcfg(grammar, ["c"])
+
+
+@pytest.mark.parametrize(
+    "compile_corpus", [compile_pcfg_corpus, compile_plcg_corpus], ids=["pcfg", "plcg"]
+)
+def test_corpus_refusal_names_the_first_failing_sentence(compile_corpus):
+    # every sentence is checked and charted before any is walked, yet the
+    # error raised is still the first in corpus order: a sentence without
+    # a derivation before a token the grammar lacks, and the other way round
+    demo20 = load_grammar(DEMO20)
+    ok, unparseable, bad_token = ["pro", "verb"], ["verb", "pro"], ["pro", "flies"]
+    with pytest.raises(Unparseable, match="derivation of: verb pro$"):
+        compile_corpus(demo20, [ok, unparseable, bad_token])
+    with pytest.raises(Unparseable, match="^token 'flies' is not a terminal"):
+        compile_corpus(demo20, [ok, bad_token, unparseable])
 
 
 def test_pcfg_chart_orders_narrow_spans_first(grammar):
@@ -545,6 +559,62 @@ def _reference_compile_plcg_into(builder, grammar, tokens, ns, lc):
     return root
 
 
+def _cky_chart(bits, tokens):
+    """The former bitmask CKY, kept as the chart's reference.
+
+    ``chart[i][j]`` is the mask of every bit (``_SymbolBits``) whose
+    symbol, prefix or suffix derives the span ``(i, j)``; the empty
+    spans hold ``()`` alone.  Cell by cell, in O(n^3), with the binary
+    steps and the unit closure memoised per cell mask.
+    """
+    up_memo, close_memo = {}, {}
+
+    def combine(left, right):
+        """Parent bits of every binary step over a (left, right) cell pair."""
+        key = (left, right)
+        out = up_memo.get(key)
+        if out is None:
+            out = 0
+            for lb, rb, pb in bits.pairs:
+                if left >> lb & 1 and right >> rb & 1:
+                    out |= 1 << pb
+            up_memo[key] = out
+        return out
+
+    def close(mask):
+        """``mask`` plus every nonterminal it derives through unit rules."""
+        out = close_memo.get(mask)
+        if out is None:
+            out = mask
+            changed = True
+            while changed:
+                changed = False
+                for cb, pb in bits.units:
+                    if out >> cb & 1 and not out >> pb & 1:
+                        out |= 1 << pb
+                        changed = True
+            close_memo[mask] = out
+        return out
+
+    n, empty = len(tokens), 1 << bits.bit[()]
+    chart = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, row in enumerate(chart):
+        row[i] = empty  # the empty suffix derives every span of no tokens
+    for i, tok in enumerate(tokens):
+        chart[i][i + 1] = close(1 << bits.bit[tok])
+    for w in range(2, n + 1):
+        for i in range(0, n - w + 1):
+            j = i + w
+            row = chart[i]
+            acc = 0
+            for k in range(i + 1, j):
+                left, right = row[k], chart[k][j]
+                if left and right:
+                    acc |= combine(left, right)
+            row[j] = close(acc) if acc else 0
+    return chart
+
+
 def _reach_sweep(bits, start, tokens, chart):
     """Per span, the bits of the chart goals reachable from ``(start, 0, n)``.
 
@@ -846,6 +916,16 @@ def test_compiles_without_changing_the_recursion_limit(monkeypatch, compile_one)
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     graph = compile_one(demo20, longest)
     assert len(_reachable_from_roots(graph)) == graph.n_goals
+
+
+@pytest.mark.parametrize("compile_one", [compile_pcfg, compile_plcg], ids=["pcfg", "plcg"])
+def test_long_right_branching_sentence_compiles(compile_one):
+    # 602 tokens, each aux opening a new constituent: the chart's width
+    # loop runs to 602 (no time is asserted), and every goal must be
+    # reachable from the root
+    demo20 = load_grammar(DEMO20)
+    graph = compile_one(demo20, ["pro"] + ["aux"] * 600 + ["verb"])
+    assert len(_reachable_from_roots(graph)) == graph.n_goals > 600
 
 
 def test_deep_sentences_compile_without_recursion():

@@ -1,6 +1,7 @@
 """Seeded property tests over the random generators in ``conftest``."""
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conftest import (  # noqa: E402
 from explgraph.grammar import (  # noqa: E402
     CFGRule,
     Grammar,
-    _cky_chart,
+    _chart_corpus,
     _SymbolBits,
     compile_pcfg_corpus,
     compile_plcg_corpus,
@@ -26,6 +27,7 @@ from explgraph.grammar import (  # noqa: E402
 from explgraph.io import emit_expl_graph, load_expl_graph  # noqa: E402
 from test_grammar import (  # noqa: E402
     _assert_per_root_equal,
+    _cky_chart,
     _equals_reference,
     _reference_compile_corpus,
 )
@@ -153,13 +155,48 @@ def test_suffix_chart_bits_equal_derivability(seed, n_nonterminals, tokens):
     bits = _SymbolBits(grammar)
     suffixes = {r.rhs[t:] for r in grammar.rules for t in range(1, len(r.rhs) + 1)}
     assert set(bits.suffix) == suffixes
-    chart = _cky_chart(bits, tokens)
+    ref = _cky_chart(bits, tokens)
+    chart, off = _chart_corpus(bits, [tokens])[tokens]
     derives = _derivability(grammar, tokens)
     n = len(tokens)
     for tail, bit in bits.suffix.items():
         for i in range(n + 1):
             for j in range(i, n + 1):
-                assert bool(chart[i][j] >> bit & 1) == derives(tail, i, j), (tail, i, j)
+                assert bool(ref[i][j] >> bit & 1) == derives(tail, i, j), (tail, i, j)
+                assert bool(chart[j - i][bit] >> (off + i) & 1) == derives(tail, i, j), (tail, i, j)
+
+
+@SEEDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nonterminals=st.integers(1, 4),
+    budget=st.integers(2, 16),
+    drawn=st.lists(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=12), max_size=5),
+)
+def test_chunked_chart_equals_cell_chart(seed, n_nonterminals, budget, drawn):
+    # every chart row, read at a sentence's offset in its chunk, must equal
+    # the former cell-by-cell chart on every span, empty spans included.
+    # The chunk budget is lowered to a few tokens so that a small corpus
+    # fills several chunks; each corpus holds a one-token sentence, a
+    # repeated sentence and a sentence longer than the budget
+    rng = np.random.default_rng(seed)
+    grammar = random_grammar(rng, n_nonterminals)
+    bits = _SymbolBits(grammar)
+    longer = [str(t) for t in rng.choice(["a", "b"], size=budget + int(rng.integers(1, 4)))]
+    corpus = [
+        tuple(t if t in grammar.terminals else "a" for t in s)
+        for s in [["b"], longer, *drawn, longer]
+    ]
+    with mock.patch("explgraph.grammar._CHUNK_TOKENS", budget):
+        charts = _chart_corpus(bits, dict.fromkeys(corpus))
+    assert set(charts) == set(corpus)
+    assert len({id(chart) for chart, _ in charts.values()}) >= 2
+    for tokens, (chart, off) in charts.items():
+        ref, n = _cky_chart(bits, tokens), len(tokens)
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                cell = sum((chart[j - i][b] >> (off + i) & 1) << b for b in range(len(bits.bit)))
+                assert cell == ref[i][j], (tokens, i, j)
 
 
 @SEEDED
