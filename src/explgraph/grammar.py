@@ -348,7 +348,7 @@ class _SymbolBits:
     steps (left bit, right bit, parent bit): a prefix grows by its next
     symbol, a suffix is its first symbol before the rest; ``by_left``
     groups them by left bit.  ``units`` lists the unit rules (child bit,
-    parent bit).  ``suffix`` maps every rule suffix ``rhs[t:]``, ``t >=
+    parent bit), children first, so one pass closes a chart row.  ``suffix`` maps every rule suffix ``rhs[t:]``, ``t >=
     1``, to its bit (a one-symbol suffix to its symbol's, the empty one to
     the bit of ``()``, which only the empty spans hold), so one chart bit
     says whether the symbols of a left-corner goal derive a span.  Built
@@ -409,8 +409,8 @@ class _SymbolBits:
         below: list[list[int]] = [[] for _ in self.bit]
         for cb, pb in self.units:
             below[pb].append(cb)
-        level = _topo_levels(below, list(self.bit))[1]  # the grammar has no unit cycle
-        self.units.sort(key=lambda unit: level[unit[0]])  # so one pass closes a chart row
+        level = _topo_levels(below, list(self.bit))[1]  # no cycle: the grammar rejects them
+        self.units.sort(key=lambda unit: level[unit[0]])
         by_left: dict[int, list[tuple[int, int]]] = {}
         for lb, rb, pb in self.pairs:
             by_left.setdefault(lb, []).append((rb, pb))
