@@ -55,6 +55,7 @@ from .grammar import (
     count_ml,
     gen_corpus,
     metrics,
+    parse_corpus,
     tree_from_explanation,
     tree_goals_graph,
 )

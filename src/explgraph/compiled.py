@@ -376,27 +376,23 @@ class CompiledGraph:
         rows = self.selected_multisets(sel, eta, use, range(self.n_goals))
         return [tuple((s, int(row[s])) for s in np.flatnonzero(row).tolist()) for row in rows]
 
-    def _children_first(self, use: np.ndarray) -> list[int]:
-        """The goals of positive ``use`` count, sorted by level."""
-        used = np.flatnonzero(use > 0)
-        return used[np.argsort(self.level[used], kind="stable")].tolist()
-
-    def selected_derivation(self, sel: np.ndarray, goal: int, use: np.ndarray) -> tuple:
-        """The derivation of ``goal`` along the selected bodies, as nested tuples.
+    def selected_derivation(self, sel: np.ndarray, goals, use: np.ndarray) -> list[tuple]:
+        """The derivations of ``goals`` along the selected bodies, as nested tuples.
 
         ``use`` holds the use counts :meth:`selected_counts_pass` returns
-        when seeded with ``goal`` alone; its positive entries are the
-        selected sub-DAG below ``goal``.  A tagged body gives one node
-        ``(tag, children)``; an untagged body splices its subgoals' nodes
-        into its parent's children.  Subgoals keep body order, so the nodes
-        read left to right.  Built bottom-up over the sub-DAG, in Python
-        work linear in its size.
+        when seeded with ``goals``; its positive entries are the selected
+        sub-DAG below them.  A tagged body gives one node ``(tag,
+        children)``; an untagged body splices its subgoals' nodes into its
+        parent's children.  Subgoals keep body order, so the nodes read left
+        to right.  Built bottom-up over the sub-DAG, children first by
+        level, in Python work linear in its size.
         """
+        used = np.flatnonzero(use > 0)
         nodes: dict[int, tuple] = {}
-        for g in self._children_first(use):
+        for g in used[np.argsort(self.level[used], kind="stable")].tolist():
             b = sel[g]
             c0 = self.body_cstart[b]
             children = self.cpart_child[c0 : c0 + self.body_ccount[b]].tolist()
             kids = tuple(node for c in children for node in nodes[c])
             nodes[g] = kids if self.tags[b] is None else ((self.tags[b], kids),)
-        return nodes[int(goal)]
+        return [nodes[int(g)] for g in goals]

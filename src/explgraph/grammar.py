@@ -65,6 +65,7 @@ from .graph import (
     SwitchDecl,
     SwitchInstance,
 )
+from .inference import log_theta_vector
 from .tables import ParameterTable, PseudoCountTable, SlotLayout
 from .terms import Term, check_symbol, render_term
 
@@ -78,6 +79,7 @@ __all__ = [
     "compile_plcg",
     "compile_plcg_corpus",
     "tree_from_explanation",
+    "parse_corpus",
     "count_ml",
     "metrics",
     "gen_corpus",
@@ -824,12 +826,55 @@ def tree_from_explanation(
         except Unparseable as e:
             raise InconsistentExplanation(f"explanation of an unparseable sentence: {e}") from e
         derivation = _search_derivation(graph, explanation, limit)
+    return _derived_tree(grammar, tokens, mode, derivation, dict(explanation.items()))
+
+
+def parse_corpus(
+    grammar: Grammar, sentences: Iterable[Sequence[str]], theta: ParameterTable, mode: str = "pcfg"
+) -> list[Optional[ParseTree]]:
+    """The Viterbi parse tree of each sentence under ``theta``, or ``None``
+    where every derivation has probability 0.
+
+    One corpus graph of ``mode`` (its compiler raises :class:`Unparseable`)
+    and one Viterbi pass serve all sentences; each tree is read off its
+    root's selected derivation and checked against its switch-count row.
+    The trees are those of ``viterbi`` and :func:`tree_from_explanation`
+    on each sentence alone.
+    """
+    if mode not in ("pcfg", "plcg"):
+        raise ExplGraphError(f"unknown mode {mode!r}")
+    sentences = [tuple(s) for s in sentences]
+    if not sentences:
+        return []
+    compile_corpus = compile_pcfg_corpus if mode == "pcfg" else compile_plcg_corpus
+    graph, roots = compile_corpus(grammar, sentences)
+    comp = graph.compiled()
+    best, sel = comp.viterbi_pass(log_theta_vector(graph, theta))
+    live = [k for k, g in enumerate(roots) if not np.isneginf(best[g])]
+    goals = [roots[k] for k in live]
+    seeds = np.zeros(graph.n_goals, dtype=np.int64)
+    seeds[goals] = 1
+    eta, use = comp.selected_counts_pass(sel, seeds)
+    rows = comp.selected_multisets(sel, eta, use, goals)
+    pairs = comp.layout.slot_pairs
+    trees: list[Optional[ParseTree]] = [None] * len(sentences)
+    for k, row, derivation in zip(live, rows, comp.selected_derivation(sel, goals, use)):
+        multiset = {pairs[s]: int(row[s]) for s in np.flatnonzero(row).tolist()}
+        trees[k] = _derived_tree(grammar, sentences[k], mode, derivation, multiset)
+    return trees
+
+
+def _derived_tree(
+    grammar: Grammar, tokens: tuple[str, ...], mode: str, derivation: tuple, multiset: dict
+) -> ParseTree:
+    """The tree of ``derivation`` over ``tokens``; raises :class:`InconsistentExplanation`
+    unless its yield is ``tokens`` and its {(switch, value): count} multiset is ``multiset``."""
     walk = _TreeWalk(grammar, tokens, mode)
     (tree,) = walk.sequence((grammar.start,), derivation)
     if walk.pos != len(tokens):
         raise InconsistentExplanation("derivation does not cover the sentence")
     pairs = walk.tables.layout.slot_pairs
-    if {pairs[s]: m for s, m in walk.uses.items()} != dict(explanation.items()):
+    if {pairs[s]: m for s, m in walk.uses.items()} != multiset:
         raise InconsistentExplanation("derivation does not reproduce the explanation")
     return tree
 

@@ -3,9 +3,12 @@
 ``cv_run`` partitions a dataset into near-equal folds with a seeded
 shuffle, learns on the held-in folds and scores Viterbi predictions on
 the held-out fold: parse-tree metrics for grammar tasks, accuracy for the
-hidden-class naive-Bayes task.  Per-fold iteration counts and learning
-wall time are recorded so method comparisons (e.g. Viterbi training
-versus EM convergence speed) can be rerun at small scale.
+hidden-class naive-Bayes task.  A grammar fold's test sentences are
+parsed from one graph and one Viterbi pass (``parse_corpus``), as an NBH
+fold's rows are classified from one graph (``nbh_classify_rows``).
+Per-fold iteration counts and learning wall time are recorded so method
+comparisons (e.g. Viterbi training versus EM convergence speed) can be
+rerun at small scale.
 
 ``run_session`` replays the bundled six-node graph demo: Viterbi path
 before learning, Viterbi training on five reachability goals, Viterbi
@@ -20,16 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AllZero, ExplGraphError, Unparseable, ZeroEvidence
+from .errors import AllZero, ExplGraphError, ZeroEvidence
 from .grammar import (
     Grammar,
     MetricsReport,
     ParseTree,
-    compile_pcfg,
     compile_pcfg_corpus,
-    compile_plcg,
     compile_plcg_corpus,
-    tree_from_explanation,
+    metrics,
+    parse_corpus,
 )
 from .graph import check_exclusiveness, diagnose_exclusiveness, enumerate_explanations
 from .inference import viterbi
@@ -159,35 +161,22 @@ def _grammar_fold(config, train_idx, test_idx):
     grammar = config.grammar
     trees = config.treebank
     compile_corpus = compile_pcfg_corpus if config.task == "pcfg" else compile_plcg_corpus
-    compile_one = compile_pcfg if config.task == "pcfg" else compile_plcg
     train_sents = [trees[i].tokens() for i in train_idx]
     graph, goals = compile_corpus(grammar, train_sents)
     t0 = time.perf_counter()
     report = learn(graph, goals, config.learn)
     dt = time.perf_counter() - t0
-    predicted, reference = [], []
-    failures = 0
-    for i in test_idx:
-        ref = trees[int(i)]
-        tokens = ref.tokens()
-        try:
-            sg = compile_one(grammar, tokens)
-            res = viterbi(sg, sg.roots[0], report.final_theta)
-            predicted.append(
-                tree_from_explanation(grammar, tokens, res.explanation, config.task)
-            )
-            reference.append(ref)
-        except (Unparseable, AllZero):
-            failures += 1
+    test = [trees[int(i)] for i in test_idx]
+    parsed = parse_corpus(grammar, [t.tokens() for t in test], report.final_theta, config.task)
+    predicted = [p for p in parsed if p is not None]
+    reference = [t for t, p in zip(test, parsed) if p is not None]
     if not predicted:
         raise ExplGraphError("no test sentence could be predicted in a fold")
-    m = _metrics_with_failures(predicted, reference, failures)
-    return m, report, dt, failures
+    failures = len(test) - len(predicted)
+    return _metrics_with_failures(predicted, reference, failures), report, dt, failures
 
 
 def _metrics_with_failures(predicted, reference, failures) -> MetricsReport:
-    from .grammar import metrics
-
     m = metrics(predicted, reference)
     if failures:
         n = m.n + failures

@@ -144,7 +144,7 @@ def extract_viterbi(
     trace = {
         int(g): int(comp.body_local[sel[g]]) for g in np.nonzero(use > 0)[0]
     }
-    derivation = comp.selected_derivation(sel, goal, use) if comp.tagged else None
+    derivation = comp.selected_derivation(sel, [goal], use)[0] if comp.tagged else None
     slots = np.nonzero(eta)[0]
     explanation = comp.layout.explanation(zip(slots, eta[slots]), derivation)
     return ViterbiResult(goal, float(best[goal]), explanation, trace)

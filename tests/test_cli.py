@@ -61,7 +61,8 @@ def test_learn_path_task(files, capsys):
     assert out_params.read_text().startswith("msw d_e(1,2)")
 
 
-def test_gen_and_eval_roundtrip(files, capsys):
+@pytest.mark.parametrize("task", ["pcfg", "plcg"])
+def test_gen_and_eval_roundtrip(files, capsys, task):
     tmp, grammar, _ = files
     trees = tmp / "toy.trees"
     corpus = tmp / "toy.corpus"
@@ -71,7 +72,7 @@ def test_gen_and_eval_roundtrip(files, capsys):
     assert len(corpus.read_text().splitlines()) == 12
     out_json = tmp / "cv.json"
     code = main([
-        "eval", "--task", "pcfg", "--grammar", grammar, "--treebank", str(trees),
+        "eval", "--task", task, "--grammar", grammar, "--treebank", str(trees),
         "--folds", "3", "--method", "vt", "--delta", "1.0", "--seed", "1",
         "--json", str(out_json),
     ])
@@ -81,7 +82,7 @@ def test_gen_and_eval_roundtrip(files, capsys):
     import json
 
     data = json.loads(out_json.read_text())
-    assert data["task"] == "pcfg" and len(data["folds"]) == 3
+    assert data["task"] == task and len(data["folds"]) == 3
 
 
 def test_usage_error_exit_code():

@@ -1,8 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from explgraph.errors import ExplGraphError
-from explgraph.grammar import gen_corpus
+from explgraph.errors import AllZero, ExplGraphError, ExplGraphWarning, Unparseable
+from explgraph.grammar import (
+    CFGRule,
+    Grammar,
+    ParseTree,
+    compile_pcfg,
+    compile_pcfg_corpus,
+    compile_plcg,
+    compile_plcg_corpus,
+    gen_corpus,
+    metrics,
+    tree_from_explanation,
+)
+from explgraph.inference import viterbi
+from explgraph.io import load_grammar
 from explgraph.harness import (
     ExperimentConfig,
     cv_run,
@@ -40,8 +55,6 @@ def _toy_treebank(n=24, seed=4):
 def test_cv_unambiguous_singleton_scores_perfectly():
     # train and test folds contain the same unambiguous sentence, so the
     # predicted tree must match exactly
-    from explgraph.grammar import CFGRule, Grammar, ParseTree
-
     grammar = Grammar(
         "S", [CFGRule("S", ("A", "B")), CFGRule("A", ("a",)), CFGRule("B", ("b",))]
     )
@@ -211,3 +224,104 @@ def test_session_pre_learning_invariant_to_delta_and_seed():
     r2 = run_session(delta=2.5, seed=123)
     assert r1.pre.prob == r2.pre.prob
     assert r1.pre.explanation == r2.pre.explanation
+
+
+# -- a grammar fold's failure paths -------------------------------------------
+
+DEMO20 = Path(__file__).resolve().parent.parent / "data" / "demo20.grammar"
+
+
+def _demo20_treebank(n, seed):
+    grammar = load_grammar(DEMO20)
+    return grammar, gen_corpus(grammar, grammar.pcfg_parameter_table(), n, seed=seed).trees()
+
+
+@pytest.mark.filterwarnings("ignore::explgraph.errors.ExplGraphWarning")
+@pytest.mark.parametrize("mode", ["pcfg", "plcg"])
+def test_cv_em_counts_all_zero_test_sentences_as_failures(mode):
+    # EM without pseudo counts gives a rule no training tree uses
+    # probability 0, so a test sentence that needs it has no parse.  Each
+    # fold is replayed through the per-sentence path: compile, Viterbi
+    # (AllZero is a failure) and the tree of the explanation; the fold's
+    # metrics are those of the parsed sentences, scaled by their share
+    grammar, trees = _demo20_treebank(16, 3)
+    learn_config = LearnConfig(method="em", seed=0)
+    config = ExperimentConfig(
+        task=mode, method="em", folds=4, seed=0, learn=learn_config,
+        grammar=grammar, treebank=trees,
+    )
+    report = cv_run(config)
+    compile_corpus, compile_one = {
+        "pcfg": (compile_pcfg_corpus, compile_pcfg),
+        "plcg": (compile_plcg_corpus, compile_plcg),
+    }[mode]
+    parts = fold_partition(len(trees), 4, 0)
+    failures = 0
+    for f, fold in enumerate(report.folds):
+        train = [trees[int(i)].tokens() for p in range(4) if p != f for i in parts[p]]
+        theta = learn(*compile_corpus(grammar, train), learn_config).final_theta
+        predicted, reference = [], []
+        for i in parts[f]:
+            tokens = trees[int(i)].tokens()
+            graph = compile_one(grammar, tokens)
+            try:
+                res = viterbi(graph, graph.roots[0], theta)
+            except AllZero:
+                continue
+            predicted.append(tree_from_explanation(grammar, tokens, res.explanation, mode))
+            reference.append(trees[int(i)])
+        m, n = metrics(predicted, reference), len(parts[f])
+        assert (fold.lt, fold.bt, fold.zero_cb, fold.n) == (
+            m.lt * (m.n / n), m.bt * (m.n / n), m.zero_cb * (m.n / n), n,
+        )
+        failures += n - m.n
+    assert report.prediction_failures == failures > 0
+    assert f"prediction_failures {failures}\n" in report.render()
+    data = report.to_dict()
+    assert data["prediction_failures"] == failures
+    assert data["folds"] == [
+        {"lt": m.lt, "bt": m.bt, "zero_cb": m.zero_cb, "n": m.n} for m in report.folds
+    ]
+    assert sum(fold["n"] for fold in data["folds"]) == len(trees)
+
+
+def test_cv_fold_without_any_prediction_raises():
+    # training on "a" alone gives S -> B probability 0 under EM, so the
+    # fold whose test part is the one "b" can predict nothing
+    grammar = Grammar(
+        "S",
+        [CFGRule("S", ("A",)), CFGRule("S", ("B",)), CFGRule("A", ("a",)), CFGRule("B", ("b",))],
+    )
+    trees = [ParseTree.parse(t) for t in ("(S (A a))", "(S (A a))", "(S (B b))")]
+    config = ExperimentConfig(
+        task="pcfg", method="em", folds=3, seed=0, learn=LearnConfig(method="em"),
+        grammar=grammar, treebank=trees,
+    )
+    with pytest.warns(ExplGraphWarning), pytest.raises(
+        ExplGraphError, match="no test sentence could be predicted in a fold"
+    ):
+        cv_run(config)
+
+
+@pytest.mark.parametrize("mode", ["pcfg", "plcg"])
+@pytest.mark.parametrize("bad", ["(S verb det)", "(S pro zzz)"], ids=["no-derivation", "unknown-token"])
+def test_cv_unparseable_tree_raises_wherever_it_sits(mode, bad):
+    # a tree without a derivation, and one with a token the grammar lacks:
+    # cv_run raises the corpus compiler's Unparseable, with its message,
+    # whether the tree sits in fold 0's test part or in its training part
+    grammar, trees = _demo20_treebank(16, 1)
+    bad = ParseTree.parse(bad)
+    compile_corpus = compile_pcfg_corpus if mode == "pcfg" else compile_plcg_corpus
+    with pytest.raises(Unparseable) as expected:
+        compile_corpus(grammar, [bad.tokens()])
+    parts = fold_partition(len(trees), 4, 0)
+    for position in (int(parts[0][0]), int(parts[1][0])):
+        treebank = trees[:position] + [bad] + trees[position + 1 :]
+        config = ExperimentConfig(
+            task=mode, method="vt", folds=4, seed=0,
+            learn=LearnConfig(method="vt", delta=1.0), grammar=grammar, treebank=treebank,
+        )
+        with pytest.raises(Unparseable) as raised:
+            cv_run(config)
+        assert type(raised.value) is Unparseable
+        assert str(raised.value) == str(expected.value)

@@ -16,15 +16,22 @@ from conftest import (  # noqa: E402
     random_grammar,
     random_theta,
 )
+from explgraph.errors import AllZero  # noqa: E402
 from explgraph.grammar import (  # noqa: E402
     CFGRule,
     Grammar,
     _chart_corpus,
     _SymbolBits,
+    compile_pcfg,
     compile_pcfg_corpus,
+    compile_plcg,
     compile_plcg_corpus,
+    parse_corpus,
+    tree_from_explanation,
 )
+from explgraph.inference import viterbi  # noqa: E402
 from explgraph.io import emit_expl_graph, load_expl_graph  # noqa: E402
+from explgraph.tables import ParameterTable  # noqa: E402
 from test_grammar import (  # noqa: E402
     _assert_per_root_equal,
     _cky_chart,
@@ -109,6 +116,62 @@ def test_tabled_corpus_equals_positional_reference(seed, n_nonterminals, depth, 
         )
         ref, _ = _reference_compile_corpus(grammar, sentences, mode)
         _assert_per_root_equal(graph, ref, random_theta(rng, graph))
+
+
+def _theta_with_zeros(rng, switches) -> ParameterTable:
+    """Random parameters with about a third of the entries 0 (each switch
+    keeps at least one positive value)."""
+    data = {}
+    for key, decl in switches.items():
+        w = rng.uniform(0.05, 1.0, len(decl.values)) * (rng.random(len(decl.values)) > 0.35)
+        if not w.any():
+            w[int(rng.integers(len(w)))] = 1.0
+        data[key] = w / w.sum()
+    return ParameterTable(switches, data)
+
+
+@SEEDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nonterminals=st.integers(1, 4),
+    depth=st.integers(1, 3),
+    n_sentences=st.integers(0, 4),
+)
+def test_parse_corpus_equals_per_sentence_viterbi_trees(seed, n_nonterminals, depth, n_sentences):
+    # drawn sentences, some of them twice, under parameters with zero
+    # entries: in both modes the batch must return the tree that compile,
+    # viterbi and tree_from_explanation give each sentence alone, and None
+    # exactly where that path raises AllZero.  A PCFG tree's rule counts
+    # are its explanation's multiset.  No sentence builds no graph
+    rng = np.random.default_rng(seed)
+    grammar = random_grammar(rng, n_nonterminals)
+    sentences = [_derive(grammar, rng, depth) for _ in range(n_sentences)]
+    sentences += [sentences[int(k)] for k in rng.integers(0, max(n_sentences, 1), n_sentences // 2)]
+    assume(all(len(s) <= 8 for s in sentences))
+    for mode, compile_one, compile_corpus in (
+        ("pcfg", compile_pcfg, compile_pcfg_corpus),
+        ("plcg", compile_plcg, compile_plcg_corpus),
+    ):
+        if not sentences:
+            with mock.patch("explgraph.grammar._compile_corpus") as compile_call:
+                theta = ParameterTable.uniform(grammar._pcfg_decls.values())
+                assert parse_corpus(grammar, [], theta, mode) == []
+            compile_call.assert_not_called()
+            continue
+        theta = _theta_with_zeros(rng, compile_corpus(grammar, sentences[:1])[0].switches)
+        expected = []
+        for tokens in sentences:
+            graph = compile_one(grammar, tokens)
+            try:
+                res = viterbi(graph, graph.roots[0], theta)
+            except AllZero:
+                expected.append(None)
+                continue
+            tree = tree_from_explanation(grammar, tokens, res.explanation, mode)
+            if mode == "pcfg":
+                assert tree.rule_counts() == dict(res.explanation.items())
+            expected.append(tree)
+        assert parse_corpus(grammar, sentences, theta, mode) == expected
 
 
 def _derivability(grammar, tokens):
