@@ -459,6 +459,27 @@ class GraphBuilder:
         self._ninst.append(len(self._slots) - n_inst)
         self._tags.append(tag)
 
+    def add_bodies(self, heads, n_subgoals, subgoals, n_slots, slots) -> None:
+        """:meth:`add_slot_body` for many untagged bodies, from int arrays:
+        body k has head ``heads[k]``, the next ``n_subgoals[k]`` ids of
+        ``subgoals`` and the next ``n_slots[k]`` slot ids of ``slots``."""
+        heads, n_subgoals, subgoals, n_slots, slots = (
+            np.asarray(x, dtype=np.int64) for x in (heads, n_subgoals, subgoals, n_slots, slots)
+        )
+        bad = (heads < 0) | (heads >= len(self._labels))
+        if bad.any():
+            raise IndexError(f"no goal with id {heads[bad][0]}")
+        if not len(heads) == len(n_subgoals) == len(n_slots) or (
+            n_subgoals.sum() != len(subgoals) or n_slots.sum() != len(slots)
+        ):
+            raise ValueError("body part counts do not match the parts given")
+        for out, x in zip(
+            (self._heads, self._nsub, self._subgoals, self._ninst, self._slots),
+            (heads, n_subgoals, subgoals, n_slots, slots),
+        ):
+            out.frombytes(x.tobytes())
+        self._tags += [None] * len(heads)
+
     def add_root(self, goal: GoalId) -> None:
         if goal not in self._root_set:
             self._root_set.add(goal)

@@ -14,16 +14,20 @@ paths can share edges without conflicting on any switch, so the root's
 explanations overlap: sum-product values over this frontend are scores,
 while Viterbi inference and Viterbi training remain exact.
 
-The NBH frontend hands the builder slot ids, from a table built once per
-:class:`NBHSpec`; the path frontend hands it switch instances and tags
-each move with the node it moves to, so a Viterbi explanation's
-derivation is its route.
+The NBH frontend maps the rows of one compile call to a matrix of value
+indices in one pass, deduplicating them, and gathers every body from slot
+arrays built once per :class:`NBHSpec`, handing them to the builder in
+one :meth:`GraphBuilder.add_bodies` call; classification compiles the
+(row, class) pairs of a batch the same way.  The path frontend hands the
+builder switch instances and tags each move with the node it moves to, so
+a Viterbi explanation's derivation is its route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,9 +67,15 @@ class NBHSpec:
             raise ExplGraphError("need at least one class")
         if self.n_hidden < 1:
             raise ExplGraphError("n_hidden must be >= 1")
+        if MISSING in self.classes:
+            raise ExplGraphError(f"class {MISSING!r} is the missing-value marker")
         for name, domain in self.attributes:
             if not domain:
                 raise ExplGraphError(f"attribute {name} has an empty domain")
+            if MISSING in domain:
+                raise ExplGraphError(
+                    f"attribute {name} declares the missing-value marker {MISSING!r}"
+                )
 
     @property
     def hidden_values(self) -> tuple[int, ...]:
@@ -94,22 +104,33 @@ class NBHSpec:
         return {render_term(d.id): d for d in decls}
 
     @cached_property
-    def _slots(self) -> dict:
-        """Per (class, cluster) pair, the slots of its class and cluster
-        draws and, per attribute, of each value in domain order, in the
-        layout of ``_decls``; built on the first compile call and kept."""
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Slot ids in the layout of ``_decls``, indexed by class and
+        cluster index: ``[C, H, 2]`` of the class and cluster draws, and
+        ``[C, H, A, V]`` of each attribute's values in domain order (V the
+        largest domain, -1 past the end of a smaller one); built on the
+        first compile call and kept."""
         slot = SlotLayout(self._decls).slot
-        return {
-            (c, h): (
-                [slot(self.class_switch(), c), slot(self.hclass_switch(c), h)],
-                [
-                    {v: slot(self.attr_switch(j, c, h), v) for v in domain}
-                    for j, (_, domain) in enumerate(self.attributes, start=1)
-                ],
-            )
-            for c in self.classes
-            for h in self.hidden_values
-        }
+        width = max((len(domain) for _, domain in self.attributes), default=0)
+        heads, values = [], np.full(
+            (len(self.classes), self.n_hidden, len(self.attributes), width), -1, dtype=np.int64
+        )
+        for ci, c in enumerate(self.classes):
+            for hi, h in enumerate(self.hidden_values):
+                heads.append([slot(self.class_switch(), c), slot(self.hclass_switch(c), h)])
+                for j, (_, domain) in enumerate(self.attributes):
+                    sw = self.attr_switch(j + 1, c, h)
+                    values[ci, hi, j, : len(domain)] = [slot(sw, v) for v in domain]
+        return np.array(heads, dtype=np.int64).reshape(len(self.classes), self.n_hidden, 2), values
+
+    @cached_property
+    def _index(self) -> tuple[dict, list[dict]]:
+        """The index of each class, and per attribute of each value in
+        domain order; ``None`` (no class, a missing value) has index -1."""
+        return (
+            {None: -1, **{c: i for i, c in enumerate(self.classes)}},
+            [{None: -1, **{v: i for i, v in enumerate(d)}} for _, d in self.attributes],
+        )
 
     def check_row(self, row: "DataRow", need_class: bool) -> None:
         missing = row.cls is None
@@ -148,40 +169,6 @@ class DataRow:
         return DataRow(None, self.values)
 
 
-def _row_label(row: DataRow, observed_class: bool) -> str:
-    cls = row.cls if observed_class else MISSING
-    vals = ",".join([MISSING if v is None else v for v in row.values])
-    return f"nbh({cls}|{vals})"
-
-
-def _compile_nbh_into(
-    builder: GraphBuilder,
-    spec: NBHSpec,
-    row: DataRow,
-    label: str,
-    observed_class: bool,
-    anys: dict,
-) -> GoalId:
-    """Add a row's goal, labelled ``label``, to ``builder``.  ``anys``, one
-    per compile call, keeps the ``any(j,c,h)`` goals built so far."""
-    root = builder.goal(label)
-    present = [(j, v) for j, v in enumerate(row.values) if v is not None]
-    missing = [j for j, v in enumerate(row.values) if v is None]
-    for c in (row.cls,) if observed_class else spec.classes:
-        for h in spec.hidden_values:
-            head, by_value = spec._slots[c, h]
-            subgoals: list[GoalId] = []
-            for j in missing:
-                goal = anys.get((j, c, h))
-                if goal is None:
-                    goal = anys[j, c, h] = builder.goal(f"any({j + 1},{c},{h})")
-                    for s in by_value[j].values():
-                        builder.add_slot_body(goal, (), (s,))
-                subgoals.append(goal)
-            builder.add_slot_body(root, subgoals, head + [by_value[j][v] for j, v in present])
-    return root
-
-
 def compile_nbh(spec: NBHSpec, row: DataRow, observed_class: bool = True) -> ExplanationGraph:
     """Explanation graph of one row; branches over hidden cluster, any
     missing attributes, and (when the class is unobserved) the class."""
@@ -192,21 +179,125 @@ def compile_nbh_corpus(
     spec: NBHSpec, rows: Sequence[DataRow], observed_class: bool = True
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """Shared graph over many rows; identical rows share one goal."""
+    keys = [(row.cls, row.values) for row in rows]
+    ids, values, cls, codes = _encode_rows(spec, keys, observed_class)
+    if not observed_class:
+        # rows that differ only in class share one goal, which branches over every class
+        merged: dict = {}
+        remap = np.array([merged.setdefault(v, len(merged)) for v in values], dtype=np.int64)
+        ids, codes = remap[ids], codes[np.unique(remap, return_index=True)[1]]
+        values, cls = list(merged), np.full(len(merged), -1)
+    graph, goals = _compile_rows(spec, values, cls, codes)
+    return graph, goals[ids].tolist()
+
+
+def _encode_rows(spec: NBHSpec, keys: list[tuple], need_class: bool) -> tuple:
+    """Index ``keys``, one ``(class, values)`` pair per row, in one pass.
+
+    Returns each row's index among the distinct keys (numbered in order of
+    first occurrence), the distinct keys' values, their class indices and the
+    ``[keys, attributes]`` matrix of their value indices, -1 standing for
+    no class or a missing value.  The distinct keys are checked all at
+    once; only when one fails are the rows checked one by one, so that
+    :meth:`NBHSpec.check_row` names the first bad row in corpus order.
+    """
+    class_index, value_index = spec._index
+    first: dict = {}
+    try:
+        ids = np.array([first.setdefault(key, len(first)) for key in keys], dtype=np.int64)
+        classes, values = zip(*first) if first else ((), ())
+        cls = np.array(list(map(class_index.get, classes, repeat(-2))), dtype=np.int64)
+        ok = set(map(len, values)) <= {len(value_index)}
+        if ok:  # one column per attribute, looked up in that attribute's index
+            columns = zip(value_index, zip(*values))
+            codes = np.array(
+                [list(map(index.get, column, repeat(-2))) for index, column in columns],
+                dtype=np.int64,
+            ).reshape(len(value_index), len(values)).T
+    except TypeError:  # an unhashable class or value, which no index holds
+        ok = False
+    if not ok or np.any(codes < -1) or np.any(cls < (0 if need_class else -1)):
+        for c, row_values in keys:
+            spec.check_row(DataRow(c, row_values), need_class)
+        raise InvalidRow("row classes and values must be hashable")
+    return ids, values, cls, codes
+
+
+def _compile_rows(
+    spec: NBHSpec, values: Sequence[tuple], cls: np.ndarray, codes: np.ndarray
+) -> tuple[ExplanationGraph, np.ndarray]:
+    """The graph of one goal per row of ``codes``, and the ids of those goals.
+
+    Row k holds the values ``values[k]``, whose indices are ``codes[k]``,
+    and the class of index ``cls[k]``, or no class where that is -1.  Its
+    goal has one body per (class, cluster) pair, over every class when it
+    has none: the class and cluster draws, a draw of each present value
+    and, per missing attribute j, a subgoal ``any(j,c,h)`` whose bodies
+    draw each value of the domain.  Goal ids are those of adding the rows
+    one by one: each row's goal, then the ``any`` goals it is first to
+    use, in (class, cluster, attribute) order.  The bodies are gathered
+    from the slot arrays of ``NBHSpec._slots`` by the rows' codes.
+    """
+    head_slots, value_slots = spec._slots
+    n_classes, n_hidden, n_attrs, _ = value_slots.shape
+    # (row, class) pairs, in row order and then class order
+    n_pair = np.where(cls < 0, n_classes, 1)
+    pair_row = np.repeat(np.arange(len(codes)), n_pair)
+    nth = np.arange(len(pair_row)) - (np.cumsum(n_pair) - n_pair)[pair_row]
+    pair_cls = np.where(cls[pair_row] < 0, nth, cls[pair_row])
+    # each any(j,c) goal is first used by the row of its first missing (row, c, j) cell
+    at, any_j = np.nonzero(codes[pair_row] < 0)
+    used, first = np.unique(pair_cls[at] * n_attrs + any_j, return_index=True)
+    any_row, any_c, any_j = pair_row[at[first]], pair_cls[at[first]], any_j[first]
+    any_row, any_c, any_j = (np.repeat(x, n_hidden) for x in (any_row, any_c, any_j))
+    any_h = np.tile(np.arange(n_hidden), len(used))
+    order = np.lexsort((any_j, any_h, any_c, any_row))
+    any_row, any_c, any_h, any_j = (x[order] for x in (any_row, any_c, any_h, any_j))
+    # a goal's id counts the goals made before it: the rows up to its own
+    # row and the any goals first used before it
+    any_id = np.arange(len(order)) + any_row + 1
+    row_id = np.arange(len(codes)) + np.searchsorted(any_row, np.arange(len(codes)))
+    any_goal = np.full((n_classes, n_hidden, n_attrs), -1, dtype=np.int64)
+    any_goal[any_c, any_h, any_j] = any_id
+
     builder = GraphBuilder()
     builder.declare_switches(spec._decls)
-    goals: list[GoalId] = []
-    anys: dict = {}
-    seen: dict[str, GoalId] = {}
-    for row in rows:
-        spec.check_row(row, need_class=observed_class)
-        label = _row_label(row, observed_class)
-        gid = seen.get(label)
-        if gid is None:
-            gid = _compile_nbh_into(builder, spec, row, label, observed_class, anys)
-            builder.add_root(gid)
-            seen[label] = gid
-        goals.append(gid)
-    return builder.build(), goals
+    names = np.empty(len(row_id) + len(any_id), dtype=object)
+    texts = (",".join([MISSING if v is None else v for v in vs]) for vs in values)
+    names[row_id] = [
+        f"nbh({MISSING if c < 0 else spec.classes[c]}|{text})"
+        for c, text in zip(cls.tolist(), texts)
+    ]
+    names[any_id] = [
+        f"any({j + 1},{spec.classes[c]},{h + 1})"
+        for c, h, j in zip(any_c.tolist(), any_h.tolist(), any_j.tolist())
+    ]
+    for name in names.tolist():
+        builder.goal(name)
+    # the rows' bodies, one per (row, class, cluster)
+    body_row, body_c = np.repeat(pair_row, n_hidden), np.repeat(pair_cls, n_hidden)
+    body_h = np.tile(np.arange(n_hidden), len(pair_row))
+    body_codes = codes[body_row]
+    missing = body_codes < 0
+    c, h, j = body_c[:, None], body_h[:, None], np.arange(n_attrs)
+    slots = np.concatenate(
+        (head_slots[body_c, body_h], value_slots[c, h, j, body_codes]), axis=1
+    )
+    present = np.concatenate((np.ones((len(body_row), 2), dtype=bool), ~missing), axis=1)
+    # the any goals' bodies, one per domain value
+    domain = value_slots[any_c, any_h, any_j]
+    in_domain = domain >= 0
+    n_any = int(in_domain.sum())
+    builder.add_bodies(
+        np.concatenate((row_id[body_row], np.repeat(any_id, in_domain.sum(axis=1)))),
+        np.concatenate((missing.sum(axis=1), np.zeros(n_any, dtype=np.int64))),
+        any_goal[c, h, j][missing],
+        np.concatenate((present.sum(axis=1), np.ones(n_any, dtype=np.int64))),
+        np.concatenate((slots[present], domain[in_domain])),
+    )
+    for goal in row_id.tolist():
+        builder.add_root(goal)
+    return builder.build(), row_id
 
 
 def nbh_classify_rows(
@@ -224,18 +315,21 @@ def nbh_classify_rows(
     """
     if not rows:
         return []
-    graph, roots = compile_nbh_corpus(
-        spec, [DataRow(c, row.values) for row in rows for c in spec.classes]
+    ids, values, _, codes = _encode_rows(spec, [(None, row.values) for row in rows], False)
+    n_classes = len(spec.classes)
+    graph, roots = _compile_rows(
+        spec,
+        [v for v in values for _ in spec.classes],
+        np.tile(np.arange(n_classes), len(values)),
+        np.repeat(codes, n_classes, axis=0),
     )
-    logs = inside_prob(graph, theta).log[roots].reshape(len(rows), len(spec.classes))
-    out = []
-    for i, row_logs in enumerate(logs):
-        if np.all(np.isneginf(row_logs)):
-            raise AllZero(f"all class scores are zero for row {i}")
-        post = np.exp(row_logs - row_logs.max())
-        post /= post.sum()
-        out.append((spec.classes[int(np.argmax(post))], post))
-    return out
+    logs = inside_prob(graph, theta).log[roots].reshape(len(values), n_classes)[ids]
+    zero = np.all(np.isneginf(logs), axis=1)
+    if zero.any():
+        raise AllZero(f"all class scores are zero for row {int(np.argmax(zero))}")
+    post = np.exp(logs - logs.max(axis=1, keepdims=True))
+    post /= post.sum(axis=1, keepdims=True)
+    return [(spec.classes[k], p) for k, p in zip(np.argmax(post, axis=1).tolist(), post)]
 
 
 def nbh_classify(

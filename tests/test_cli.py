@@ -85,6 +85,59 @@ def test_gen_and_eval_roundtrip(files, capsys, task):
     assert data["task"] == task and len(data["folds"]) == 3
 
 
+NBH_SPEC = "class c1 c2\nhidden 2\nattr a1 y n\nattr a2 y n z\n"
+NBH_DATA = "".join(
+    f"{c},{a},{b}\n" for c, a, b in [
+        ("c1", "y", "y"), ("c1", "y", "?"), ("c2", "n", "z"), ("c2", "?", "n"),
+        ("c1", "y", "y"), ("c2", "n", "z"), ("c1", "?", "y"), ("c2", "n", "?"),
+    ]
+)
+
+
+def test_nbh_compile_learn_and_eval(tmp_path, capsys):
+    spec, data = tmp_path / "m.spec", tmp_path / "m.data"
+    spec.write_text(NBH_SPEC)
+    data.write_text(NBH_DATA)
+    one, corpus = tmp_path / "row.eg", tmp_path / "data.eg"
+    assert main(["compile", "--task", "nbh", "--spec", str(spec), "--row", "c1,y,?",
+                 "--out", str(one)]) == 0
+    text = one.read_text()
+    assert "nbh(c1|y,?)" in text and "any(2,c1,2)" in text and "nbh(c2" not in text
+    assert main(["compile", "--task", "nbh", "--spec", str(spec), "--data", str(data),
+                 "--out", str(corpus)]) == 0
+    text = corpus.read_text()
+    # eight rows, six of them distinct, each a root
+    assert sum(line.startswith("root ") for line in text.splitlines()) == 6
+    params, report = tmp_path / "m.params", tmp_path / "m.report"
+    assert main(["learn", "--task", "nbh", "--spec", str(spec), "--data", str(data),
+                 "--method", "map", "--delta", "1.0", "--seed", "1",
+                 "--out-params", str(params), "--report", str(report)]) == 0
+    assert params.read_text().startswith("msw class c1")
+    assert "termination" in report.read_text()
+    out_json = tmp_path / "cv.json"
+    capsys.readouterr()
+    assert main(["eval", "--task", "nbh", "--spec", str(spec), "--data", str(data),
+                 "--folds", "2", "--method", "map", "--delta", "1.0",
+                 "--json", str(out_json)]) == 0
+    assert "mean accuracy" in capsys.readouterr().out
+    import json
+
+    result = json.loads(out_json.read_text())
+    assert result["task"] == "nbh" and len(result["folds"]) == 2
+
+
+def test_nbh_bad_data_line_is_named(tmp_path, capsys):
+    spec, data = tmp_path / "m.spec", tmp_path / "m.data"
+    spec.write_text(NBH_SPEC)
+    data.write_text(NBH_DATA + "c1,y,q\n")
+    for argv in (["compile", "--task", "nbh", "--out", str(tmp_path / "x.eg")],
+                 ["eval", "--task", "nbh", "--folds", "2"]):
+        capsys.readouterr()
+        assert main(argv + ["--spec", str(spec), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert f"{data}:9:" in err and "value 'q' not in domain of attribute a2" in err
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
     assert main([]) == 1

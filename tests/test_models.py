@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from explgraph import models
-from explgraph.errors import AllZero, ExplGraphError, InvalidRow, NoPath
+from explgraph.errors import AllZero, ExplGraphError, FileFormatError, InvalidRow, NoPath
 from explgraph.graph import (
     Body,
     DefiningFormula,
@@ -17,6 +17,7 @@ from explgraph.graph import (
 )
 from explgraph.harness import ExperimentConfig, cv_run
 from explgraph.inference import goal_prob, inside_prob, viterbi
+from explgraph.io import load_nbh_spec
 from explgraph.learning import LearnConfig, learn
 from explgraph.models import (
     DataRow,
@@ -26,7 +27,6 @@ from explgraph.models import (
     compile_nbh_corpus,
     compile_path_graph,
     compile_path_queries,
-    _row_label,
     nbh_classify,
     nbh_classify_rows,
     six_node_demo_graph,
@@ -207,6 +207,13 @@ def test_nbh_corpus_shares_identical_rows():
 # -- NBH batch classification against the former per-row compiler -------------
 
 
+def _row_label(row: DataRow, observed_class: bool) -> str:
+    """The label the former compiler gave a row's goal."""
+    cls = row.cls if observed_class else "?"
+    vals = ",".join(["?" if v is None else v for v in row.values])
+    return f"nbh({cls}|{vals})"
+
+
 def _reference_compile_nbh_into(
     builder: GraphBuilder, spec: NBHSpec, row: DataRow, observed_class: bool
 ):
@@ -319,33 +326,139 @@ def _random_rows(rng, spec, n, missing):
     return rows
 
 
-@pytest.mark.parametrize("n_hidden", [1, 2])
+def _assert_former_graph(spec, rows, observed_class):
+    """The compiler gives the reference's goal ids, labels, formulas and
+    ``CompiledGraph`` arrays."""
+    graph, goals = compile_nbh_corpus(spec, rows, observed_class)
+    ref, ref_goals = _reference_compile_nbh_corpus(spec, rows, observed_class)
+    assert goals == ref_goals
+    assert graph.labels == ref.labels
+    assert graph.formulas == ref.formulas
+    assert graph.roots == ref.roots
+    assert graph.switches == ref.switches
+    comp, ref_comp = graph.compiled(), ref.compiled()
+    arrays = [k for k, v in vars(ref_comp).items() if isinstance(v, np.ndarray)]
+    assert "spart_slot" in arrays
+    for name in arrays:
+        assert np.array_equal(getattr(comp, name), getattr(ref_comp, name)), name
+    for lv, ref_lv in zip(comp.levels, ref_comp.levels, strict=True):
+        assert np.array_equal(lv.goals, ref_lv.goals)
+        for part in ("bodies", "cparts", "sparts"):
+            assert getattr(lv, part) == getattr(ref_lv, part)
+
+
+def _uneven_spec(n_hidden):
+    """Domains of one to four values, so the slot arrays are padded."""
+    attrs = (("a1", ("x",)), ("a2", ("p", "q", "r", "s")), ("a3", ("u", "v")))
+    return NBHSpec(("c1", "c2", "c3"), n_hidden, attrs)
+
+
+@pytest.mark.parametrize("n_hidden", [1, 2, 3])
 @pytest.mark.parametrize("observed_class", [True, False])
-@pytest.mark.parametrize("missing", [0.0, 0.3])
+@pytest.mark.parametrize("missing", [0.0, 0.3, 1.0])
 def test_cached_compiler_builds_the_former_graph(n_hidden, observed_class, missing):
     rng = np.random.default_rng(71 + n_hidden)
-    for spec in (small_spec(n_hidden), _wide_spec(n_hidden)):
+    specs = (small_spec(n_hidden), _wide_spec(n_hidden), _uneven_spec(n_hidden))
+    for spec in specs:
         rows = _random_rows(rng, spec, 60, missing)
         assert (missing > 0) == any(None in row.values for row in rows)
-        graph, goals = compile_nbh_corpus(spec, rows, observed_class)
-        ref, ref_goals = _reference_compile_nbh_corpus(spec, rows, observed_class)
-        assert goals == ref_goals
-        assert graph.labels == ref.labels
-        assert graph.formulas == ref.formulas
-        assert graph.roots == ref.roots
-        assert graph.switches == ref.switches
-        comp, ref_comp = graph.compiled(), ref.compiled()
-        arrays = [k for k, v in vars(ref_comp).items() if isinstance(v, np.ndarray)]
-        assert "spart_slot" in arrays
-        for name in arrays:
-            assert np.array_equal(getattr(comp, name), getattr(ref_comp, name)), name
-        for lv, ref_lv in zip(comp.levels, ref_comp.levels, strict=True):
-            assert np.array_equal(lv.goals, ref_lv.goals)
-            for part in ("bodies", "cparts", "sparts"):
-                assert getattr(lv, part) == getattr(ref_lv, part)
+        assert (missing == 1) == all(set(row.values) == {None} for row in rows)
+        _assert_former_graph(spec, rows, observed_class)
         single = compile_nbh(spec, rows[0], observed_class)
         ref_single, _ = _reference_compile_nbh_corpus(spec, rows[:1], observed_class)
         assert single.labels == ref_single.labels and single.formulas == ref_single.formulas
+
+
+@pytest.mark.parametrize("observed_class", [True, False])
+def test_compiler_without_attributes_builds_the_former_graph(observed_class):
+    spec = NBHSpec(("c1", "c2"), 2, ())
+    rows = [DataRow("c2", ()), DataRow("c1", ()), DataRow("c2", ())]
+    if not observed_class:
+        rows.append(DataRow(None, ()))
+    _assert_former_graph(spec, rows, observed_class)
+    _assert_former_graph(spec, [], observed_class)
+
+
+def test_unobserved_class_merges_rows_that_differ_only_in_class():
+    rng = np.random.default_rng(77)
+    for spec in (small_spec(2), _wide_spec(3), _uneven_spec(1)):
+        rows = _random_rows(rng, spec, 40, 0.3)
+        # each row again under every class and under none, interleaved
+        rows += [DataRow(c, row.values) for row in rows[::3] for c in (None,) + spec.classes]
+        _assert_former_graph(spec, rows, observed_class=False)
+        graph, goals = compile_nbh_corpus(spec, rows, observed_class=False)
+        assert len(graph.roots) == len({row.values for row in rows})
+
+
+def test_missing_marker_is_refused_as_class_or_value():
+    # a value '?' would share its row label, and so its goal, with a missing value
+    with pytest.raises(ExplGraphError, match="missing-value marker"):
+        NBHSpec(("c",), 1, (("a1", ("?", "x")),))
+    with pytest.raises(ExplGraphError, match="missing-value marker"):
+        NBHSpec(("c", "?"), 1, (("a1", ("x",)),))
+    for text in ("class c\nattr a1 ? x\n", "class c ?\nattr a1 x\n"):
+        with pytest.raises(FileFormatError, match="missing-value marker"):
+            load_nbh_spec(text)
+
+
+def _first_error(call):
+    try:
+        call()
+    except InvalidRow as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("observed_class", [True, False])
+def test_first_bad_row_in_corpus_order_names_the_former_error(observed_class):
+    spec = small_spec(2)
+    good = [DataRow("c1", ("y", "n")), DataRow("c2", (None, "n")), DataRow(None, ("y", None))]
+    bad = [
+        DataRow("zzz", ("y", "n")),  # bad class
+        DataRow("c1", ("y",)),  # bad length
+        DataRow("c2", ("y", "q")),  # bad value
+        DataRow("c1", ("y", ["n"])),  # unhashable value
+    ]
+    rng = np.random.default_rng(79)
+    for _ in range(40):
+        rows = [good[int(i)] for i in rng.integers(len(good), size=6)]
+        for i in sorted(rng.choice(len(rows) + 1, size=2, replace=False), reverse=True):
+            rows.insert(int(i), bad[int(rng.integers(len(bad)))])
+        want = _first_error(lambda: _reference_compile_nbh_corpus(spec, rows, observed_class))
+        assert want is not None
+        assert _first_error(lambda: compile_nbh_corpus(spec, rows, observed_class)) == want
+
+
+def test_batch_errors_equal_the_former_per_row_calls():
+    spec = small_spec(2)
+    g = compile_nbh(spec, DataRow("c1", ("y", "n")))
+    theta = ParameterTable.uniform(g)
+    # row classes are ignored; the first bad row of the batch is named
+    rows = [DataRow("zzz", ("y", None)), DataRow(None, ("y", "q")), DataRow("c1", ("y",))]
+    for k in range(len(rows)):
+        batch = rows[k:] + rows[:k]
+
+        def former():
+            for row in batch:
+                _reference_classify(spec, theta, row)
+
+        assert _first_error(lambda: nbh_classify_rows(spec, theta, batch)) == _first_error(former)
+        assert _first_error(former) is not None
+    # a1 = y never occurs: the first row with a1 = y present is named
+    data = {k: np.full(len(d.values), 1.0 / len(d.values)) for k, d in g.switches.items()}
+    for c in spec.classes:
+        for h in spec.hidden_values:
+            data[str(spec.attr_switch(1, c, h))] = np.array([0.0, 1.0])
+    theta = ParameterTable(g.switches, data)
+    rows = [DataRow(None, v) for v in (("n", None), (None, None), ("n", "y"), ("y", "n"))]
+    for k in range(len(rows)):
+        batch = rows[k:] + rows[:k]
+        want = next(i for i, row in enumerate(batch) if row.values[0] == "y")
+        with pytest.raises(AllZero, match=rf"^all class scores are zero for row {want}$"):
+            nbh_classify_rows(spec, theta, batch)
+        for call in (nbh_classify, _reference_classify):
+            with pytest.raises(AllZero, match=r"^all class scores are zero for this row$"):
+                call(spec, theta, batch[want])
 
 
 @pytest.mark.parametrize("n_hidden", [1, 2])

@@ -30,6 +30,7 @@ from explgraph.grammar import (  # noqa: E402
     tree_from_explanation,
 )
 from explgraph.inference import viterbi  # noqa: E402
+from explgraph.models import DataRow, NBHSpec  # noqa: E402
 from explgraph.io import emit_expl_graph, load_expl_graph  # noqa: E402
 from explgraph.tables import ParameterTable  # noqa: E402
 from test_grammar import (  # noqa: E402
@@ -38,6 +39,7 @@ from test_grammar import (  # noqa: E402
     _equals_reference,
     _reference_compile_corpus,
 )
+from test_models import _assert_former_graph  # noqa: E402
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -277,3 +279,35 @@ def test_text_format_round_trips_random_graphs(seed, general):
     assert again.switches == graph.switches
     assert again.formulas == graph.formulas and list(again.formulas) == list(graph.formulas)
     assert emit_expl_graph(again) == text
+
+
+@SEEDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_classes=st.integers(1, 3),
+    n_hidden=st.integers(1, 3),
+    domains=st.lists(st.integers(1, 4), max_size=4),
+    n_rows=st.integers(0, 30),
+    observed_class=st.booleans(),
+)
+def test_nbh_compiler_equals_former_per_row_compiler(
+    seed, n_classes, n_hidden, domains, n_rows, observed_class
+):
+    # random specs (no attribute included), rows with repeats and missing
+    # values; rows may lack a class when it is not observed
+    rng = np.random.default_rng(seed)
+    classes = tuple(f"c{i}" for i in range(n_classes))
+    attrs = tuple((f"a{j}", tuple(f"v{k}" for k in range(n))) for j, n in enumerate(domains))
+    spec = NBHSpec(classes, n_hidden, attrs)
+    missing = rng.uniform(0.0, 1.0)
+    rows = []
+    for _ in range(n_rows):
+        if rows and rng.random() < 0.3:
+            rows.append(rows[int(rng.integers(len(rows)))])
+            continue
+        values = tuple(
+            None if rng.random() < missing else str(rng.choice(domain)) for _, domain in attrs
+        )
+        no_class = not observed_class and rng.random() < 0.3
+        rows.append(DataRow(None if no_class else str(rng.choice(classes)), values))
+    _assert_former_graph(spec, rows, observed_class)
