@@ -27,7 +27,7 @@ from .errors import (
 )
 from .grammar import compile_pcfg, compile_plcg, compile_pcfg_corpus, compile_plcg_corpus, gen_corpus
 from .harness import ExperimentConfig, cv_run, run_session
-from .inference import inside_prob, viterbi
+from .inference import check_nonzero, extract_viterbi, inside_prob, log_theta_vector
 from .learning import LearnConfig, learn
 from .models import DataRow, compile_nbh, compile_nbh_corpus, compile_path_queries
 
@@ -135,8 +135,10 @@ def cmd_viterbi(args) -> int:
     graph = fio.load_expl_graph(_file(args.graph, "--graph"))
     theta = fio.load_params(_file(args.params, "--params"), graph)
     goals = [graph.goal_index(args.goal)] if args.goal else list(graph.roots)
-    for g in goals:
-        res = viterbi(graph, g, theta)
+    best, sel = graph.compiled().viterbi_pass(log_theta_vector(graph, theta))
+    for g in goals:  # one pass serves every goal; an AllZero goal stops after those before it
+        check_nonzero(graph, [g], best)
+        res = extract_viterbi(graph, sel, best, g)
         print(f"{graph.labels[g]} P = {res.prob!r}")
         print(f"{graph.labels[g]} VE = {res.explanation.render()}")
     return 0

@@ -31,7 +31,11 @@ It stays apart from the upward loop, which carries one float per goal,
 because a multiset is a vector of exact integers.
 
 Each pass costs O(total body size) numpy work, matching the linear-time
-contract of the sum-product and argmax recurrences.
+contract of the sum-product and argmax recurrences.  Reading the
+explanations of a few goals off a selection costs less:
+``selected_derivation`` walks only the selected sub-DAG below them, in
+Python, and gives exact integer use and slot counts, the choice trace and
+the tagged derivations in work linear in the size of that sub-DAG.
 
 All probability accumulation is done in log space; ``-inf`` encodes
 probability zero.
@@ -39,7 +43,8 @@ probability zero.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,6 +80,19 @@ def _posterior(bodies: slice, heads, h, inside, scores) -> np.ndarray:
 def _selected(bodies: slice, heads, h, sel) -> np.ndarray:
     """Viterbi-counts body weight: occ(head) on the head's selected body, else 0."""
     return np.where(sel[heads] == np.arange(bodies.start, bodies.stop), h, 0.0)
+
+
+class Selection(NamedTuple):
+    """What :meth:`CompiledGraph.selected_derivation` reads off a selection:
+    per used goal its use count (in level order), per used slot its count,
+    per used goal (in goal-id order) the index of its selected body within
+    the goal, and per goal asked for its derivation (``None`` on a graph
+    without tags)."""
+
+    use: dict[int, int]
+    counts: dict[int, int]
+    trace: dict[int, int]
+    derivations: Optional[list[tuple]]
 
 
 class _Level(NamedTuple):
@@ -376,23 +394,63 @@ class CompiledGraph:
         rows = self.selected_multisets(sel, eta, use, range(self.n_goals))
         return [tuple((s, int(row[s])) for s in np.flatnonzero(row).tolist()) for row in rows]
 
-    def selected_derivation(self, sel: np.ndarray, goals, use: np.ndarray) -> list[tuple]:
-        """The derivations of ``goals`` along the selected bodies, as nested tuples.
+    @cached_property
+    def _walk_lists(self) -> tuple[list, ...]:
+        """Per goal its level, per body its child-part start and count, its
+        switch-part start and count and its index within its goal, and per
+        part its child, its slot and its multiplicity, as Python lists for
+        :meth:`selected_derivation`.  Built on first use and kept."""
+        return tuple(
+            x.tolist()
+            for x in (
+                self.level, self.body_cstart, self.body_ccount, self.body_sstart,
+                self.body_scount, self.body_local, self.cpart_child, self.spart_slot,
+                self.spart_mult.astype(np.int64),
+            )
+        )
 
-        ``use`` holds the use counts :meth:`selected_counts_pass` returns
-        when seeded with ``goals``; its positive entries are the selected
-        sub-DAG below them.  A tagged body gives one node ``(tag,
+    def selected_derivation(self, sel: np.ndarray, goals) -> Selection:
+        """What the selected derivations of ``goals`` use, in one walk of the
+        selected sub-DAG below them.
+
+        The walk follows ``sel`` down from ``goals`` and collects the used
+        goals, then orders them by level.  From the top, each used goal
+        passes its use count (``goals`` count one each) to the subgoals of
+        its selected body and, times the multiplicity, to the body's slots.
+        From the bottom, on a tagged graph, each used goal's derivation is
+        built from its subgoals': a tagged body gives one node ``(tag,
         children)``; an untagged body splices its subgoals' nodes into its
         parent's children.  Subgoals keep body order, so the nodes read left
-        to right.  Built bottom-up over the sub-DAG, children first by
-        level, in Python work linear in its size.
+        to right.  The counts are exact Python ints, and the work is linear
+        in the size of the sub-DAG, not of the graph.
         """
-        used = np.flatnonzero(use > 0)
-        nodes: dict[int, tuple] = {}
-        for g in used[np.argsort(self.level[used], kind="stable")].tolist():
-            b = sel[g]
-            c0 = self.body_cstart[b]
-            children = self.cpart_child[c0 : c0 + self.body_ccount[b]].tolist()
-            kids = tuple(node for c in children for node in nodes[c])
-            nodes[g] = kids if self.tags[b] is None else ((self.tags[b], kids),)
-        return [nodes[int(g)] for g in goals]
+        level, cstart, ccount, sstart, scount, local, child, slot, mult = self._walk_lists
+        goals = [int(g) for g in goals]
+        body: dict[int, int] = {}  # per used goal, its selected body
+        stack = list(goals)
+        while stack:
+            g = stack.pop()
+            if g not in body:
+                b = body[g] = int(sel[g])
+                stack += child[cstart[b] : cstart[b] + ccount[b]]
+        order = sorted(body, key=level.__getitem__)  # children first
+        use = dict.fromkeys(order, 0)
+        for g in goals:
+            use[g] += 1
+        counts: dict[int, int] = {}
+        for g in reversed(order):
+            u, b = use[g], body[g]
+            for c in child[cstart[b] : cstart[b] + ccount[b]]:
+                use[c] += u
+            for k in range(sstart[b], sstart[b] + scount[b]):
+                counts[slot[k]] = counts.get(slot[k], 0) + u * mult[k]
+        derivations = None
+        if self.tagged:
+            nodes: dict[int, tuple] = {}
+            for g in order:
+                b = body[g]
+                kids = tuple(n for c in child[cstart[b] : cstart[b] + ccount[b]] for n in nodes[c])
+                nodes[g] = kids if self.tags[b] is None else ((self.tags[b], kids),)
+            derivations = [nodes[g] for g in goals]
+        trace = {g: local[body[g]] for g in sorted(body)}
+        return Selection(use, counts, trace, derivations)

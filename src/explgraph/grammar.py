@@ -262,16 +262,23 @@ class ParseTree:
         )
 
     def brackets(self, start: int = 0) -> list[tuple[int, int]]:
-        """Token spans (i, j), half-open, of every internal node."""
+        """Token spans (i, j), half-open, of every internal node, children
+        before their parent, in one explicit-stack walk, so depth costs no
+        recursion."""
         spans = []
         pos = start
-        for c in self.children:
-            if isinstance(c, str):
-                pos += 1
+        stack = [(start, iter(self.children))]  # per open node: its start, its children to go
+        while stack:
+            begin, todo = stack[-1]
+            for c in todo:
+                if isinstance(c, str):
+                    pos += 1
+                else:
+                    stack.append((pos, iter(c.children)))
+                    break
             else:
-                spans.extend(c.brackets(pos))
-                pos += len(c.tokens())
-        spans.append((start, pos))
+                stack.pop()
+                spans.append((begin, pos))
         return spans
 
     def rule_counts(self) -> dict[tuple[str, tuple], int]:
@@ -541,7 +548,7 @@ def _emit(
 
 
 def _compile_corpus(
-    grammar: Grammar, sentences: Iterable[Sequence[str]], head: tuple, expander, refusal: str, decls
+    grammar: Grammar, sentences: Iterable[Sequence[str]], head: tuple, expander, refusal: str, layout
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """One graph whose roots are the sentences' goals, in corpus order.
 
@@ -557,7 +564,8 @@ def _compile_corpus(
     j)`` interns ``tokens[i:j]`` on first use.  Every key a sentence tests
     lies inside the span it covers, so a key's bodies depend on its words
     alone and one memo serves the whole corpus; ``_emit`` then emits the
-    keys the roots reach.
+    keys the roots reach.  The graph shares the frontend's slot ``layout``,
+    built once per grammar.
     """
     bits = grammar._symbol_bits
     start_bit = bits.bit[grammar.start]
@@ -596,7 +604,7 @@ def _compile_corpus(
         roots.append(root)
     del charts  # free the charts before _emit and build() lay out the graph
     builder = GraphBuilder()
-    builder.declare_switches(decls)
+    builder.declare_layout(layout)
     goals = _emit(builder, memo, roots, list(span_id))
     del memo, span_id  # free the recognition tables before build() lays out the graph
     for goal in goals:
@@ -650,8 +658,8 @@ def compile_pcfg_corpus(
     grammar: Grammar, sentences: Iterable[Sequence[str]]
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """One shared graph for a corpus; sentences share the goals of their common phrases."""
-    head, refusal, decls = (grammar.start,), "no derivation of", grammar._pcfg_decls
-    return _compile_corpus(grammar, sentences, head, _pcfg_expand, refusal, decls)
+    head, refusal, layout = (grammar.start,), "no derivation of", grammar._symbol_bits.layout
+    return _compile_corpus(grammar, sentences, head, _pcfg_expand, refusal, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +786,8 @@ def compile_plcg_corpus(
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """One shared left-corner graph for a corpus, tabled by words as ``compile_pcfg_corpus``."""
     head, refusal = ("g", (grammar.start,)), "no left-corner derivation of"
-    decls = grammar._lc_switches.decls
-    return _compile_corpus(grammar, sentences, head, _plcg_expand, refusal, decls)
+    layout = grammar._lc_switches.layout
+    return _compile_corpus(grammar, sentences, head, _plcg_expand, refusal, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +866,7 @@ def parse_corpus(
     rows = comp.selected_multisets(sel, eta, use, goals)
     pairs = comp.layout.slot_pairs
     trees: list[Optional[ParseTree]] = [None] * len(sentences)
-    for k, row, derivation in zip(live, rows, comp.selected_derivation(sel, goals, use)):
+    for k, row, derivation in zip(live, rows, comp.selected_derivation(sel, goals).derivations):
         multiset = {pairs[s]: int(row[s]) for s in np.flatnonzero(row).tolist()}
         trees[k] = _derived_tree(grammar, sentences[k], mode, derivation, multiset)
     return trees

@@ -132,6 +132,14 @@ class Explanation:
         )
         self._hash = hash(self._items)
 
+    @classmethod
+    def _of_items(cls, items: tuple, derivation: Optional[tuple] = None) -> "Explanation":
+        """The explanation whose :meth:`items` are ``items``, which hold
+        distinct keys already in the order the constructor sorts them to."""
+        expl = cls.__new__(cls)
+        expl._items, expl._hash, expl.derivation = items, hash(items), derivation
+        return expl
+
     @property
     def instances(self) -> tuple[SwitchInstance, ...]:
         return tuple(SwitchInstance(s, v, m) for (s, v), m in self._items)
@@ -252,7 +260,8 @@ class ExplanationGraph:
         self.tags = list(b._tags)
         self.exclusiveness: Optional[str] = None  # cached diagnostic verdict
         self._compiled = None
-        self._slots = None
+        shared = b._layout is not None and list(self.switches) == b._layout.keys
+        self._slots = b._layout if shared else None
         self._formulas = None
         # part index -> (instance, what resolving it raised)
         self._unresolved: dict[int, tuple[SwitchInstance, ExplGraphError]] = {}
@@ -397,6 +406,7 @@ class GraphBuilder:
         # per body: head, subgoal count, switch-part count, tag
         self._heads, self._nsub, self._ninst = array("q"), array("q"), array("q")
         self._tags: list = []
+        self._layout = None  # the slot layout a built graph shares (declare_layout)
         # the bodies' subgoal ids and switch-part slots, concatenated
         self._subgoals, self._slots = array("q"), array("q")
         # (part index, instance) of each part given as an instance, resolved by build()
@@ -415,6 +425,14 @@ class GraphBuilder:
             if old is not None and old.values != decl.values:
                 raise ExplGraphError(f"conflicting declarations for switch {key}")
             self._switches.setdefault(key, decl)
+
+    def declare_layout(self, layout) -> None:
+        """Declare the switches of ``layout``, a
+        :class:`explgraph.tables.SlotLayout`.  A graph built with exactly
+        these switches, in this order, shares ``layout`` instead of building
+        one of its own, so a frontend's graphs share its layout."""
+        self.declare_switches(layout.decls)
+        self._layout = layout
 
     def goal(self, label: str) -> GoalId:
         """Return the goal id for ``label``, creating the goal if new."""

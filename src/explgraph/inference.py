@@ -4,7 +4,11 @@
 explanations of their probabilities, sharing work through the graph so the
 whole table costs one linear pass.  ``viterbi`` extracts a most probable
 explanation with a deterministic tie-break (lowest body index, applied
-bottom-up in topological order).
+bottom-up in topological order): one linear Viterbi pass selects a body
+per goal, and ``extract_viterbi`` reads the goal's explanation off its
+own selected sub-DAG, following the selected bodies down from the goal,
+so the read-off costs the size of that sub-DAG and its switch counts are
+exact integers.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ class ViterbiResult:
     which :func:`explgraph.grammar.tree_from_explanation` reads the parse
     tree in linear time.  Ties between bodies of equal score go to the lowest
     body index of each goal, for both the explanation and the derivation.
+    The explanation's counts are exact integers, however large, and the
+    read-off costs the size of the selected sub-DAG below the goal.
     """
 
     goal: GoalId
@@ -136,15 +142,10 @@ def extract_viterbi(
     graph: ExplanationGraph, sel: np.ndarray, best: np.ndarray, goal: GoalId
 ) -> ViterbiResult:
     """Materialise the explanation (and, on tagged graphs, the derivation)
-    selected by a Viterbi pass."""
+    selected by a Viterbi pass, in one walk of the selected sub-DAG below
+    ``goal`` (:meth:`CompiledGraph.selected_derivation`)."""
     comp = graph.compiled()
-    seeds = np.zeros(graph.n_goals, dtype=np.int64)
-    seeds[goal] = 1
-    eta, use = comp.selected_counts_pass(sel, seeds)
-    trace = {
-        int(g): int(comp.body_local[sel[g]]) for g in np.nonzero(use > 0)[0]
-    }
-    derivation = comp.selected_derivation(sel, [goal], use)[0] if comp.tagged else None
-    slots = np.nonzero(eta)[0]
-    explanation = comp.layout.explanation(zip(slots, eta[slots]), derivation)
-    return ViterbiResult(goal, float(best[goal]), explanation, trace)
+    read = comp.selected_derivation(sel, [goal])
+    derivation = read.derivations[0] if comp.tagged else None
+    explanation = comp.layout.explanation(read.counts.items(), derivation)
+    return ViterbiResult(goal, float(best[goal]), explanation, read.trace)

@@ -8,12 +8,13 @@ can gather and scatter with plain numpy indexing.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
 from .errors import ExplGraphError, MissingParameter
-from .graph import Explanation, ExplanationGraph, SwitchDecl, SwitchInstance
+from .graph import Explanation, ExplanationGraph, SwitchDecl
 from .terms import TermLike, render_term
 
 __all__ = [
@@ -62,11 +63,23 @@ class SlotLayout:
             raise MissingParameter(f"switch {k} not declared in graph") from None
         return self.offsets[k] + decl.value_index(value)
 
+    @cached_property
+    def rank(self) -> list[int]:
+        """Per slot, its place in the order of (rendered switch, rendered
+        value), ties in slot order: the order of an :class:`Explanation`'s
+        items.  Computed on first use and kept."""
+        names = [(render_term(s), render_term(v)) for s, v in self.slot_pairs]
+        rank = [0] * self.n_slots
+        for r, s in enumerate(sorted(range(self.n_slots), key=names.__getitem__)):
+            rank[s] = r
+        return rank
+
     def explanation(self, counts, derivation: Optional[tuple] = None) -> Explanation:
-        """The explanation holding ``count`` instances of each (slot, count) pair."""
-        return Explanation(
-            (SwitchInstance(*self.slot_pairs[s], int(m)) for s, m in counts), derivation
-        )
+        """The explanation holding ``count`` instances of each (slot, count)
+        pair, one pair per slot, its items put in order by :attr:`rank`."""
+        rank, pairs = self.rank, self.slot_pairs
+        counts = sorted(counts, key=lambda sm: rank[sm[0]])
+        return Explanation._of_items(tuple((pairs[s], int(m)) for s, m in counts), derivation)
 
     def flatten(self, table: "SwitchTable") -> np.ndarray:
         out = np.empty(self.n_slots)

@@ -3,6 +3,8 @@ import os
 import pytest
 
 from explgraph.cli import main
+from explgraph.inference import viterbi
+from explgraph.io import load_expl_graph, load_params
 
 TOY = "start S\nS -> S S : 0.4\nS -> a : 0.3\nS -> b : 0.3\n"
 EDGES = (
@@ -156,6 +158,41 @@ def test_learner_error_exit_code(tmp_path):
     params = tmp_path / "zero.params"
     params.write_text("msw s a 0.0\nmsw s b 1.0\n")
     assert main(["viterbi", "--graph", str(eg), "--params", str(params)]) == 3
+
+
+def test_viterbi_over_all_roots_prints_what_one_call_per_root_gives(files, capsys):
+    tmp, grammar, _ = files
+    corpus, eg, params = tmp / "ab.corpus", tmp / "ab.eg", tmp / "ab.params"
+    corpus.write_text("a b\nb a b\na\na a b b\nb\n")
+    assert main(["compile", "--task", "plcg", "--grammar", grammar,
+                 "--corpus", str(corpus), "--out", str(eg)]) == 0
+    assert main(["learn", "--graph", str(eg), "--method", "vt", "--delta", "1.0",
+                 "--out-params", str(params)]) == 0
+    capsys.readouterr()
+    assert main(["viterbi", "--graph", str(eg), "--params", str(params)]) == 0
+    graph = load_expl_graph(str(eg))
+    theta = load_params(str(params), graph)
+    want = ""
+    for g in graph.roots:
+        res = viterbi(graph, g, theta)
+        want += f"{graph.labels[g]} P = {res.prob!r}\n"
+        want += f"{graph.labels[g]} VE = {res.explanation.render()}\n"
+    assert len(graph.roots) == 5 and capsys.readouterr().out == want
+
+
+def test_viterbi_reports_an_all_zero_root_after_the_roots_before_it(tmp_path, capsys):
+    eg = tmp_path / "three.eg"
+    eg.write_text(
+        "switch s a b\ngoal 0 g0\ngoal 1 g1\ngoal 2 g2\n"
+        "body 0 : | s=b\nbody 1 : | s=a\nbody 2 : | s=b s=b\n"
+        "root 0\nroot 1\nroot 2\n"
+    )
+    params = tmp_path / "three.params"
+    params.write_text("msw s a 0.0\nmsw s b 1.0\n")
+    assert main(["viterbi", "--graph", str(eg), "--params", str(params)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "g0 P = 1.0\ng0 VE = {s=b}\n"
+    assert "g1" in captured.err
 
 
 def test_missing_file_gives_clear_data_error(tmp_path, capsys):

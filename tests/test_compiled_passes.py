@@ -808,6 +808,40 @@ def test_every_goal_of_a_doubling_chain_is_used():
     assert result.explanation.count("c", "h") == 2**69
 
 
+def test_viterbi_counts_a_tripling_chain_exactly():
+    # goal k's one body uses goal k - 1 three times, and only the bottom
+    # goal draws c=h, so the top explains as 3**34 instances of c=h: an odd
+    # count above 2**53, which a float count would round to 3**34 - 1
+    b = GraphBuilder()
+    b.declare_switch("c", ("h", "t"))
+    goals = [b.goal("g0")]
+    b.add_body(goals[0], [], [SwitchInstance("c", "h")])
+    for k in range(1, 35):
+        goals.append(b.goal(f"g{k}"))
+        b.add_body(goals[k], [goals[k - 1]] * 3)
+    graph = b.build()
+    result = viterbi(graph, goals[-1], ParameterTable.uniform(graph))
+    assert result.explanation.items() == ((("c", "h"), 3**34),)
+    assert len(result.choice_trace) == 35
+
+
+def test_viterbi_counts_a_long_doubling_chain_exactly():
+    # 2**1100 instances of a probability-1 switch: beyond any float, so a
+    # count that passes through one overflows instead of reading the count
+    b = GraphBuilder()
+    b.declare_switch("c", ("h",))
+    goals = [b.goal("g0")]
+    b.add_body(goals[0], [], [SwitchInstance("c", "h")])
+    for k in range(1, 1101):
+        goals.append(b.goal(f"g{k}"))
+        b.add_body(goals[k], [goals[k - 1], goals[k - 1]])
+    graph = b.build()
+    result = viterbi(graph, goals[-1], ParameterTable.uniform(graph))
+    assert result.log_prob == 0.0
+    assert result.explanation.items() == ((("c", "h"), 2**1100),)
+    assert len(result.choice_trace) == 1101
+
+
 def test_rows_stay_exact_beyond_int64():
     # g64 and g69 explain as 2**64 or 2**69 instances of c=h and one fewer
     # of c=t: the two multisets agree modulo 2**64, so rows that wrapped

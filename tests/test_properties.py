@@ -29,6 +29,7 @@ from explgraph.grammar import (  # noqa: E402
     parse_corpus,
     tree_from_explanation,
 )
+from explgraph.graph import GraphBuilder  # noqa: E402
 from explgraph.inference import viterbi  # noqa: E402
 from explgraph.models import DataRow, NBHSpec  # noqa: E402
 from explgraph.io import emit_expl_graph, load_expl_graph  # noqa: E402
@@ -40,6 +41,7 @@ from test_grammar import (  # noqa: E402
     _reference_compile_corpus,
 )
 from test_models import _assert_former_graph  # noqa: E402
+from test_readers_reference import assert_read_off_equals_the_reference  # noqa: E402
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -262,6 +264,28 @@ def test_chunked_chart_equals_cell_chart(seed, n_nonterminals, budget, drawn):
             for j in range(i, n + 1):
                 cell = sum((chart[j - i][b] >> (off + i) & 1) << b for b in range(len(bits.bit)))
                 assert cell == ref[i][j], (tokens, i, j)
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), general=st.booleans(), tagged=st.booleans())
+def test_viterbi_read_off_equals_the_reference_on_random_graphs(seed, general, tagged):
+    # shared subgoals, repeated children and multiplicities above 1; with
+    # ``tagged``, about half the bodies carry a tag, so derivations splice
+    # untagged bodies' children into their parents'
+    rng = np.random.default_rng(seed)
+    graph, _ = (random_general_graph if general else random_exclusive_graph)(rng)
+    if tagged:
+        builder = GraphBuilder()
+        builder.declare_switches(graph.switches)
+        for label in graph.labels:
+            builder.goal(label)
+        for f in graph.formulas:
+            for k, body in enumerate(f.bodies):
+                tag = (f.head, k) if rng.random() < 0.5 else None
+                builder.add_body(f.head, body.subgoals, body.instances, tag)
+        graph = builder.build()
+    theta = random_theta(rng, graph)
+    assert assert_read_off_equals_the_reference(graph, theta, range(graph.n_goals)) > 0
 
 
 @SEEDED

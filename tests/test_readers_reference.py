@@ -8,9 +8,16 @@ with the explanation.  ``reference_count_ml`` is the former treebank
 count, normalised by its own per-switch loop.  ``reference_path_nodes``
 is the former session route, rebuilt from a path explanation's edge set.
 ``reference_normalize`` is the former per-switch loop of
-``SlotLayout.normalize``.  All are kept verbatim but for their names.
+``SlotLayout.normalize``.  ``reference_extract_viterbi`` is the former
+Viterbi read-off: a whole-graph ``selected_counts_pass`` seeded with the
+goal, a scan of every goal for the choice trace, the former
+``selected_derivation`` over the goals it used (``reference_derivations``)
+and an ``Explanation`` whose constructor sorts the items by rendering.
+``reference_brackets`` is the former recursive ``ParseTree.brackets``.
+All are kept verbatim but for their names.
 """
 
+import sys
 import warnings
 from pathlib import Path
 from typing import Optional, Sequence
@@ -41,14 +48,15 @@ from explgraph.grammar import (
 )
 from explgraph.graph import Explanation, SwitchDecl, SwitchInstance
 from explgraph.harness import SESSION_QUERIES, _route, fold_partition
-from explgraph.inference import viterbi
+from explgraph.inference import ViterbiResult, extract_viterbi, log_theta_vector, viterbi
 from explgraph.io import load_grammar
 from explgraph.learning import LearnConfig, learn
-from explgraph.models import compile_path_queries, six_node_demo_graph
+from explgraph.models import compile_nbh_corpus, compile_path_queries, six_node_demo_graph
 from explgraph.tables import ParameterTable, PseudoCountTable, SlotLayout
 from explgraph.terms import Term, render_term
 
 from conftest import random_theta
+from test_models import _random_rows, _wide_spec
 
 DEMO20 = Path(__file__).resolve().parent.parent / "data" / "demo20.grammar"
 
@@ -219,6 +227,175 @@ def reference_normalize(layout: SlotLayout, flat: np.ndarray) -> tuple[np.ndarra
         else:
             out[lo:hi] = flat[lo:hi] / s
     return out, degenerate
+
+
+def reference_derivations(comp, sel: np.ndarray, goals, use: np.ndarray) -> list[tuple]:
+    used = np.flatnonzero(use > 0)
+    nodes: dict[int, tuple] = {}
+    for g in used[np.argsort(comp.level[used], kind="stable")].tolist():
+        b = sel[g]
+        c0 = comp.body_cstart[b]
+        children = comp.cpart_child[c0 : c0 + comp.body_ccount[b]].tolist()
+        kids = tuple(node for c in children for node in nodes[c])
+        nodes[g] = kids if comp.tags[b] is None else ((comp.tags[b], kids),)
+    return [nodes[int(g)] for g in goals]
+
+
+def reference_extract_viterbi(graph, sel: np.ndarray, best: np.ndarray, goal) -> ViterbiResult:
+    comp = graph.compiled()
+    seeds = np.zeros(graph.n_goals, dtype=np.int64)
+    seeds[goal] = 1
+    eta, use = comp.selected_counts_pass(sel, seeds)
+    trace = {
+        int(g): int(comp.body_local[sel[g]]) for g in np.nonzero(use > 0)[0]
+    }
+    derivation = reference_derivations(comp, sel, [goal], use)[0] if comp.tagged else None
+    slots = np.nonzero(eta)[0]
+    explanation = Explanation(
+        (SwitchInstance(*comp.layout.slot_pairs[s], int(m)) for s, m in zip(slots, eta[slots])),
+        derivation,
+    )
+    return ViterbiResult(goal, float(best[goal]), explanation, trace)
+
+
+def reference_brackets(tree: ParseTree, start: int = 0) -> list[tuple[int, int]]:
+    spans = []
+    pos = start
+    for c in tree.children:
+        if isinstance(c, str):
+            pos += 1
+        else:
+            spans.extend(reference_brackets(c, pos))
+            pos += len(c.tokens())
+    spans.append((start, pos))
+    return spans
+
+
+# -- Viterbi read-off -------------------------------------------------------------
+
+
+def assert_read_off_equals_the_reference(graph, theta, goals) -> int:
+    """Check, for each of ``goals`` with a nonzero Viterbi value, that
+    ``extract_viterbi`` returns what the reference returns, bit for bit,
+    and that the walk's use counts are the whole-graph pass's, wherever the
+    reference's float counts are exact (below 2**53).  Returns the number
+    of goals compared."""
+    comp = graph.compiled()
+    best, sel = comp.viterbi_pass(log_theta_vector(graph, theta))
+    compared = 0
+    for goal in goals:
+        if np.isneginf(best[goal]):
+            continue
+        seeds = np.zeros(graph.n_goals, dtype=np.int64)
+        seeds[goal] = 1
+        eta, use = comp.selected_counts_pass(sel, seeds)
+        if max(eta.max(initial=0.0), use.max()) >= 2**53:
+            continue
+        want = reference_extract_viterbi(graph, sel, best, goal)
+        got = extract_viterbi(graph, sel, best, goal)
+        assert got.goal == want.goal
+        assert got.log_prob.hex() == want.log_prob.hex()
+        assert got.explanation.items() == want.explanation.items()
+        assert [type(m) for _, m in got.explanation.items()] == [int] * len(got.explanation)
+        assert got.explanation.render() == want.explanation.render()
+        assert got.explanation.derivation == want.explanation.derivation
+        assert list(got.choice_trace.items()) == list(want.choice_trace.items())
+        walk = comp.selected_derivation(sel, [goal])
+        assert walk.use == {g: int(use[g]) for g in walk.use}
+        assert sorted(walk.use) == np.flatnonzero(use).tolist()
+        compared += 1
+    return compared
+
+
+@pytest.fixture(scope="module")
+def demo20_graphs():
+    """Per mode, the demo20 N=200 corpus graph with its roots, and three
+    parameter tables: learned by VT on the corpus, learned by VT on its
+    first 50 sentences, and random."""
+    demo20 = load_grammar(DEMO20)
+    sentences = [
+        t.tokens() for t in gen_corpus(demo20, demo20.pcfg_parameter_table(), 200, seed=1).trees()
+    ]
+    out = {}
+    for mode, compile_corpus in (("pcfg", compile_pcfg_corpus), ("plcg", compile_plcg_corpus)):
+        graph, roots = compile_corpus(demo20, sentences)
+        config = LearnConfig(method="vt", delta=1.0, seed=1)
+        thetas = [
+            learn(graph, roots, config).final_theta,
+            learn(*compile_corpus(demo20, sentences[:50]), config).final_theta,
+            random_theta(np.random.default_rng(27), graph),
+        ]
+        out[mode] = graph, roots, thetas
+    return demo20, sentences, out
+
+
+def test_viterbi_read_off_equals_the_reference_on_every_demo20_corpus_root(demo20_graphs):
+    _, _, graphs = demo20_graphs
+    for mode, (graph, roots, thetas) in graphs.items():
+        assert len(set(roots)) > 150
+        for theta in thetas:
+            assert assert_read_off_equals_the_reference(graph, theta, sorted(set(roots))) == len(
+                set(roots)
+            )
+
+
+def test_viterbi_read_off_equals_the_reference_on_one_sentence_graphs(demo20_graphs):
+    demo20, sentences, graphs = demo20_graphs
+    for mode, compile_one in (("pcfg", compile_pcfg), ("plcg", compile_plcg)):
+        thetas = graphs[mode][2]
+        for k, tokens in enumerate(sentences):
+            graph = compile_one(demo20, tokens)
+            assert assert_read_off_equals_the_reference(graph, thetas[k % 3], graph.roots) == 1
+
+
+def test_viterbi_read_off_equals_the_reference_on_the_session_path_graph():
+    eg = six_node_demo_graph()
+    graph, _ = compile_path_queries(eg, SESSION_QUERIES)
+    rng = np.random.default_rng(8)
+    for theta in [eg.parameter_table()] + [random_theta(rng, graph) for _ in range(10)]:
+        # every goal, not only the roots: each path goal is some route's tail
+        assert assert_read_off_equals_the_reference(graph, theta, range(graph.n_goals)) > 0
+
+
+def test_viterbi_read_off_equals_the_reference_on_an_nbh_fold_graph():
+    rng = np.random.default_rng(11)
+    spec = _wide_spec(3)
+    graph, roots = compile_nbh_corpus(spec, _random_rows(rng, spec, 300, missing=0.2))
+    for theta in [random_theta(rng, graph) for _ in range(3)]:
+        assert assert_read_off_equals_the_reference(graph, theta, range(graph.n_goals)) > 0
+
+
+def test_slot_rank_orders_items_as_rendering_does(demo20_graphs):
+    # the rank is computed once per layout, on first use, and frontend
+    # graphs share their grammar's layout
+    demo20, sentences, graphs = demo20_graphs
+    for mode, compile_one in (("pcfg", compile_pcfg), ("plcg", compile_plcg)):
+        layout = graphs[mode][0].slots()
+        assert compile_one(demo20, sentences[0]).slots() is layout
+        names = [(render_term(s), render_term(v)) for s, v in layout.slot_pairs]
+        assert sorted(range(layout.n_slots), key=layout.rank.__getitem__) == sorted(
+            range(layout.n_slots), key=names.__getitem__
+        )
+
+
+# -- brackets ---------------------------------------------------------------------
+
+
+def test_brackets_equal_the_recursive_walk_on_demo20_trees():
+    demo20 = load_grammar(DEMO20)
+    trees = gen_corpus(demo20, demo20.pcfg_parameter_table(), 200, seed=1).trees()
+    for k, tree in enumerate(trees):
+        assert tree.brackets() == reference_brackets(tree)
+        assert tree.brackets(k) == reference_brackets(tree, k)
+
+
+def test_brackets_of_a_600_deep_tree_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    tree = ParseTree("A", ("w",))
+    for _ in range(599):
+        tree = ParseTree("A", ("a", tree))
+    assert tree.brackets() == [(k, 600) for k in range(599, -1, -1)]
+    assert tree.brackets(7) == [(k + 7, 607) for k in range(599, -1, -1)]
 
 
 # -- trees ------------------------------------------------------------------------
