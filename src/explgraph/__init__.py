@@ -39,7 +39,6 @@ from .graph import (
     diagnose_exclusiveness,
     enumerate_explanations,
     explanation_prob,
-    merge_graphs,
     validate_graph,
 )
 from .grammar import (

@@ -1,16 +1,19 @@
-"""Array form of a validated explanation graph.
+"""Array form of an explanation graph, the only form a built graph keeps.
 
-Building the array form is the graph's validation, done in numpy over the
-graph's flat bodies (see :class:`explgraph.graph.ExplanationGraph`).  A
-stable sort by head puts the bodies in goal-id order, and repeat/cumsum
-gathers reorder their subgoal ids and switch parts (slot ids and
-multiplicities, which the graph already holds) to match.  The checks
-report the first offending body in goal-id order (a goal without bodies
-first, then a body's subgoal ids before its switch instances).  A
-depth-first search over the goals' child lists gives the topological
-order, rejects cycles and sets each goal's level (every body's subgoals
-live in strictly lower levels).  A stable sort by level then lays out
-goals, bodies and parts level by level.
+:meth:`explgraph.graph.GraphBuilder.build` hands over the bodies as flat
+arrays in their order of arrival (:class:`FlatBodies`), and building the
+array form from them is the graph's validation, done in numpy.  A stable
+sort by head puts the bodies in goal-id order, and repeat/cumsum gathers
+reorder their subgoal ids and switch parts (slot ids and multiplicities,
+resolved by the builder) to match.  The checks report the first
+offending body in goal-id order (a goal without bodies first, then a
+body's subgoal ids before its switch instances).  A depth-first search
+over the goals' child lists gives the topological order, rejects cycles
+and sets each goal's level (every body's subgoals live in strictly lower
+levels).  A stable sort by level then lays out goals, bodies and parts
+level by level.  A goal's bodies stay next to each other in their order
+of arrival (``body_local`` counts them), so ``graph.formulas`` reads
+them off the laid-out arrays.
 
 Every dynamic programme is one of two level loops, each taking one
 vectorised step per level:
@@ -95,6 +98,25 @@ class Selection(NamedTuple):
     derivations: Optional[list[tuple]]
 
 
+class FlatBodies(NamedTuple):
+    """A graph's bodies in their order of arrival: body k belongs to goal
+    ``heads[k]``; its subgoal ids are the next ``n_subgoals[k]`` entries of
+    ``subgoals`` and its switch parts the next ``n_instances[k]`` entries
+    of ``part_slot`` (each part's slot, -1 where its instance did not
+    resolve) and ``part_mult`` (its multiplicity), after those of bodies
+    0..k-1; ``tags[k]`` is its tag.  ``unresolved`` maps the index of each
+    part whose instance did not resolve to what resolving it raised."""
+
+    heads: np.ndarray
+    n_subgoals: np.ndarray
+    subgoals: np.ndarray
+    n_instances: np.ndarray
+    part_slot: np.ndarray
+    part_mult: np.ndarray
+    tags: list
+    unresolved: dict
+
+
 class _Level(NamedTuple):
     """One topological level: its goals, where each goal's bodies start
     within the level, each body's goal within the level, and the slices
@@ -117,23 +139,23 @@ def _part_order(counts: np.ndarray, bodies: np.ndarray) -> np.ndarray:
     return np.repeat(starts[bodies] - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
 
 
-def _first_error(graph, walk, child, dangling) -> Exception:
+def _first_error(flat: FlatBodies, labels, walk, child, dangling) -> Exception:
     """What the checks report for the first offending body in goal-id
     order: its first dangling subgoal id, else what resolving its first
     unresolved switch part raised.  ``child`` and ``dangling`` hold the
     subgoal ids in goal-id order (``walk``)."""
-    sorder = _part_order(graph.n_instances, walk)
-    first = [np.flatnonzero(bad)[:1] for bad in (dangling, graph.part_slot[sorder] < 0)]
+    sorder = _part_order(flat.n_instances, walk)
+    first = [np.flatnonzero(bad)[:1] for bad in (dangling, flat.part_slot[sorder] < 0)]
     bc, bs = (
         np.searchsorted(np.cumsum(counts[walk]), k, side="right")
-        for counts, k in zip((graph.n_subgoals, graph.n_instances), first)
+        for counts, k in zip((flat.n_subgoals, flat.n_instances), first)
     )
     if len(bc) and (not len(bs) or bc[0] <= bs[0]):
         return DanglingReference(
-            f"goal {graph.labels[graph.heads[walk[bc[0]]]]} references "
+            f"goal {labels[flat.heads[walk[bc[0]]]]} references "
             f"missing goal id {child[first[0][0]]}"
         )
-    return graph._unresolved[int(sorder[first[1][0]])][1]
+    return flat.unresolved[int(sorder[first[1][0]])]
 
 
 def _topo_levels(kids: list[list[int]], labels) -> tuple[list[int], list[int]]:
@@ -178,28 +200,29 @@ def _topo_levels(kids: list[list[int]], labels) -> tuple[list[int], list[int]]:
 class CompiledGraph:
     """Flattened goal/body/part arrays plus the vectorised passes.
 
-    Building one validates ``graph`` (see the module docstring); the
-    graph itself is not kept.
+    Building one validates the bodies ``flat`` of a graph whose goals are
+    labelled ``labels`` and whose switches ``layout`` lays out (see the
+    module docstring); ``flat`` itself is not kept.
     """
 
-    def __init__(self, graph):
-        self.layout = graph.slots()
-        n = graph.n_goals
-        goal_nbodies = np.bincount(graph.heads, minlength=n)
+    def __init__(self, layout, labels, flat: FlatBodies):
+        self.layout = layout
+        n = len(labels)
+        goal_nbodies = np.bincount(flat.heads, minlength=n)
         if not goal_nbodies.all():
             raise ExplGraphError(f"goal {int(np.argmin(goal_nbodies))} has no bodies")
         # the bodies in goal-id order, each goal's in order of arrival
-        walk = np.argsort(graph.heads, kind="stable")
-        child = graph.subgoals[_part_order(graph.n_subgoals, walk)]
+        walk = np.argsort(flat.heads, kind="stable")
+        child = flat.subgoals[_part_order(flat.n_subgoals, walk)]
         dangling = (child < 0) | (child >= n)
-        if dangling.any() or graph._unresolved:
-            raise _first_error(graph, walk, child, dangling)
-        bounds = np.concatenate(([0], np.cumsum(graph.n_subgoals[walk])))[
+        if dangling.any() or flat.unresolved:
+            raise _first_error(flat, labels, walk, child, dangling)
+        bounds = np.concatenate(([0], np.cumsum(flat.n_subgoals[walk])))[
             np.concatenate(([0], np.cumsum(goal_nbodies)))
         ].tolist()
-        flat = child.tolist()
-        kids = [flat[a:b] for a, b in zip(bounds, bounds[1:])]  # per goal, all its subgoals
-        self.topo_order, level = _topo_levels(kids, graph.labels)
+        ids = child.tolist()
+        kids = [ids[a:b] for a, b in zip(bounds, bounds[1:])]  # per goal, all its subgoals
+        self.topo_order, level = _topo_levels(kids, labels)
 
         # Stable sorts by level: goals, and the bodies of each level, keep
         # goal-id order; gathers keep each body's parts contiguous.
@@ -207,25 +230,25 @@ class CompiledGraph:
         body_level = np.repeat(level, goal_nbodies)
         goals = np.argsort(level, kind="stable")
         bodies = np.argsort(body_level, kind="stable")
-        arrival = walk[bodies]  # each laid-out body's index in the graph's flat arrays
-        sparts = _part_order(graph.n_instances, arrival)
+        arrival = walk[bodies]  # each laid-out body's index in the flat arrays
+        sparts = _part_order(flat.n_instances, arrival)
 
         self.n_goals = n
         self.n_bodies = len(bodies)
         body_ids = np.arange(self.n_bodies, dtype=np.int64)
         self.body_head = np.repeat(goals, goal_nbodies[goals])
         self.body_local = bodies - (np.cumsum(goal_nbodies) - goal_nbodies)[self.body_head]
-        self.body_ccount = graph.n_subgoals[arrival]
+        self.body_ccount = flat.n_subgoals[arrival]
         self.body_cstart = np.cumsum(self.body_ccount) - self.body_ccount
-        self.body_scount = graph.n_instances[arrival]
+        self.body_scount = flat.n_instances[arrival]
         self.body_sstart = np.cumsum(self.body_scount) - self.body_scount
         self.cpart_body = np.repeat(body_ids, self.body_ccount)
-        self.cpart_child = graph.subgoals[_part_order(graph.n_subgoals, arrival)]
+        self.cpart_child = flat.subgoals[_part_order(flat.n_subgoals, arrival)]
         self.spart_body = np.repeat(body_ids, self.body_scount)
-        self.spart_slot = graph.part_slot[sparts]
-        self.spart_mult = graph.part_mult[sparts]
-        self.tags = list(map(graph.tags.__getitem__, arrival.tolist()))
-        self.tagged = any(t is not None for t in graph.tags)  # some body carries a frontend tag
+        self.spart_slot = flat.part_slot[sparts]
+        self.spart_mult = flat.part_mult[sparts]
+        self.tags = list(map(flat.tags.__getitem__, arrival.tolist()))
+        self.tagged = any(t is not None for t in flat.tags)  # some body carries a frontend tag
 
         # Per goal and per body, in layout order: where the goal's bodies
         # start and which goal a body has, both counted within the level.

@@ -9,16 +9,17 @@ picking one body per goal encountered; the graph shares substructure so
 that sum-product and argmax dynamic programming run in time linear in its
 size (see :mod:`explgraph.inference`).
 
-A graph holds its bodies as flat arrays, in the order they arrived: per
-body its head goal, subgoal count, switch-part count and tag, plus the
-concatenated subgoal ids and, per switch part, its slot and multiplicity.
-The frontends hand :class:`GraphBuilder` slot ids; :class:`SwitchInstance`
-objects given to the builder or the constructor are resolved to slots by
-value.  :mod:`explgraph.compiled` lays the arrays out for the passes.
-``formulas`` is a lazy view that builds a goal's
-:class:`DefiningFormula`, instances included, when read, for the readers
-that walk bodies one by one (the text writer, the enumeration oracle,
-:func:`merge_graphs`).
+:class:`GraphBuilder` is the only way to make a graph.  It collects the
+bodies as flat arrays, in the order they arrive: per body its head goal,
+subgoal count, switch-part count and tag, plus the concatenated subgoal
+ids and, per switch part, its slot and multiplicity.  The frontends hand
+it slot ids; :class:`SwitchInstance` objects given to it are resolved to
+slots by value when it builds.  The built graph keeps its bodies only in
+the level-order arrays that :mod:`explgraph.compiled` lays out from the
+flat ones.  ``formulas`` is a lazy view that reads a goal's
+:class:`DefiningFormula`, instances included, off those arrays, for the
+readers that walk bodies one by one (the text writer, the enumeration
+oracle, the derivation search of ``tree_from_explanation``).
 
 This module owns the data model, the validation entry point (whose
 checks run while :mod:`explgraph.compiled` flattens the graph), a
@@ -37,6 +38,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .compiled import CompiledGraph, FlatBodies
 from .errors import (
     ExplGraphError,
     ExplosionLimit,
@@ -57,7 +59,6 @@ __all__ = [
     "enumerate_explanations",
     "check_exclusiveness",
     "explanation_prob",
-    "merge_graphs",
 ]
 
 GoalId = int
@@ -216,60 +217,25 @@ class DefiningFormula:
 
 
 class ExplanationGraph:
-    """Switch declarations plus the bodies of every defined goal.
+    """Switch declarations, goal labels, roots and the cached exclusiveness
+    verdict, plus the slot layout and the bodies of every defined goal in
+    their array form, :class:`explgraph.compiled.CompiledGraph`.
 
-    The bodies are flat (see the module docstring): body k belongs to goal
-    ``heads[k]``; its subgoal ids are the next ``n_subgoals[k]`` entries of
-    ``subgoals`` and its switch parts the next ``n_instances[k]`` entries
-    of ``part_slot`` (each part's slot, -1 where its instance did not
-    resolve) and ``part_mult`` (its multiplicity), after those of bodies
-    0..k-1; ``tags[k]`` is its tag.  A goal's bodies keep their order of
-    arrival.
-
-    Instances are built through :class:`GraphBuilder` or the file loader
-    and are immutable once validated; all inference and learning routines
-    treat them as shared read-only inputs.
+    Instances are built, and so validated, by :meth:`GraphBuilder.build`
+    (the file loader builds through it too) and hold no body array of
+    their own.  All inference and learning routines treat them as shared
+    read-only inputs.
     """
 
     def __init__(
-        self,
-        switches: dict,
-        labels: Sequence[str],
-        formulas: Sequence[DefiningFormula],
-        roots: Sequence[GoalId],
+        self, switches: dict, labels: list[str], roots: list[GoalId], compiled: CompiledGraph
     ):
-        builder = GraphBuilder()
-        builder.declare_switches(switches)
-        builder._labels, builder._roots = list(labels), list(roots)
-        for g, f in enumerate(formulas):
-            for body in f.bodies:
-                builder.add_body(g, body.subgoals, body.instances, body.tag)
-        self._init(builder)
-
-    def _init(self, b: "GraphBuilder") -> None:
-        """Take the goals and flat bodies of ``b``, resolving the switch
-        parts ``b`` holds as instances."""
-        self.switches = dict(b._switches)  # rendered switch name -> SwitchDecl
-        self.labels = list(b._labels)
-        self.roots = list(b._roots)
-        self.heads, self.n_subgoals, self.subgoals, self.n_instances, self.part_slot = (
-            np.array(x, dtype=np.int64)
-            for x in (b._heads, b._nsub, b._subgoals, b._ninst, b._slots)
-        )
-        self.part_mult = np.ones(len(self.part_slot))
-        self.tags = list(b._tags)
+        self.switches = switches  # rendered switch name -> SwitchDecl
+        self.labels = labels
+        self.roots = roots
         self.exclusiveness: Optional[str] = None  # cached diagnostic verdict
-        self._compiled = None
-        shared = b._layout is not None and list(self.switches) == b._layout.keys
-        self._slots = b._layout if shared else None
+        self._compiled = compiled
         self._formulas = None
-        # part index -> (instance, what resolving it raised)
-        self._unresolved: dict[int, tuple[SwitchInstance, ExplGraphError]] = {}
-        if b._pending:
-            at, instances = map(list, zip(*b._pending))
-            slots, mults, errors = _resolve(instances, self.slots().slot)
-            self.part_slot[at], self.part_mult[at] = slots, mults
-            self._unresolved = {at[k]: (instances[k], e) for k, e in errors.items()}
 
     # -- basic accessors ------------------------------------------------
 
@@ -279,8 +245,8 @@ class ExplanationGraph:
 
     @property
     def formulas(self) -> Sequence[DefiningFormula]:
-        """One :class:`DefiningFormula` per goal, built from the flat bodies
-        each time it is read."""
+        """One :class:`DefiningFormula` per goal, built from the compiled
+        arrays each time it is read."""
         if self._formulas is None:
             self._formulas = _Formulas(self)
         return self._formulas
@@ -294,38 +260,23 @@ class ExplanationGraph:
         return matches[0]
 
     @property
-    def validated(self) -> bool:
-        return self._compiled is not None
-
-    @property
-    def topo_order(self) -> Optional[list[GoalId]]:
-        """Bottom-up topological order, once the graph is validated."""
-        return self._compiled.topo_order if self.validated else None
-
-    def require_validated(self) -> None:
-        self.compiled()
+    def topo_order(self) -> list[GoalId]:
+        """Bottom-up topological order."""
+        return self._compiled.topo_order
 
     def body_size(self) -> int:
         """Total number of atoms across all bodies (graph size)."""
-        return len(self.subgoals) + len(self.part_slot)
+        return len(self._compiled.cpart_child) + len(self._compiled.spart_slot)
 
     # -- slot layout shared by inference/learning -----------------------
 
     def slots(self):
         """Flat (switch, value) slot layout; see :mod:`explgraph.tables`."""
-        if self._slots is None:
-            from .tables import SlotLayout
+        return self._compiled.layout
 
-            self._slots = SlotLayout(self.switches)
-        return self._slots
-
-    def compiled(self):
-        """Array form of the graph for vectorised passes (cached); building
-        it validates the graph (see :func:`validate_graph`)."""
-        if self._compiled is None:
-            from .compiled import CompiledGraph
-
-            self._compiled = CompiledGraph(self)
+    def compiled(self) -> CompiledGraph:
+        """Array form of the graph for vectorised passes, built with the
+        graph (see :func:`validate_graph`)."""
         return self._compiled
 
 
@@ -348,40 +299,41 @@ def _resolve(instances: Sequence[SwitchInstance], slot) -> tuple[np.ndarray, np.
 
 class _Formulas(SequenceABC):
     """A graph's defining formulas, indexed by goal id.  Reading one builds
-    it from the flat bodies; no formula is kept, only one instance object
-    per (slot, multiplicity)."""
+    it from the compiled arrays, where a goal's bodies lie next to each
+    other in their order of arrival; no formula is kept, only one instance
+    object per (slot, multiplicity)."""
 
     def __init__(self, graph: ExplanationGraph):
-        self._graph = graph
-        self._order = np.argsort(graph.heads, kind="stable")  # by goal, then arrival
-        self._bounds = np.searchsorted(graph.heads[self._order], np.arange(graph.n_goals + 1))
-        self._cstart = np.cumsum(graph.n_subgoals) - graph.n_subgoals
-        self._sstart = np.cumsum(graph.n_instances) - graph.n_instances
+        c = self._comp = graph.compiled()
+        self._pairs = graph.slots().slot_pairs
+        starts = np.flatnonzero(c.body_local == 0)  # each goal's first body
+        self._first = starts[np.argsort(c.body_head[starts])].tolist()  # in goal-id order
+        self._n_bodies = np.bincount(c.body_head, minlength=c.n_goals).tolist()
         self._made: dict[tuple[int, float], SwitchInstance] = {}
 
     def __len__(self) -> int:
-        return self._graph.n_goals
+        return self._comp.n_goals
 
     def _instances(self, lo: int, hi: int) -> tuple[SwitchInstance, ...]:
         """The switch instances of parts lo..hi-1."""
-        g, out = self._graph, []
-        slots, mults = (x[lo:hi].tolist() for x in (g.part_slot, g.part_mult))
-        for part, slot, mult in zip(range(lo, hi), slots, mults):
-            inst = g._unresolved[part][0] if slot < 0 else self._made.get((slot, mult))
+        c, out = self._comp, []
+        for slot, mult in zip(c.spart_slot[lo:hi].tolist(), c.spart_mult[lo:hi].tolist()):
+            inst = self._made.get((slot, mult))
             if inst is None:
                 m = int(mult) if mult.is_integer() else mult
-                inst = self._made[slot, mult] = SwitchInstance(*g.slots().slot_pairs[slot], m)
+                inst = self._made[slot, mult] = SwitchInstance(*self._pairs[slot], m)
             out.append(inst)
         return tuple(out)
 
     def __getitem__(self, goal):
-        g = self._graph
+        c = self._comp
         goal = range(len(self))[goal]
-        b = self._order[self._bounds[goal] : self._bounds[goal + 1]]
-        parts = (b, self._cstart[b], g.n_subgoals[b], self._sstart[b], g.n_instances[b])
+        lo = self._first[goal]
+        b = slice(lo, lo + self._n_bodies[goal])
+        parts = (c.body_cstart[b], c.body_ccount[b], c.body_sstart[b], c.body_scount[b])
         bodies = (
-            Body(tuple(g.subgoals[c : c + nc].tolist()), self._instances(s, s + ns), g.tags[k])
-            for k, c, nc, s, ns in zip(*(x.tolist() for x in parts))
+            Body(tuple(c.cpart_child[cs : cs + nc].tolist()), self._instances(ss, ss + ns), tag)
+            for tag, cs, nc, ss, ns in zip(c.tags[b], *(x.tolist() for x in parts))
         )
         return DefiningFormula(goal, tuple(bodies))
 
@@ -393,8 +345,8 @@ class GraphBuilder:
     """Incremental construction of an :class:`ExplanationGraph`.
 
     Bodies are appended to flat arrays as they arrive (see
-    :class:`ExplanationGraph`); resolving their switch instances and
-    checking them waits for :meth:`build`.
+    :class:`explgraph.compiled.FlatBodies`); resolving their switch
+    instances and checking them waits for :meth:`build`.
     """
 
     def __init__(self):
@@ -499,16 +451,37 @@ class GraphBuilder:
         self._tags += [None] * len(heads)
 
     def add_root(self, goal: GoalId) -> None:
+        if not 0 <= goal < len(self._labels):
+            raise IndexError(f"no goal with id {goal}")
         if goal not in self._root_set:
             self._root_set.add(goal)
             self._roots.append(goal)
 
     def build(self) -> ExplanationGraph:
-        """The validated graph (see :func:`validate_graph`)."""
-        graph = ExplanationGraph.__new__(ExplanationGraph)
-        graph._init(self)
-        validate_graph(graph)
-        return graph
+        """The validated graph (see :func:`validate_graph`).  The switch
+        parts given as instances are resolved by value, then the flat
+        bodies are handed to :class:`explgraph.compiled.CompiledGraph`,
+        which checks them and lays them out; the graph keeps only that."""
+        from .tables import SlotLayout
+
+        switches = dict(self._switches)
+        shared = self._layout is not None and list(switches) == self._layout.keys
+        layout = self._layout if shared else SlotLayout(switches)
+        heads, n_subgoals, subgoals, n_instances, part_slot = (
+            np.array(x, dtype=np.int64)
+            for x in (self._heads, self._nsub, self._subgoals, self._ninst, self._slots)
+        )
+        part_mult, unresolved = np.ones(len(part_slot)), {}
+        if self._pending:
+            at, instances = map(list, zip(*self._pending))
+            slots, mults, errors = _resolve(instances, layout.slot)
+            part_slot[at], part_mult[at] = slots, mults
+            unresolved = {at[k]: e for k, e in errors.items()}
+        flat = FlatBodies(
+            heads, n_subgoals, subgoals, n_instances, part_slot, part_mult, self._tags, unresolved
+        )
+        compiled = CompiledGraph(layout, self._labels, flat)
+        return ExplanationGraph(switches, list(self._labels), list(self._roots), compiled)
 
 
 def validate_graph(graph: ExplanationGraph) -> list[GoalId]:
@@ -519,13 +492,13 @@ def validate_graph(graph: ExplanationGraph) -> list[GoalId]:
     head-calls-body relation must be acyclic.  The
     returned order lists each goal after all goals it references.
 
-    Validating a graph compiles it, so a validated graph is a compiled one
-    and ``graph.compiled()`` returns that one cached state.  The checks
-    report the first offending body in goal-id order (a body's subgoal ids
-    before its switch instances), then a depth-first search over the
-    goals' child lists orders them or raises ``CyclicGraph``; see
-    :class:`explgraph.compiled.CompiledGraph`.  Idempotent: a validated
-    graph returns its cached order.
+    The checks run when :meth:`GraphBuilder.build` compiles the graph, so
+    every graph is a validated one, and this returns the order that
+    ``graph.compiled()`` holds.  The checks report the first offending
+    body in goal-id order (a body's subgoal ids before its switch
+    instances), then a depth-first search over the goals' child lists
+    orders them or raises ``CyclicGraph``; see
+    :class:`explgraph.compiled.CompiledGraph`.
     """
     return graph.compiled().topo_order
 
@@ -543,7 +516,6 @@ def enumerate_explanations(
     :class:`ExplosionLimit` when any goal accumulates more than ``limit``
     explanations.
     """
-    graph.require_validated()
     memo: dict[GoalId, list[Explanation]] = {}
     merged_duplicates = False
 
@@ -634,30 +606,3 @@ def explanation_prob(e: Explanation, theta) -> float:
     for (s, v), m in e.items():
         p *= theta.get(s, v) ** m
     return p
-
-
-def merge_graphs(graphs: Sequence[ExplanationGraph]) -> tuple[ExplanationGraph, list[list[GoalId]]]:
-    """Union of graphs with disjoint goal tables and shared switch space.
-
-    Switch declarations must agree where names coincide.  Returns the
-    merged graph and, per input graph, the remapped ids of its roots.
-    """
-    builder = GraphBuilder()
-    root_maps: list[list[GoalId]] = []
-    for k, g in enumerate(graphs):
-        builder.declare_switches(g.switches)
-        offsetted: dict[GoalId, GoalId] = {}
-        for gid, label in enumerate(g.labels):
-            offsetted[gid] = builder.goal(f"g{k}:{label}")
-        for f in g.formulas:
-            for body in f.bodies:
-                builder.add_body(
-                    offsetted[f.head],
-                    [offsetted[s] for s in body.subgoals],
-                    body.instances,
-                    body.tag,
-                )
-        root_maps.append([offsetted[r] for r in g.roots])
-        for r in g.roots:
-            builder.add_root(offsetted[r])
-    return builder.build(), root_maps

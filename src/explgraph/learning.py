@@ -152,7 +152,6 @@ class _RowExplanations(SequenceABC):
 
 
 def _observation_seeds(graph: ExplanationGraph, goals: Sequence[GoalId]) -> np.ndarray:
-    graph.require_validated()
     if len(goals) == 0:
         raise ExplGraphError("no observed goals")
     ids = np.asarray(list(goals), dtype=np.int64)

@@ -411,35 +411,50 @@ def _path_label(u: int, target: int, visited: frozenset) -> str:
 def _compile_path_into(
     builder: GraphBuilder, graph: EdgeGraph, frm: int, target: int, memo: dict
 ) -> Optional[GoalId]:
-    # states are shared across queries: (u, target, visited) determines the
-    # goal completely, so the memo must outlive a single query
+    """The goal whose explanations are the simple paths from ``frm`` to
+    ``target``, or None if there is none.
 
-    def build(u: int, visited: frozenset) -> Optional[GoalId]:
+    A goal stands for a state (u, target, visited).  The target's state
+    has one empty body; any other state has one body per move to an
+    unvisited node whose state has a goal, in :meth:`EdgeGraph.moves`
+    order.  A depth-first walk with an explicit stack creates each goal
+    once all its moves are tried, so goals come children first.  States
+    are shared across queries: (u, target, visited) determines the goal
+    completely, so the memo must outlive a single query.
+    """
+
+    def enter(u: int, visited: frozenset) -> list:
+        # a state's frame: key, moves, index of the next move to try, bodies
         key = (u, target, visited)
-        if key in memo:
-            return memo[key]
         memo[key] = None
         if u == target:
-            gid = builder.goal(_path_label(u, target, visited))
-            builder.add_body(gid, [], [])
-            memo[key] = gid
-            return gid
-        bodies = []
-        for z, sw in graph.moves(u):
+            return [key, (), 0, [((), (), None)]]
+        return [key, graph.moves(u), 0, []]
+
+    start = (frm, target, frozenset({frm}))
+    stack = [] if start in memo else [enter(frm, start[2])]
+    while stack:
+        frame = stack[-1]
+        key, moves, _, bodies = frame
+        u, _, visited = key
+        for k in range(frame[2], len(moves)):
+            z, sw = moves[k]
             if z in visited:
                 continue
-            child = build(z, visited | {z})
-            if child is not None:
-                bodies.append(([child], [SwitchInstance(sw, "on")], z))
-        if not bodies:
-            return None
-        gid = builder.goal(_path_label(u, target, visited))
-        for subs, inst, z in bodies:
-            builder.add_body(gid, subs, inst, z)
-        memo[key] = gid
-        return gid
-
-    return build(frm, frozenset({frm}))
+            child = (z, target, visited | {z})
+            if child not in memo:
+                frame[2] = k  # back to this move once the child is done
+                stack.append(enter(z, child[2]))
+                break
+            if memo[child] is not None:
+                bodies.append(((memo[child],), (SwitchInstance(sw, "on"),), z))
+        else:
+            stack.pop()
+            if bodies:
+                gid = memo[key] = builder.goal(_path_label(u, target, visited))
+                for subs, insts, z in bodies:
+                    builder.add_body(gid, subs, insts, z)
+    return memo[start]
 
 
 def compile_path_graph(graph: EdgeGraph, frm: int, to: int) -> ExplanationGraph:

@@ -159,3 +159,19 @@ def random_theta(rng, graph) -> ParameterTable:
         w = rng.uniform(0.05, 1.0, len(decl.values))
         data[key] = w / w.sum()
     return ParameterTable(graph.switches, data)
+
+
+def rebuilder(graph):
+    """A builder holding ``graph``'s switches, goals, bodies (given to
+    ``add_body`` as ``graph.formulas`` reads them, in goal-id order) and
+    roots, not yet built."""
+    builder = GraphBuilder()
+    builder.declare_switches(graph.switches)
+    for label in graph.labels:
+        builder.goal(label)
+    for f in graph.formulas:
+        for body in f.bodies:
+            builder.add_body(f.head, body.subgoals, body.instances, body.tag)
+    for r in graph.roots:
+        builder.add_root(r)
+    return builder

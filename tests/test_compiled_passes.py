@@ -11,21 +11,27 @@ rows of ``selected_multisets`` must hold the walk's multisets.
 ``reference_flatten`` keeps the flatten that levelled the goals of a
 validated graph and walked its bodies level by level; the one-walk
 construction must lay out the same arrays.  ``FormulaWalkCompiled`` keeps
-that one walk over ``graph.formulas``: the numpy construction over the
-graph's flat bodies must lay out the same arrays with the same dtypes,
-whatever order the bodies arrived in, and must raise what the walk raised
-on corrupted graphs.  A graph the frontends build from slot ids must
-compile to the same arrays as its rebuild from ``formulas``, whose
-instances the constructor resolves by value.
+that one walk over a graph's formulas: the numpy construction over the
+flat bodies that ``GraphBuilder.build`` hands over must lay out the same
+arrays with the same dtypes, whatever order the bodies arrived in, and
+must raise what the walk raised on corrupted bodies.  A graph the
+frontends build from slot ids must compile to the same arrays as its
+rebuild through ``GraphBuilder.add_body``, which resolves instances by
+value.  ``ReferenceFormulas`` keeps the former ``graph.formulas``, which
+read the flat bodies in their order of arrival; a built graph no longer
+keeps those (``keep_flat`` makes it), and the ``formulas`` it reads off
+its compiled arrays must equal the reference's.
 """
 
 import warnings
+from collections.abc import Sequence as SequenceABC
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from explgraph.compiled import _Level, _topo_levels
+from explgraph import graph as graph_module
+from explgraph.compiled import CompiledGraph, _Level, _topo_levels
 from explgraph.errors import (
     CyclicGraph,
     DanglingReference,
@@ -41,7 +47,7 @@ from explgraph.grammar import (
     compile_plcg_corpus,
     gen_corpus,
 )
-from explgraph.graph import Body, DefiningFormula, ExplanationGraph, GraphBuilder, SwitchInstance
+from explgraph.graph import Body, DefiningFormula, GraphBuilder, SwitchDecl, SwitchInstance
 from explgraph.inference import log_theta_vector, viterbi
 from explgraph.io import load_grammar
 from explgraph.learning import LearnConfig, vt_learn
@@ -53,7 +59,7 @@ from explgraph.models import (
     compile_path_queries,
     six_node_demo_graph,
 )
-from explgraph.tables import ParameterTable
+from explgraph.tables import ParameterTable, SlotLayout
 
 from conftest import (
     body_index,
@@ -61,6 +67,7 @@ from conftest import (
     random_exclusive_graph,
     random_general_graph,
     random_theta,
+    rebuilder,
 )
 
 NEG_INF = float("-inf")
@@ -506,15 +513,81 @@ def test_one_walk_flatten_equals_reference_on_model_graphs():
         assert_rows_equal(graph, rng, 20)
 
 
-class FormulaWalkCompiled:
-    """The former ``CompiledGraph.__init__``: one walk over ``graph.formulas``
-    that checks each body in goal-id order (subgoal ids, then switch
-    instances, each instance object resolved once by identity) while it
-    appends the body's parts to flat lists, then the same level layout."""
+class KeepsFlat(CompiledGraph):
+    """A ``CompiledGraph`` that also keeps the flat bodies it was built from."""
+
+    def __init__(self, layout, labels, flat):
+        super().__init__(layout, labels, flat)
+        self.flat = flat
+
+
+@pytest.fixture
+def keep_flat(monkeypatch):
+    """Graphs built while this fixture is active keep, as ``compiled().flat``,
+    the flat bodies in their order of arrival that ``GraphBuilder.build``
+    hands over."""
+    monkeypatch.setattr(graph_module, "CompiledGraph", KeepsFlat)
+
+
+class ReferenceFormulas(SequenceABC):
+    """The former ``graph.formulas``: one ``DefiningFormula`` per goal, read
+    off the flat bodies in their order of arrival (``keep_flat``), one
+    instance object per (slot, multiplicity)."""
 
     def __init__(self, graph):
-        self.layout = graph.slots()
-        n = graph.n_goals
+        self._flat = flat = graph.compiled().flat
+        self._pairs = graph.slots().slot_pairs
+        self._order = np.argsort(flat.heads, kind="stable")  # by goal, then arrival
+        self._bounds = np.searchsorted(flat.heads[self._order], np.arange(graph.n_goals + 1))
+        self._cstart = np.cumsum(flat.n_subgoals) - flat.n_subgoals
+        self._sstart = np.cumsum(flat.n_instances) - flat.n_instances
+        self._made = {}
+
+    def __len__(self):
+        return len(self._bounds) - 1
+
+    def _instances(self, lo, hi):
+        flat, out = self._flat, []
+        for slot, mult in zip(flat.part_slot[lo:hi].tolist(), flat.part_mult[lo:hi].tolist()):
+            inst = self._made.get((slot, mult))
+            if inst is None:
+                m = int(mult) if mult.is_integer() else mult
+                inst = self._made[slot, mult] = SwitchInstance(*self._pairs[slot], m)
+            out.append(inst)
+        return tuple(out)
+
+    def __getitem__(self, goal):
+        flat = self._flat
+        goal = range(len(self))[goal]
+        b = self._order[self._bounds[goal] : self._bounds[goal + 1]]
+        parts = (b, self._cstart[b], flat.n_subgoals[b], self._sstart[b], flat.n_instances[b])
+        bodies = (
+            Body(tuple(flat.subgoals[c : c + nc].tolist()), self._instances(s, s + ns), flat.tags[k])
+            for k, c, nc, s, ns in zip(*(x.tolist() for x in parts))
+        )
+        return DefiningFormula(goal, tuple(bodies))
+
+
+def formula_records(formulas):
+    """Per goal its head and, per body, its subgoal ids, its switch
+    instances with the type of their multiplicity, and its tag (which
+    ``Body`` equality ignores)."""
+    return [
+        [(b.subgoals, [(i, type(i.mult)) for i in b.instances], b.tag) for b in f.bodies]
+        for f in formulas
+    ]
+
+
+class FormulaWalkCompiled:
+    """The former ``CompiledGraph.__init__``: one walk over ``formulas``, the
+    defining formulas of goals labelled ``labels``, that checks each body in
+    goal-id order (subgoal ids, then switch instances, each instance object
+    resolved once by identity in ``layout``) while it appends the body's
+    parts to flat lists, then the same level layout."""
+
+    def __init__(self, layout, labels, formulas):
+        self.layout = layout
+        n = len(labels)
         memo = {}
 
         def slot_of(inst):
@@ -526,13 +599,13 @@ class FormulaWalkCompiled:
         kids, goal_nbodies = [], []
         body_ccount, body_scount, tags = [], [], []
         spart_slot, spart_mult = [], []
-        for f in graph.formulas:
+        for f in formulas:
             goal_kids = []
             for body in f.bodies:
                 for s in body.subgoals:
                     if not 0 <= s < n:
                         raise DanglingReference(
-                            f"goal {graph.labels[f.head]} references missing goal id {s}"
+                            f"goal {labels[f.head]} references missing goal id {s}"
                         )
                 goal_kids += body.subgoals
                 body_ccount.append(len(body.subgoals))
@@ -543,7 +616,7 @@ class FormulaWalkCompiled:
                     spart_mult.append(inst.mult)
             goal_nbodies.append(len(f.bodies))
             kids.append(goal_kids)
-        self.topo_order, level = _topo_levels(kids, graph.labels)
+        self.topo_order, level = _topo_levels(kids, labels)
 
         self.level = level = np.array(level, dtype=np.int64)
         goal_nbodies = np.array(goal_nbodies, dtype=np.int64)
@@ -600,9 +673,11 @@ class FormulaWalkCompiled:
 
 
 def assert_walk_equal(graph):
-    """Every array of the compiled graph equals the formula walk's, with
-    the same dtype, and so do its levels, tags and topological order."""
-    comp, ref = graph.compiled(), FormulaWalkCompiled(graph)
+    """Every array of the compiled graph equals the formula walk's over the
+    formulas of the flat bodies (``keep_flat``), with the same dtype, and
+    so do its levels, tags and topological order."""
+    comp = graph.compiled()
+    ref = FormulaWalkCompiled(graph.slots(), graph.labels, ReferenceFormulas(graph))
     arrays = [k for k, v in vars(ref).items() if isinstance(v, np.ndarray)]
     assert len(arrays) == 12
     assert arrays == [k for k, v in vars(comp).items() if isinstance(v, np.ndarray)]
@@ -618,7 +693,7 @@ def assert_walk_equal(graph):
     assert comp.topo_order == ref.topo_order == graph.topo_order
 
 
-def test_flat_construction_equals_formula_walk_on_random_graphs():
+def test_flat_construction_equals_formula_walk_on_random_graphs(keep_flat):
     rng = np.random.default_rng(64)
     for make in (random_exclusive_graph, random_general_graph):
         for _ in range(60):
@@ -644,7 +719,7 @@ def _nbh_fold_rows(rng, n):
     ]
 
 
-def test_flat_construction_equals_formula_walk_on_model_graphs():
+def test_flat_construction_equals_formula_walk_on_model_graphs(keep_flat):
     rng = np.random.default_rng(65)
     spec = NBHSpec(("pos", "neg"), 2, tuple((f"a{j}", ("x", "y", "z")) for j in range(1, 13)))
     rows = _nbh_fold_rows(rng, 600)
@@ -657,11 +732,11 @@ def test_flat_construction_equals_formula_walk_on_model_graphs():
 
 
 def assert_rebuilt_equal(graph):
-    """``graph``, built from slot ids, rebuilt through the constructor from
-    its ``formulas`` (whose instances it resolves by value) compiles to the
-    same arrays, dtypes, levels, tags and order, and reads back the same
-    formulas."""
-    again = ExplanationGraph(graph.switches, graph.labels, graph.formulas, graph.roots)
+    """``graph``, built from slot ids, rebuilt through ``add_body`` from its
+    ``formulas`` (whose instances the builder resolves by value) compiles
+    to the same arrays, dtypes, levels, tags and order, and reads back the
+    same formulas."""
+    again = rebuilder(graph).build()
     comp, ref = again.compiled(), graph.compiled()
     arrays = [k for k, v in vars(ref).items() if isinstance(v, np.ndarray)]
     assert arrays == [k for k, v in vars(comp).items() if isinstance(v, np.ndarray)]
@@ -687,6 +762,25 @@ def test_slot_built_graphs_equal_their_rebuild_from_formulas():
         assert_rebuilt_equal(graph)
 
 
+def test_formulas_equal_the_flat_bodies_reference(keep_flat):
+    # each graph as built, and rebuilt with its bodies arriving interleaved across goals
+    rng = np.random.default_rng(67)
+    demo20 = load_grammar(DEMO20)
+    sentences = gen_corpus(demo20, demo20.pcfg_parameter_table(), 200, seed=1).sentences()
+    one = [compile(demo20, s) for s in sentences[:20] for compile in (compile_pcfg, compile_plcg)]
+    spec = NBHSpec(("pos", "neg"), 2, tuple((f"a{j}", ("x", "y", "z")) for j in range(1, 13)))
+    rows = _nbh_fold_rows(rng, 300)
+    nbh = [compile_nbh_corpus(spec, rows, observed)[0] for observed in (True, False)]
+    makers = (random_exclusive_graph, random_general_graph)
+    generated = [make(rng)[0] for make in makers for _ in range(20)]
+    graphs = _demo20_graphs() + one + nbh + _path_graphs() + generated
+    assert any(b.tag is not None for f in graphs[0].formulas for b in f.bodies)
+    assert any(i.mult > 1 for f in generated[20].formulas for b in f.bodies for i in b.instances)
+    for graph in graphs:
+        for built in (graph, interleaved(graph, rng)):
+            assert formula_records(built.formulas) == formula_records(ReferenceFormulas(built))
+
+
 H, T = SwitchInstance("c", "h"), SwitchInstance("c", "t")
 ZZZ, YYY = SwitchInstance("c", "zzz"), SwitchInstance("c", "yyy")
 
@@ -699,9 +793,10 @@ def _raised(build):
 
 def _assert_same_error(n_goals, bodies):
     """``bodies``, (head, subgoals, instances) in order of arrival, built
-    by the builder and flattened from formulas must raise what the former
-    build raised: ``DefiningFormula`` per goal, then the formula walk."""
+    by the builder must raise what the former build raised:
+    ``DefiningFormula`` per goal, then the formula walk."""
     labels = [f"g{k}" for k in range(n_goals)]
+    layout = SlotLayout({"c": SwitchDecl("c", ("h", "t"))})
 
     def build():
         b = GraphBuilder()
@@ -719,19 +814,11 @@ def _assert_same_error(n_goals, bodies):
             for g in range(n_goals)
         ]
 
-    def graph():
-        b = GraphBuilder()
-        b.declare_switch("c", ("h", "t"))
-        return ExplanationGraph(b._switches, labels, formulas(), [0])
-
-    want = _raised(lambda: FormulaWalkCompiled(graph()))
-    got = [_raised(build)]
-    if not str(want).endswith("has no bodies"):
-        got.append(_raised(lambda: graph().compiled()))
-    for e in got:
-        assert (type(e), str(e)) == (type(want), str(want))
-        if isinstance(want, CyclicGraph):
-            assert e.cycle == want.cycle
+    want = _raised(lambda: FormulaWalkCompiled(layout, labels, formulas()))
+    got = _raised(build)
+    assert (type(got), str(got)) == (type(want), str(want))
+    if isinstance(want, CyclicGraph):
+        assert got.cycle == want.cycle
     return want
 
 

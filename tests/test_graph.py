@@ -14,9 +14,7 @@ from explgraph.errors import (
 )
 from explgraph.graph import (
     Body,
-    DefiningFormula,
     Explanation,
-    ExplanationGraph,
     GraphBuilder,
     SwitchDecl,
     SwitchInstance,
@@ -24,13 +22,19 @@ from explgraph.graph import (
     check_exclusiveness,
     enumerate_explanations,
     explanation_prob,
-    merge_graphs,
     validate_graph,
 )
 from explgraph.grammar import compile_pcfg_corpus
+from explgraph.io import emit_expl_graph, load_expl_graph
 from explgraph.tables import ParameterTable, SlotLayout
 
-from conftest import random_exclusive_graph, random_general_graph, random_theta, toy_grammar
+from conftest import (
+    random_exclusive_graph,
+    random_general_graph,
+    random_theta,
+    rebuilder,
+    toy_grammar,
+)
 
 
 def coin_graph():
@@ -74,11 +78,39 @@ def test_validate_two_cycle_witness():
 
 
 def test_validate_dangling_reference():
-    graph = ExplanationGraph(
-        {}, ["g"], [DefiningFormula(0, (Body((5,), ()),))], [0]
-    )
-    with pytest.raises(DanglingReference):
-        validate_graph(graph)
+    b = GraphBuilder()
+    g = b.goal("g")
+    b.add_body(g, [5], [])
+    with pytest.raises(DanglingReference, match="goal g references missing goal id 5"):
+        b.build()
+
+
+def test_add_root_rejects_an_id_that_is_not_a_goal():
+    # such a root used to build, and the graph file written from it did not load
+    b = GraphBuilder()
+    g = b.goal("g")
+    b.add_body(g)
+    for bad in (7, -1, 1):
+        with pytest.raises(IndexError, match=f"no goal with id {bad}"):
+            b.add_root(bad)
+    b.add_root(g)
+    graph = b.build()
+    assert graph.roots == [g]
+    assert load_expl_graph(emit_expl_graph(graph)).roots == [g]
+
+
+def test_built_graph_holds_no_array_of_its_own():
+    # its bodies live in the compiled arrays only, also once formulas are read
+    rng = np.random.default_rng(6)
+    graphs = [random_general_graph(rng)[0] for _ in range(5)]
+    graphs.append(compile_pcfg_corpus(toy_grammar(), [["a", "b", "a"], ["b"]])[0])
+    for graph in graphs:
+        assert graph.formulas[graph.roots[0]].bodies
+        assert graph.compiled().n_bodies > 0
+        assert sorted(vars(graph)) == [
+            "_compiled", "_formulas", "exclusiveness", "labels", "roots", "switches"
+        ]
+        assert not any(isinstance(value, np.ndarray) for value in vars(graph).values())
 
 
 def test_validate_undeclared_value():
@@ -205,13 +237,10 @@ def test_cycle_detector_against_random_injections():
         if donor is None:
             continue
         child = graph.formulas[donor].bodies[0].subgoals[0]
-        bodies = list(graph.formulas[child].bodies)
-        bodies.append(Body((donor,), ()))
-        formulas = list(graph.formulas)
-        formulas[child] = DefiningFormula(child, tuple(bodies))
-        cyclic = ExplanationGraph(graph.switches, graph.labels, formulas, graph.roots)
+        builder = rebuilder(graph)
+        builder.add_body(child, [donor])
         with pytest.raises(CyclicGraph):
-            validate_graph(cyclic)
+            builder.build()
 
 
 # -- enumeration ----------------------------------------------------------
@@ -386,8 +415,6 @@ def test_body_tag_is_kept_and_takes_no_part_in_equality():
     assert [body.tag for body in graph.formulas[g].bodies] == [7, None]
     assert graph.formulas[g].bodies[0] == Body((), (SwitchInstance("c", "heads"),))
     assert graph.compiled().tagged and not coin_graph()[0].compiled().tagged
-    merged, _ = merge_graphs([graph])
-    assert [body.tag for body in merged.formulas[0].bodies] == [7, None]
 
 
 def test_duplicate_merge_warns():

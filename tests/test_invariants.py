@@ -1,17 +1,10 @@
 """Cross-module invariants that don't belong to a single operation."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from explgraph.errors import ExplGraphError, MissingParameter
-from explgraph.graph import (
-    GraphBuilder,
-    SwitchInstance,
-    enumerate_explanations,
-    merge_graphs,
-)
+from explgraph.graph import GraphBuilder, SwitchInstance
 from explgraph.grammar import ParseTree, metrics
 from explgraph.inference import inside_prob, viterbi
 from explgraph.learning import LearnConfig, em_map_learn, vt_learn
@@ -96,22 +89,7 @@ def test_metrics_permutation_equivariant():
         )
 
 
-def test_merge_graphs_preserves_explanations():
-    rng = np.random.default_rng(54)
-    g1, r1 = random_exclusive_graph(rng)
-    g2, r2 = random_general_graph(rng)
-    merged, root_maps = merge_graphs([g1, g2])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        e1 = enumerate_explanations(g1, r1)
-        m1 = enumerate_explanations(merged, root_maps[0][0])
-        e2 = enumerate_explanations(g2, r2)
-        m2 = enumerate_explanations(merged, root_maps[1][0])
-    assert set(e1) == set(m1)
-    assert set(e2) == set(m2)
-
-
-def test_merge_graphs_rejects_conflicting_declarations():
+def test_builder_rejects_conflicting_switch_declarations():
     b1 = GraphBuilder()
     b1.declare_switch("s", ("a", "b"))
     g = b1.goal("g")
@@ -120,12 +98,9 @@ def test_merge_graphs_rejects_conflicting_declarations():
     g1 = b1.build()
     b2 = GraphBuilder()
     b2.declare_switch("s", ("a", "b", "c"))
-    h = b2.goal("h")
-    b2.add_body(h, [], [SwitchInstance("s", "c")])
-    b2.add_root(h)
-    g2 = b2.build()
-    with pytest.raises(ExplGraphError, match="conflicting"):
-        merge_graphs([g1, g2])
+    with pytest.raises(ExplGraphError, match="conflicting declarations for switch s"):
+        b2.declare_switches(g1.switches)
+    b2.declare_switch("s", ("a", "b", "c"))  # the same declaration again
 
 
 def test_parameter_table_validation():

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -644,3 +645,89 @@ def test_shared_states_across_queries_have_single_bodies():
             key = (body.subgoals, body.instances)
             assert key not in seen
             seen.add(key)
+
+
+def _reference_compile_path_into(builder, graph, frm, target, memo):
+    """The former ``_compile_path_into``, one Python frame per path step,
+    kept as the reference for the explicit-stack walk."""
+
+    def build(u, visited):
+        key = (u, target, visited)
+        if key in memo:
+            return memo[key]
+        memo[key] = None
+        if u == target:
+            gid = builder.goal(models._path_label(u, target, visited))
+            builder.add_body(gid, [], [])
+            memo[key] = gid
+            return gid
+        bodies = []
+        for z, sw in graph.moves(u):
+            if z in visited:
+                continue
+            child = build(z, visited | {z})
+            if child is not None:
+                bodies.append(([child], [SwitchInstance(sw, "on")], z))
+        if not bodies:
+            return None
+        gid = builder.goal(models._path_label(u, target, visited))
+        for subs, inst, z in bodies:
+            builder.add_body(gid, subs, inst, z)
+        memo[key] = gid
+        return gid
+
+    return build(frm, frozenset({frm}))
+
+
+def _reference_path_queries(graph, queries):
+    """``compile_path_queries`` over the recursive reference walk."""
+    builder = GraphBuilder()
+    builder.declare_switches(graph._decls)
+    goals, memo = [], {}
+    for frm, to in queries:
+        root = _reference_compile_path_into(builder, graph, frm, to, memo)
+        if root is None:
+            raise NoPath(f"no path from {frm} to {to}")
+        builder.add_root(root)
+        goals.append(root)
+    return builder.build(), goals
+
+
+def _path_outcome(compile_queries, graph, queries):
+    """Labels, goal ids, formulas with their tags, and roots of the graph
+    ``compile_queries`` builds for ``queries``, or the message of the
+    ``NoPath`` it raises."""
+    try:
+        built, goals = compile_queries(graph, queries)
+    except NoPath as e:
+        return str(e)
+    formulas = [
+        (f.head, [(b.subgoals, b.instances, b.tag) for b in f.bodies]) for f in built.formulas
+    ]
+    return built.labels, goals, formulas, built.roots
+
+
+def test_path_walk_equals_the_recursive_reference():
+    chain = EdgeGraph([(k, k + 1, 0.5) for k in range(7)])
+    forked = EdgeGraph([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (1, 4, 0.5), (5, 6, 0.5)])
+    for eg in (six_node_demo_graph(), chain, forked):
+        found = []
+        for pair in itertools.product(eg.nodes, repeat=2):
+            want = _path_outcome(_reference_path_queries, eg, [pair])
+            assert _path_outcome(compile_path_queries, eg, [pair]) == want
+            found += [] if isinstance(want, str) else [pair]
+        # one graph for every query that has a path, its states shared across queries
+        want = _path_outcome(_reference_path_queries, eg, found)
+        assert _path_outcome(compile_path_queries, eg, found) == want
+    assert isinstance(_path_outcome(compile_path_queries, forked, [(0, 5)]), str)
+
+
+def test_path_query_on_a_chain_deeper_than_the_recursion_limit():
+    n = 1200
+    assert sys.getrecursionlimit() < n
+    eg = EdgeGraph([(k, k + 1, 0.5) for k in range(n - 1)])
+    graph = compile_path_graph(eg, 0, n - 1)
+    assert graph.n_goals == n and graph.labels[graph.roots[0]].startswith("path(0,")
+    result = viterbi(graph, graph.roots[0], eg.parameter_table())
+    assert len(result.explanation) == n - 1
+    assert result.log_prob == pytest.approx((n - 1) * np.log(0.5), rel=1e-12)
