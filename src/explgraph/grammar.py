@@ -241,19 +241,33 @@ class ParseTree:
             object.__setattr__(self, "children", tuple(self.children))
 
     def tokens(self) -> list[str]:
+        """The tree's yield, in one explicit-stack walk, so depth costs no
+        recursion."""
         out = []
-        for c in self.children:
-            if isinstance(c, str):
-                out.append(c)
+        stack = [iter(self.children)]  # per open node: its children to go
+        while stack:
+            for c in stack[-1]:
+                if isinstance(c, str):
+                    out.append(c)
+                else:
+                    stack.append(iter(c.children))
+                    break
             else:
-                out.extend(c.tokens())
+                stack.pop()
         return out
 
     def walk(self):
-        yield self
-        for c in self.children:
-            if isinstance(c, ParseTree):
-                yield from c.walk()
+        """Every node, each before its children, left to right, in one
+        explicit-stack walk."""
+        stack = [iter((self,))]
+        while stack:
+            for c in stack[-1]:
+                if not isinstance(c, str):
+                    yield c
+                    stack.append(iter(c.children))
+                    break
+            else:
+                stack.pop()
 
     def shape(self):
         """Unlabelled copy: nested tuples of terminals."""
@@ -844,10 +858,9 @@ def parse_corpus(
     where every derivation has probability 0.
 
     One corpus graph of ``mode`` (its compiler raises :class:`Unparseable`)
-    and one Viterbi pass serve all sentences; each tree is read off its
-    root's selected derivation and checked against its switch-count row.
-    The trees are those of ``viterbi`` and :func:`tree_from_explanation`
-    on each sentence alone.
+    and one Viterbi pass serve all sentences (``_viterbi_trees``).  The
+    trees are those of ``viterbi`` and :func:`tree_from_explanation` on
+    each sentence alone.
     """
     if mode not in ("pcfg", "plcg"):
         raise ExplGraphError(f"unknown mode {mode!r}")
@@ -856,6 +869,27 @@ def parse_corpus(
         return []
     compile_corpus = compile_pcfg_corpus if mode == "pcfg" else compile_plcg_corpus
     graph, roots = compile_corpus(grammar, sentences)
+    return _viterbi_trees(grammar, mode, graph, roots, sentences, theta)
+
+
+def _viterbi_trees(
+    grammar: Grammar,
+    mode: str,
+    graph: ExplanationGraph,
+    roots: Sequence[GoalId],
+    sentences: Sequence[tuple[str, ...]],
+    theta: ParameterTable,
+) -> list[Optional[ParseTree]]:
+    """The Viterbi tree of ``sentences[k]`` read off ``roots[k]`` of a
+    ``mode`` graph under ``theta``, or ``None`` where the root has
+    probability 0.
+
+    One Viterbi pass scores the whole graph, and the counts pass is seeded
+    with the live roots alone, so other roots of the graph (a
+    cross-validation fold's training sentences) are scored but not read.
+    Each tree is read off its root's selected derivation and checked
+    against its switch-count row.
+    """
     comp = graph.compiled()
     best, sel = comp.viterbi_pass(log_theta_vector(graph, theta))
     live = [k for k, g in enumerate(roots) if not np.isneginf(best[g])]

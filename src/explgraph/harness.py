@@ -3,9 +3,13 @@
 ``cv_run`` partitions a dataset into near-equal folds with a seeded
 shuffle, learns on the held-in folds and scores Viterbi predictions on
 the held-out fold: parse-tree metrics for grammar tasks, accuracy for the
-hidden-class naive-Bayes task.  A grammar fold's test sentences are
-parsed from one graph and one Viterbi pass (``parse_corpus``), as an NBH
-fold's rows are classified from one graph (``nbh_classify_rows``).
+hidden-class naive-Bayes task.  A grammar run compiles its treebank once
+into one graph, whose goals are tabled by the words they span, so the
+graph holds every fold's training and test sentences: a fold learns on
+its training roots, where the test roots are goals nothing observes, and
+reads its test trees off one Viterbi pass over the same graph (the
+reader of ``parse_corpus``).  An NBH fold compiles its training rows and
+classifies its test rows from one graph (``nbh_classify_rows``).
 Per-fold iteration counts and learning wall time are recorded so method
 comparisons (e.g. Viterbi training versus EM convergence speed) can be
 rerun at small scale.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -28,10 +33,10 @@ from .grammar import (
     Grammar,
     MetricsReport,
     ParseTree,
+    _viterbi_trees,
     compile_pcfg_corpus,
     compile_plcg_corpus,
     metrics,
-    parse_corpus,
 )
 from .graph import check_exclusiveness, diagnose_exclusiveness, enumerate_explanations
 from .inference import viterbi
@@ -99,7 +104,7 @@ class ExperimentReport:
     sds: dict[str, float]
     iterations: list[int]
     learn_times: list[float]  # parameter fitting only
-    fold_times: list[float]  # fitting plus compilation and prediction
+    fold_times: list[float]  # fitting plus prediction; a grammar run compiles before its folds
     prediction_failures: int = 0
 
     def render(self) -> str:
@@ -157,19 +162,17 @@ def _aggregate(rows: dict[str, list[float]]) -> tuple[dict, dict]:
     return means, sds
 
 
-def _grammar_fold(config, train_idx, test_idx):
-    grammar = config.grammar
-    trees = config.treebank
-    compile_corpus = compile_pcfg_corpus if config.task == "pcfg" else compile_plcg_corpus
-    train_sents = [trees[i].tokens() for i in train_idx]
-    graph, goals = compile_corpus(grammar, train_sents)
+def _grammar_fold(config, graph, roots, sentences, train_idx, test_idx):
     t0 = time.perf_counter()
-    report = learn(graph, goals, config.learn)
+    report = learn(graph, [roots[i] for i in train_idx.tolist()], config.learn)
     dt = time.perf_counter() - t0
-    test = [trees[int(i)] for i in test_idx]
-    parsed = parse_corpus(grammar, [t.tokens() for t in test], report.final_theta, config.task)
+    test = test_idx.tolist()
+    parsed = _viterbi_trees(
+        config.grammar, config.task, graph, [roots[i] for i in test],
+        [sentences[i] for i in test], report.final_theta,
+    )
     predicted = [p for p in parsed if p is not None]
-    reference = [t for t, p in zip(test, parsed) if p is not None]
+    reference = [config.treebank[i] for i, p in zip(test, parsed) if p is not None]
     if not predicted:
         raise ExplGraphError("no test sentence could be predicted in a fold")
     failures = len(test) - len(predicted)
@@ -202,10 +205,16 @@ def _nbh_fold(config, train_idx, test_idx):
 
 
 def cv_run(config: ExperimentConfig) -> ExperimentReport:
-    """Deterministic k-fold cross-validation for one task and method."""
-    n = len(config.treebank if config.task in ("pcfg", "plcg") else config.nbh_rows)
+    """Deterministic k-fold cross-validation for one task and method; a
+    grammar task compiles its treebank once, before the first fold."""
+    if config.task == "nbh":
+        n, run_fold = len(config.nbh_rows), partial(_nbh_fold, config)
+    else:
+        sentences = [tuple(t.tokens()) for t in config.treebank]
+        compile_corpus = compile_pcfg_corpus if config.task == "pcfg" else compile_plcg_corpus
+        graph, roots = compile_corpus(config.grammar, sentences)
+        n, run_fold = len(sentences), partial(_grammar_fold, config, graph, roots, sentences)
     parts = fold_partition(n, config.folds, config.seed)
-    run_fold = _grammar_fold if config.task in ("pcfg", "plcg") else _nbh_fold
     per_fold, iters, times, totals = [], [], [], []
     failures = 0
     for f in range(config.folds):
@@ -213,7 +222,7 @@ def cv_run(config: ExperimentConfig) -> ExperimentReport:
         train_idx = np.concatenate([parts[i] for i in range(config.folds) if i != f])
         t0 = time.perf_counter()
         try:
-            score, report, dt, failed = run_fold(config, train_idx, test_idx)
+            score, report, dt, failed = run_fold(train_idx, test_idx)
         except (ZeroEvidence, AllZero) as e:
             raise type(e)(f"fold {f}: {e}") from e
         totals.append(time.perf_counter() - t0)

@@ -84,8 +84,10 @@ class LearnConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ExplGraphError(f"unknown learning method {self.method!r}")
-        if self.tol <= 0 or self.max_iter < 1 or self.restarts < 1:
-            raise ExplGraphError("tol, max_iter and restarts must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ExplGraphError(f"tol must be finite and positive, not {self.tol}")
+        if self.max_iter < 1 or self.restarts < 1:
+            raise ExplGraphError("max_iter and restarts must be positive")
         if self.init not in ("uniform", "jittered_uniform"):
             raise ExplGraphError(f"unknown init scheme {self.init!r}")
 
@@ -97,8 +99,8 @@ class LearnConfig:
             self.pseudo_counts.require_positive()
             return layout.flatten(self.pseudo_counts)
         delta = 1.0 if self.delta is None else float(self.delta)
-        if delta <= 0.0:
-            raise ExplGraphError(f"{self.method} requires strictly positive pseudo counts")
+        if not 0.0 < delta < np.inf:
+            raise ExplGraphError(f"{self.method} requires finite, strictly positive pseudo counts")
         return np.full(layout.n_slots, delta)
 
 

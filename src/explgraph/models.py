@@ -389,18 +389,28 @@ class EdgeGraph:
         data = {render_term(self.switch(u, v)): [p, 1.0 - p] for u, v, p in self.edges}
         return ParameterTable(self._decls, data)
 
+    @cached_property
+    def _adjacency(self) -> dict[int, list[tuple[int, Term]]]:
+        """Each node's moves (see ``moves``), built from ``edges`` on first
+        use and kept."""
+        keyed: dict[int, list[tuple[int, int, Term]]] = {}
+        for u, v, _ in self.edges:
+            sw = self.switch(u, v)
+            keyed.setdefault(u, []).append((v, 0, sw))
+            keyed.setdefault(v, []).append((u, 1, sw))
+        return {
+            u: [(z, sw) for z, _, sw in sorted(moves, key=lambda t: (-t[0], t[1]))]
+            for u, moves in keyed.items()
+        }
+
     def moves(self, u: int) -> list[tuple[int, Term]]:
-        """Edge moves leaving ``u`` in either direction.
+        """Edge moves leaving ``u`` in either direction (a shared list).
 
         Ordered by descending neighbour node, out-edge before in-edge
         between the same pair.  The order fixes the body order of compiled
         path goals and hence which path wins argmax ties.
         """
-        out = [(v, self.switch(u, v)) for (x, v, _) in self.edges if x == u]
-        inc = [(x, self.switch(x, u)) for (x, v, _) in self.edges if v == u]
-        keyed = [(z, 0, sw) for z, sw in out] + [(z, 1, sw) for z, sw in inc]
-        keyed.sort(key=lambda t: (-t[0], t[1]))
-        return [(z, sw) for z, _, sw in keyed]
+        return self._adjacency.get(u, [])
 
 
 def _path_label(u: int, target: int, visited: frozenset) -> str:

@@ -63,6 +63,27 @@ def test_learn_path_task(files, capsys):
     assert out_params.read_text().startswith("msw d_e(1,2)")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--method", "vt", "--delta", "nan"], "vt requires finite, strictly positive"),
+        (["--method", "map", "--delta", "inf"], "map requires finite, strictly positive"),
+        (["--method", "em", "--tol", "nan"], "tol must be finite and positive"),
+    ],
+)
+def test_learn_refuses_non_finite_delta_and_tol(files, capsys, flags, message):
+    tmp, _, edges = files
+    code = main(["learn", "--task", "path", "--data", edges, *flags,
+                 "--out-params", str(tmp / "p"), "--report", str(tmp / "r")])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_session_refuses_a_non_finite_delta(capsys):
+    assert main(["session-fig6", "--delta", "nan"]) == 2
+    assert "vt requires finite, strictly positive pseudo counts" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("task", ["pcfg", "plcg"])
 def test_gen_and_eval_roundtrip(files, capsys, task):
     tmp, grammar, _ = files

@@ -3,6 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import warnings
+
+from explgraph import grammar as grammar_module
+from explgraph import harness
 from explgraph.errors import AllZero, ExplGraphError, ExplGraphWarning, Unparseable
 from explgraph.grammar import (
     CFGRule,
@@ -14,6 +18,7 @@ from explgraph.grammar import (
     compile_plcg_corpus,
     gen_corpus,
     metrics,
+    parse_corpus,
     tree_from_explanation,
 )
 from explgraph.inference import viterbi
@@ -325,3 +330,155 @@ def test_cv_unparseable_tree_raises_wherever_it_sits(mode, bad):
             cv_run(config)
         assert type(raised.value) is Unparseable
         assert str(raised.value) == str(expected.value)
+
+
+# -- one graph per grammar run ------------------------------------------------
+
+
+def _reference_cv_run(config):
+    """The per-fold path ``cv_run`` took before it compiled its treebank
+    once: each fold compiles its training sentences, learns on that graph,
+    and parses its test sentences with ``parse_corpus``, which compiles
+    them again.  Returns each fold's learn report and parsed trees, the
+    report ``cv_run`` made of them (timings left out) and the warnings
+    raised on the way."""
+    trees = config.treebank
+    compile_corpus = compile_pcfg_corpus if config.task == "pcfg" else compile_plcg_corpus
+    parts = fold_partition(len(trees), config.folds, config.seed)
+    learned, parsed_folds, scores = [], [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for f in range(config.folds):
+            train_idx = np.concatenate([parts[i] for i in range(config.folds) if i != f])
+            train = [trees[i].tokens() for i in train_idx]
+            report = learn(*compile_corpus(config.grammar, train), config.learn)
+            test = [trees[int(i)] for i in parts[f]]
+            parsed = parse_corpus(
+                config.grammar, [t.tokens() for t in test], report.final_theta, config.task
+            )
+            predicted = [p for p in parsed if p is not None]
+            m = metrics(predicted, [t for t, p in zip(test, parsed) if p is not None])
+            scale = m.n / len(test)
+            scores.append(
+                {"lt": m.lt * scale, "bt": m.bt * scale, "zero_cb": m.zero_cb * scale, "n": len(test)}
+            )
+            learned.append(report)
+            parsed_folds.append(parsed)
+    rows = {k: [fold[k] for fold in scores] for k in ("lt", "bt", "zero_cb")}
+    rows["iterations"] = [float(r.iterations) for r in learned]
+    summary = {
+        "task": config.task,
+        "method": config.method,
+        "folds": scores,
+        "means": {k: float(np.mean(v)) for k, v in rows.items()},
+        "sds": {k: float(np.std(v)) for k, v in rows.items()},
+        "iterations": [r.iterations for r in learned],
+        "prediction_failures": sum(p is None for fold in parsed_folds for p in fold),
+    }
+    return learned, parsed_folds, summary, [str(w.message) for w in caught]
+
+
+def _untimed(report) -> dict:
+    data = report.to_dict()
+    del data["learn_times"], data["fold_times"]
+    for k in ("means", "sds"):
+        del data[k]["learn_time"], data[k]["total_time"]
+    return data
+
+
+def _assert_equals_the_reference(config, monkeypatch):
+    """``cv_run`` against ``_reference_cv_run``.  VT learns from exact
+    integer counts and scores each body in its own part order, so its
+    reports are the reference's bit for bit.  EM and MAP sum expected
+    counts in goal-id order, which differs between the treebank graph and
+    a fold's graph, so theta may move by ulps; a test tree may then flip
+    only to another tree of the same rule multiset, whose probability is
+    equal in exact arithmetic.  Returns the report and the warnings."""
+    learned, parsed = [], []
+
+    def recording_learn(*args):
+        learned.append(learn(*args))
+        return learned[-1]
+
+    def recording_trees(*args):
+        parsed.append(grammar_module._viterbi_trees(*args))
+        return parsed[-1]
+
+    monkeypatch.setattr(harness, "learn", recording_learn)
+    monkeypatch.setattr(harness, "_viterbi_trees", recording_trees)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = cv_run(config)
+    ref_learned, ref_parsed, ref_summary, ref_warnings = _reference_cv_run(config)
+    assert [str(w.message) for w in caught] == ref_warnings
+    assert [r.iterations for r in learned] == [r.iterations for r in ref_learned]
+    assert [[p is None for p in fold] for fold in parsed] == [
+        [p is None for p in fold] for fold in ref_parsed
+    ]
+    if config.method == "vt":
+        assert _untimed(report) == ref_summary
+        assert parsed == ref_parsed
+        for r, ref in zip(learned, ref_learned):
+            assert r.final_theta.data.keys() == ref.final_theta.data.keys()
+            for key, values in ref.final_theta.data.items():
+                assert np.array_equal(r.final_theta.data[key], values)
+    else:
+        assert report.iterations == ref_summary["iterations"]
+        assert report.prediction_failures == ref_summary["prediction_failures"]
+        for r, ref in zip(learned, ref_learned):
+            for key, values in ref.final_theta.data.items():
+                np.testing.assert_allclose(r.final_theta.data[key], values, rtol=1e-12, atol=0)
+        for fold, ref_fold in zip(parsed, ref_parsed):
+            for tree, ref in zip(fold, ref_fold):
+                assert tree == ref or tree.rule_counts() == ref.rule_counts()
+    return report, ref_warnings
+
+
+@pytest.mark.parametrize("method", ["vt", "em", "map"])
+@pytest.mark.parametrize("mode", ["pcfg", "plcg"])
+def test_cv_run_on_one_treebank_graph_equals_the_per_fold_reference(mode, method, monkeypatch):
+    grammar, trees = _demo20_treebank(200, 1)
+    delta = None if method == "em" else 1.0
+    config = ExperimentConfig(
+        task=mode, method=method, folds=4, seed=0,
+        learn=LearnConfig(method=method, delta=delta, seed=0), grammar=grammar, treebank=trees,
+    )
+    _assert_equals_the_reference(config, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", ["pcfg", "plcg"])
+def test_cv_run_keeps_the_reference_failures_and_warnings(mode, monkeypatch):
+    # EM gives rules that only test sentences use probability 0, so those
+    # roots of the treebank graph have value -inf while the fold learns:
+    # they add nothing, and the same test sentences fail.  Left-corner
+    # switches that no training tree uses are flagged as degenerate, as
+    # before; every PCFG switch is used by some training tree here
+    grammar, trees = _demo20_treebank(16, 3)
+    config = ExperimentConfig(
+        task=mode, method="em", folds=4, seed=0, learn=LearnConfig(method="em", seed=0),
+        grammar=grammar, treebank=trees,
+    )
+    report, caught = _assert_equals_the_reference(config, monkeypatch)
+    assert report.prediction_failures > 0
+    assert bool(caught) == (mode == "plcg")
+
+
+@pytest.mark.parametrize("mode", ["pcfg", "plcg"])
+def test_grammar_cv_run_compiles_its_treebank_once(mode, monkeypatch):
+    grammar, trees = _demo20_treebank(40, 1)
+    calls = []
+    for module in (harness, grammar_module):
+        for name in ("compile_pcfg_corpus", "compile_plcg_corpus"):
+
+            def counted(g, sentences, _compile=getattr(module, name)):
+                sentences = list(sentences)
+                calls.append(len(sentences))
+                return _compile(g, sentences)
+
+            monkeypatch.setattr(module, name, counted)
+    config = ExperimentConfig(
+        task=mode, method="vt", folds=4, seed=0,
+        learn=LearnConfig(method="vt", delta=1.0), grammar=grammar, treebank=trees,
+    )
+    cv_run(config)
+    assert calls == [len(trees)]

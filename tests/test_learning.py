@@ -153,6 +153,31 @@ def test_em_ignores_delta():
     assert np.array_equal(r1.final_theta.vector("s"), r2.final_theta.vector("s"))
 
 
+@pytest.mark.parametrize("method", ["vt", "map"])
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_delta_is_refused_before_any_pass(method, delta):
+    # a non-finite delta used to pass validation and fail one pass later
+    # with "negative or non-finite probability"
+    graph, ga, gb = two_value_goals()
+    with pytest.raises(ExplGraphError, match="finite, strictly positive pseudo counts"):
+        learn(graph, [ga, gb], LearnConfig(method=method, delta=delta))
+
+
+def test_em_still_ignores_a_non_finite_delta():
+    graph, ga, gb = two_value_goals()
+    ref = learn(graph, [ga, ga, gb], LearnConfig(method="em"))
+    for delta in (float("nan"), float("inf")):
+        report = learn(graph, [ga, ga, gb], LearnConfig(method="em", delta=delta))
+        assert np.array_equal(report.final_theta.vector("s"), ref.final_theta.vector("s"))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_tol_must_be_finite_and_positive(tol):
+    # tol=nan used to be accepted and ran every EM call to max_iter
+    with pytest.raises(ExplGraphError, match="tol must be finite and positive"):
+        LearnConfig(method="em", tol=tol)
+
+
 def test_degenerate_switch_flagged():
     b = GraphBuilder()
     b.declare_switch("s", ("a", "b"))

@@ -722,6 +722,33 @@ def test_path_walk_equals_the_recursive_reference():
     assert isinstance(_path_outcome(compile_path_queries, forked, [(0, 5)]), str)
 
 
+def _reference_moves(graph, u):
+    """The former ``EdgeGraph.moves``, a scan of every edge per call."""
+    out = [(v, graph.switch(u, v)) for (x, v, _) in graph.edges if x == u]
+    inc = [(x, graph.switch(x, u)) for (x, v, _) in graph.edges if v == u]
+    keyed = [(z, 0, sw) for z, sw in out] + [(z, 1, sw) for z, sw in inc]
+    keyed.sort(key=lambda t: (-t[0], t[1]))
+    return [(z, sw) for z, _, sw in keyed]
+
+
+def test_moves_equal_the_edge_scan():
+    rng = np.random.default_rng(8)
+    graphs = [six_node_demo_graph()]
+    for _ in range(30):
+        # random directed edges over 9 nodes, with pairs joined both ways
+        n = 9
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+        order = rng.permutation(len(pairs))
+        graphs.append(EdgeGraph([(*pairs[k], 0.5) for k in order.tolist()]))
+    both_ways = 0
+    for eg in graphs:
+        for u in eg.nodes + [max(eg.nodes) + 1]:
+            moves = eg.moves(u)
+            assert moves == _reference_moves(eg, u)
+            both_ways += len({z for z, _ in moves}) < len(moves)
+    assert both_ways > 0
+
+
 def test_path_query_on_a_chain_deeper_than_the_recursion_limit():
     n = 1200
     assert sys.getrecursionlimit() < n

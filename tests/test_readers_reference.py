@@ -13,13 +13,15 @@ Viterbi read-off: a whole-graph ``selected_counts_pass`` seeded with the
 goal, a scan of every goal for the choice trace, the former
 ``selected_derivation`` over the goals it used (``reference_derivations``)
 and an ``Explanation`` whose constructor sorts the items by rendering.
-``reference_brackets`` is the former recursive ``ParseTree.brackets``.
+``reference_brackets``, ``reference_tokens`` and ``reference_walk`` are
+the former recursive ``ParseTree.brackets``, ``tokens`` and ``walk``.
 All are kept verbatim but for their names.
 """
 
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +57,7 @@ from explgraph.models import compile_nbh_corpus, compile_path_queries, six_node_
 from explgraph.tables import ParameterTable, PseudoCountTable, SlotLayout
 from explgraph.terms import Term, render_term
 
-from conftest import random_theta
+from conftest import random_grammar, random_theta
 from test_models import _random_rows, _wide_spec
 
 DEMO20 = Path(__file__).resolve().parent.parent / "data" / "demo20.grammar"
@@ -271,6 +273,23 @@ def reference_brackets(tree: ParseTree, start: int = 0) -> list[tuple[int, int]]
     return spans
 
 
+def reference_tokens(tree: ParseTree) -> list[str]:
+    out = []
+    for c in tree.children:
+        if isinstance(c, str):
+            out.append(c)
+        else:
+            out.extend(reference_tokens(c))
+    return out
+
+
+def reference_walk(tree: ParseTree):
+    yield tree
+    for c in tree.children:
+        if isinstance(c, ParseTree):
+            yield from reference_walk(c)
+
+
 # -- Viterbi read-off -------------------------------------------------------------
 
 
@@ -396,6 +415,53 @@ def test_brackets_of_a_600_deep_tree_at_the_default_recursion_limit():
         tree = ParseTree("A", ("a", tree))
     assert tree.brackets() == [(k, 600) for k in range(599, -1, -1)]
     assert tree.brackets(7) == [(k + 7, 607) for k in range(599, -1, -1)]
+
+
+def _sample_trees() -> list[ParseTree]:
+    """The demo20 N=200 treebank and 60 trees of random grammars."""
+    demo20 = load_grammar(DEMO20)
+    trees = gen_corpus(demo20, demo20.pcfg_parameter_table(), 200, seed=1).trees()
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        grammar = random_grammar(rng, n_nonterminals=4)
+        theta = random_theta(rng, SimpleNamespace(switches=grammar._pcfg_decls))
+        seed = int(rng.integers(1 << 16))
+        trees += gen_corpus(grammar, theta, 10, seed=seed, max_depth=12).trees()
+    return trees
+
+
+def test_tokens_and_walk_equal_the_recursive_reference():
+    for tree in _sample_trees():
+        assert tree.tokens() == reference_tokens(tree)
+        assert [id(node) for node in tree.walk()] == [id(node) for node in reference_walk(tree)]
+
+
+def _deep_tree(n: int) -> ParseTree:
+    """``S -> l S r`` nested ``n`` deep around a ``S -> w`` leaf, with each
+    level's words numbered, built without recursion."""
+    tree = ParseTree("S", ("w",))
+    for k in range(n - 1, 0, -1):
+        tree = ParseTree("S", (f"l{k}", tree, f"r{k}"))
+    return tree
+
+
+def test_tree_readers_on_a_1200_deep_tree_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    n = 1200
+    tree = _deep_tree(n)
+    left, right = [f"l{k}" for k in range(1, n)], [f"r{k}" for k in range(n - 1, 0, -1)]
+    assert tree.tokens() == left + ["w"] + right
+    nodes = list(tree.walk())
+    assert len(nodes) == n and nodes[0] is tree
+    assert all(child is node.children[1] for node, child in zip(nodes, nodes[1:]))
+    counts = tree.rule_counts()
+    assert counts[("S", ("w",))] == 1 and len(counts) == n
+    grammar = Grammar("S", [CFGRule("S", ("w",))] + [
+        CFGRule("S", (f"l{k}", "S", f"r{k}")) for k in range(1, n)
+    ])
+    grammar.validate_tree(tree)
+    theta = count_ml(grammar, [tree])
+    assert np.array_equal(theta.vector("S"), np.full(n, 1.0 / n))
 
 
 # -- trees ------------------------------------------------------------------------
