@@ -306,42 +306,55 @@ class ParseTree:
         return counts
 
     def render(self) -> str:
-        inner = " ".join(
-            c if isinstance(c, str) else c.render() for c in self.children
-        )
-        return f"({self.label} {inner})"
+        """The bracketed text ``(label child ...)``, in one explicit-stack
+        walk, so depth costs no recursion."""
+        out = [f"({self.label} "]
+        stack = [enumerate(self.children)]  # per open node: its children to go
+        while stack:
+            for k, c in stack[-1]:
+                if k:
+                    out.append(" ")
+                if isinstance(c, str):
+                    out.append(c)
+                else:
+                    out.append(f"({c.label} ")
+                    stack.append(enumerate(c.children))
+                    break
+            else:
+                stack.pop()
+                out.append(")")
+        return "".join(out)
 
     def __str__(self) -> str:
         return self.render()
 
     @staticmethod
     def parse(text: str) -> "ParseTree":
+        """The tree of bracketed ``text``, read in one pass with an
+        explicit stack of open nodes, so depth costs no recursion."""
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-        pos = 0
-
-        def walk():
-            nonlocal pos
-            if tokens[pos] != "(":
-                raise ExplGraphError(f"expected '(' in tree text {text!r}")
-            pos += 1
-            label = tokens[pos]
-            pos += 1
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                if tokens[pos] == "(":
-                    children.append(walk())
-                else:
-                    children.append(tokens[pos])
-                    pos += 1
+        if tokens[0] != "(":
+            raise ExplGraphError(f"expected '(' in tree text {text!r}")
+        stack = [(tokens[1], [])]  # per open node: its label, its children so far
+        pos = 2
+        while True:
             if pos >= len(tokens):
                 raise ExplGraphError(f"unbalanced tree text {text!r}")
+            token = tokens[pos]
+            if token == "(":
+                stack.append((tokens[pos + 1], []))
+                pos += 2
+                continue
             pos += 1
-            return ParseTree(label, tuple(children))
-
-        tree = walk()
+            if token == ")":
+                label, children = stack.pop()
+                token = ParseTree(label, tuple(children))
+                if not stack:
+                    break
+            stack[-1][1].append(token)
         if pos != len(tokens):
             raise ExplGraphError(f"trailing tree text in {text!r}")
-        return tree
+        return token
 
 
 # ---------------------------------------------------------------------------

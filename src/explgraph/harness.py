@@ -3,13 +3,14 @@
 ``cv_run`` partitions a dataset into near-equal folds with a seeded
 shuffle, learns on the held-in folds and scores Viterbi predictions on
 the held-out fold: parse-tree metrics for grammar tasks, accuracy for the
-hidden-class naive-Bayes task.  A grammar run compiles its treebank once
-into one graph, whose goals are tabled by the words they span, so the
-graph holds every fold's training and test sentences: a fold learns on
-its training roots, where the test roots are goals nothing observes, and
-reads its test trees off one Viterbi pass over the same graph (the
-reader of ``parse_corpus``).  An NBH fold compiles its training rows and
-classifies its test rows from one graph (``nbh_classify_rows``).
+hidden-class naive-Bayes task.  A run compiles its whole dataset once,
+in corpus order, into one graph that holds every fold's training and
+test goals (a grammar's goals are tabled by the words they span, an NBH
+row's goal by its class and values).  Each fold learns on its training
+roots, where the test roots are goals nothing observes, and then scores
+its test part: a grammar fold reads its test trees off one Viterbi pass
+over the same graph (the reader of ``parse_corpus``), an NBH fold
+classifies its test rows in one batch (``nbh_classify_rows``).
 Per-fold iteration counts and learning wall time are recorded so method
 comparisons (e.g. Viterbi training versus EM convergence speed) can be
 rerun at small scale.
@@ -104,7 +105,7 @@ class ExperimentReport:
     sds: dict[str, float]
     iterations: list[int]
     learn_times: list[float]  # parameter fitting only
-    fold_times: list[float]  # fitting plus prediction; a grammar run compiles before its folds
+    fold_times: list[float]  # fitting plus prediction; the run compiles before its folds
     prediction_failures: int = 0
 
     def render(self) -> str:
@@ -162,21 +163,18 @@ def _aggregate(rows: dict[str, list[float]]) -> tuple[dict, dict]:
     return means, sds
 
 
-def _grammar_fold(config, graph, roots, sentences, train_idx, test_idx):
-    t0 = time.perf_counter()
-    report = learn(graph, [roots[i] for i in train_idx.tolist()], config.learn)
-    dt = time.perf_counter() - t0
+def _grammar_fold(config, graph, roots, sentences, theta, test_idx):
     test = test_idx.tolist()
     parsed = _viterbi_trees(
         config.grammar, config.task, graph, [roots[i] for i in test],
-        [sentences[i] for i in test], report.final_theta,
+        [sentences[i] for i in test], theta,
     )
     predicted = [p for p in parsed if p is not None]
     reference = [config.treebank[i] for i, p in zip(test, parsed) if p is not None]
     if not predicted:
         raise ExplGraphError("no test sentence could be predicted in a fold")
     failures = len(test) - len(predicted)
-    return _metrics_with_failures(predicted, reference, failures), report, dt, failures
+    return _metrics_with_failures(predicted, reference, failures), failures
 
 
 def _metrics_with_failures(predicted, reference, failures) -> MetricsReport:
@@ -188,33 +186,26 @@ def _metrics_with_failures(predicted, reference, failures) -> MetricsReport:
     return m
 
 
-def _nbh_fold(config, train_idx, test_idx):
-    spec = config.nbh_spec
-    rows = config.nbh_rows
-    train = [rows[int(i)] for i in train_idx]
-    graph, goals = compile_nbh_corpus(spec, train, observed_class=True)
-    t0 = time.perf_counter()
-    report = learn(graph, goals, config.learn)
-    dt = time.perf_counter() - t0
-    test = [rows[int(i)] for i in test_idx if rows[int(i)].cls is not None]
-    if not test:
-        raise ExplGraphError("fold contains no labelled test rows")
-    predicted = nbh_classify_rows(spec, report.final_theta, test)
+def _nbh_fold(config, theta, test_idx):
+    test = [config.nbh_rows[i] for i in test_idx.tolist()]
+    predicted = nbh_classify_rows(config.nbh_spec, theta, test)
     correct = sum(pred == row.cls for (pred, _), row in zip(predicted, test))
-    return correct / len(test), report, dt, 0
+    return correct / len(test), 0
 
 
 def cv_run(config: ExperimentConfig) -> ExperimentReport:
-    """Deterministic k-fold cross-validation for one task and method; a
-    grammar task compiles its treebank once, before the first fold."""
+    """Deterministic k-fold cross-validation for one task and method; the
+    dataset is compiled once, before the first fold, and every fold learns
+    on that graph's training roots."""
     if config.task == "nbh":
-        n, run_fold = len(config.nbh_rows), partial(_nbh_fold, config)
+        graph, roots = compile_nbh_corpus(config.nbh_spec, config.nbh_rows, observed_class=True)
+        score_fold = partial(_nbh_fold, config)
     else:
         sentences = [tuple(t.tokens()) for t in config.treebank]
         compile_corpus = compile_pcfg_corpus if config.task == "pcfg" else compile_plcg_corpus
         graph, roots = compile_corpus(config.grammar, sentences)
-        n, run_fold = len(sentences), partial(_grammar_fold, config, graph, roots, sentences)
-    parts = fold_partition(n, config.folds, config.seed)
+        score_fold = partial(_grammar_fold, config, graph, roots, sentences)
+    parts = fold_partition(len(roots), config.folds, config.seed)
     per_fold, iters, times, totals = [], [], [], []
     failures = 0
     for f in range(config.folds):
@@ -222,13 +213,14 @@ def cv_run(config: ExperimentConfig) -> ExperimentReport:
         train_idx = np.concatenate([parts[i] for i in range(config.folds) if i != f])
         t0 = time.perf_counter()
         try:
-            score, report, dt, failed = run_fold(train_idx, test_idx)
+            report = learn(graph, [roots[i] for i in train_idx.tolist()], config.learn)
+            times.append(time.perf_counter() - t0)
+            score, failed = score_fold(report.final_theta, test_idx)
         except (ZeroEvidence, AllZero) as e:
             raise type(e)(f"fold {f}: {e}") from e
         totals.append(time.perf_counter() - t0)
         per_fold.append(score)
         iters.append(report.iterations)
-        times.append(dt)
         failures += failed
     if config.task == "nbh":
         rows = {"accuracy": [float(x) for x in per_fold]}

@@ -179,8 +179,8 @@ def compile_nbh_corpus(
     spec: NBHSpec, rows: Sequence[DataRow], observed_class: bool = True
 ) -> tuple[ExplanationGraph, list[GoalId]]:
     """Shared graph over many rows; identical rows share one goal."""
-    keys = [(row.cls, row.values) for row in rows]
-    ids, values, cls, codes = _encode_rows(spec, keys, observed_class)
+    # the keys are built in the call, so that they are freed before the graph is built
+    ids, values, cls, codes = _encode_rows(spec, [(r.cls, r.values) for r in rows], observed_class)
     if not observed_class:
         # rows that differ only in class share one goal, which branches over every class
         merged: dict = {}
@@ -238,8 +238,7 @@ def _compile_rows(
     use, in (class, cluster, attribute) order.  The bodies are gathered
     from the slot arrays of ``NBHSpec._slots`` by the rows' codes.
     """
-    head_slots, value_slots = spec._slots
-    n_classes, n_hidden, n_attrs, _ = value_slots.shape
+    n_classes, n_hidden, n_attrs, _ = spec._slots[1].shape
     # (row, class) pairs, in row order and then class order
     n_pair = np.where(cls < 0, n_classes, 1)
     pair_row = np.repeat(np.arange(len(codes)), n_pair)
@@ -257,11 +256,20 @@ def _compile_rows(
     # row and the any goals first used before it
     any_id = np.arange(len(order)) + any_row + 1
     row_id = np.arange(len(codes)) + np.searchsorted(any_row, np.arange(len(codes)))
-    any_goal = np.full((n_classes, n_hidden, n_attrs), -1, dtype=np.int64)
-    any_goal[any_c, any_h, any_j] = any_id
-
+    any_goals = (any_id, any_c, any_h, any_j)
     builder = GraphBuilder()
     builder.declare_switches(spec._decls)
+    for name in _goal_names(spec, values, cls, row_id, any_goals):
+        builder.goal(name)
+    builder.add_bodies(*_bodies(spec, codes, pair_row, pair_cls, row_id, any_goals))
+    for goal in row_id.tolist():
+        builder.add_root(goal)
+    return builder.build(), row_id
+
+
+def _goal_names(spec: NBHSpec, values, cls, row_id, any_goals) -> list[str]:
+    """The labels of ``_compile_rows``'s goals, in goal-id order."""
+    any_id, any_c, any_h, any_j = any_goals
     names = np.empty(len(row_id) + len(any_id), dtype=object)
     texts = (",".join([MISSING if v is None else v for v in vs]) for vs in values)
     names[row_id] = [
@@ -272,8 +280,19 @@ def _compile_rows(
         f"any({j + 1},{spec.classes[c]},{h + 1})"
         for c, h, j in zip(any_c.tolist(), any_h.tolist(), any_j.tolist())
     ]
-    for name in names.tolist():
-        builder.goal(name)
+    return names.tolist()
+
+
+def _bodies(spec: NBHSpec, codes, pair_row, pair_cls, row_id, any_goals) -> tuple:
+    """The five arrays :meth:`GraphBuilder.add_bodies` takes for
+    ``_compile_rows``'s bodies: the rows' bodies, one per (row, class,
+    cluster), then the any goals' bodies, one per domain value.  Gathered
+    here so that their temporaries are freed before the graph is built."""
+    head_slots, value_slots = spec._slots
+    _, n_hidden, n_attrs, _ = value_slots.shape
+    any_id, any_c, any_h, any_j = any_goals
+    any_goal = np.full(value_slots.shape[:3], -1, dtype=np.int64)
+    any_goal[any_c, any_h, any_j] = any_id
     # the rows' bodies, one per (row, class, cluster)
     body_row, body_c = np.repeat(pair_row, n_hidden), np.repeat(pair_cls, n_hidden)
     body_h = np.tile(np.arange(n_hidden), len(pair_row))
@@ -288,16 +307,13 @@ def _compile_rows(
     domain = value_slots[any_c, any_h, any_j]
     in_domain = domain >= 0
     n_any = int(in_domain.sum())
-    builder.add_bodies(
+    return (
         np.concatenate((row_id[body_row], np.repeat(any_id, in_domain.sum(axis=1)))),
         np.concatenate((missing.sum(axis=1), np.zeros(n_any, dtype=np.int64))),
         any_goal[c, h, j][missing],
         np.concatenate((present.sum(axis=1), np.ones(n_any, dtype=np.int64))),
         np.concatenate((slots[present], domain[in_domain])),
     )
-    for goal in row_id.tolist():
-        builder.add_root(goal)
-    return builder.build(), row_id
 
 
 def nbh_classify_rows(

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ import warnings
 
 from explgraph import grammar as grammar_module
 from explgraph import harness
-from explgraph.errors import AllZero, ExplGraphError, ExplGraphWarning, Unparseable
+from explgraph import models as models_module
+from explgraph.errors import AllZero, ExplGraphError, ExplGraphWarning, InvalidRow, Unparseable
 from explgraph.grammar import (
     CFGRule,
     Grammar,
@@ -30,7 +32,13 @@ from explgraph.harness import (
     run_session,
 )
 from explgraph.learning import LearnConfig, learn
-from explgraph.models import DataRow, NBHSpec, compile_nbh_corpus, nbh_classify
+from explgraph.models import (
+    DataRow,
+    NBHSpec,
+    compile_nbh_corpus,
+    nbh_classify,
+    nbh_classify_rows,
+)
 
 from conftest import toy_grammar
 
@@ -482,3 +490,177 @@ def test_grammar_cv_run_compiles_its_treebank_once(mode, monkeypatch):
     )
     cv_run(config)
     assert calls == [len(trees)]
+
+
+# -- one graph per NBH run ----------------------------------------------------
+
+NBH_VALUES = ("x", "y", "z")
+
+
+def _nbh_data(seed, n=3000, k=12):
+    """Rows in the style of the benchmark's nbh-cv workload and demos/05:
+    each class mixes two clusters of opposite attribute polarity, so class
+    marginals are confounded, and one value in ten is missing."""
+    rng = np.random.default_rng(seed)
+    is_pos = rng.random(n) < 0.5
+    cluster = rng.random(n) < 0.5
+    u = rng.random((n, k))
+    missing = rng.random((n, k)) < 0.1
+    # favoured value: index 0 or 2 with probability 0.7, the others 0.15
+    flip = (~is_pos)[:, None] & (np.arange(k) % 2 == 1)[None, :]
+    fav = np.where(cluster[:, None] ^ flip, 0, 2)
+    value = np.where(u < 0.15, 1, np.where(u < 0.30, 2 - fav, fav))
+    spec = NBHSpec(("pos", "neg"), 2, tuple((f"a{j}", NBH_VALUES) for j in range(1, k + 1)))
+    rows = [
+        DataRow("pos" if pos else "neg", tuple(None if m else NBH_VALUES[v] for m, v in zip(ms, vs)))
+        for pos, ms, vs in zip(is_pos.tolist(), missing.tolist(), value.tolist())
+    ]
+    return spec, rows
+
+
+def _reference_nbh_fold(config, train_idx, test_idx):
+    """The NBH fold of ``cv_run`` before it compiled its rows once: each
+    fold compiles its training rows, learns on that graph and classifies
+    its labelled test rows in one batch.  Kept verbatim but for its name."""
+    spec = config.nbh_spec
+    rows = config.nbh_rows
+    train = [rows[int(i)] for i in train_idx]
+    graph, goals = compile_nbh_corpus(spec, train, observed_class=True)
+    t0 = time.perf_counter()
+    report = learn(graph, goals, config.learn)
+    dt = time.perf_counter() - t0
+    test = [rows[int(i)] for i in test_idx if rows[int(i)].cls is not None]
+    if not test:
+        raise ExplGraphError("fold contains no labelled test rows")
+    predicted = nbh_classify_rows(spec, report.final_theta, test)
+    correct = sum(pred == row.cls for (pred, _), row in zip(predicted, test))
+    return correct / len(test), report, dt, 0
+
+
+@pytest.mark.parametrize("method", ["vt", "em", "map"])
+@pytest.mark.parametrize("data_seed", [1, 2])
+def test_nbh_cv_run_on_one_graph_equals_the_per_fold_reference(data_seed, method, monkeypatch):
+    # goals no training root reaches add exact zeros, so VT learns the
+    # reference's theta bit for bit; EM and MAP sum expected counts in
+    # another goal order, so theta may move by ulps
+    spec, rows = _nbh_data(data_seed)
+    delta = None if method == "em" else 1.0
+    config = ExperimentConfig(
+        task="nbh", method=method, folds=5, seed=0,
+        learn=LearnConfig(method=method, delta=delta, seed=0), nbh_spec=spec, nbh_rows=rows,
+    )
+    learned = []
+
+    def recording_learn(*args):
+        learned.append(learn(*args))
+        return learned[-1]
+
+    monkeypatch.setattr(harness, "learn", recording_learn)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = cv_run(config)
+    parts = fold_partition(len(rows), 5, 0)
+    with warnings.catch_warnings(record=True) as ref_caught:
+        warnings.simplefilter("always")
+        reference = [
+            _reference_nbh_fold(config, np.concatenate(parts[:f] + parts[f + 1 :]), parts[f])
+            for f in range(5)
+        ]
+    assert report.folds == [accuracy for accuracy, *_ in reference]
+    assert report.iterations == [r.iterations for _, r, *_ in reference]
+    assert [str(w.message) for w in caught] == [str(w.message) for w in ref_caught]
+    for r, (_, ref, *_) in zip(learned, reference):
+        assert r.final_theta.data.keys() == ref.final_theta.data.keys()
+        for key, values in ref.final_theta.data.items():
+            if method == "vt":
+                assert np.array_equal(r.final_theta.data[key], values)
+            else:
+                np.testing.assert_allclose(r.final_theta.data[key], values, rtol=1e-12, atol=0)
+
+
+def test_nbh_cv_run_compiles_its_rows_once(monkeypatch):
+    spec, rows = _nbh_data(1, n=300)
+    calls, batches = [], []
+    for module in (harness, models_module):
+
+        def counted(s, data, observed_class=True, _compile=module.compile_nbh_corpus):
+            data = list(data)
+            calls.append((len(data), observed_class))
+            return _compile(s, data, observed_class)
+
+        monkeypatch.setattr(module, "compile_nbh_corpus", counted)
+
+    def counted_classify(s, theta, data, _classify=harness.nbh_classify_rows):
+        batches.append(len(data))
+        return _classify(s, theta, data)
+
+    monkeypatch.setattr(harness, "nbh_classify_rows", counted_classify)
+    config = ExperimentConfig(
+        task="nbh", method="map", folds=5, seed=0,
+        learn=LearnConfig(method="map", delta=1.0), nbh_spec=spec, nbh_rows=rows,
+    )
+    cv_run(config)
+    assert calls == [(len(rows), True)]
+    assert batches == [len(part) for part in fold_partition(len(rows), 5, 0)]
+
+
+def test_nbh_cv_invalid_row_raises_wherever_it_sits(monkeypatch):
+    # an unlabelled row, and a row with a value outside its domain: cv_run
+    # raises check_row's InvalidRow, with its message, before any fold
+    # learns, whether the row sits in fold 0's test part or in its training
+    # part; of two bad rows the first in corpus order is named
+    spec, rows = _nbh_data(1, n=100)
+    unlabelled = DataRow(None, rows[0].values)
+    bad_value = DataRow("pos", ("w",) + rows[0].values[1:])
+
+    def message(row):
+        with pytest.raises(InvalidRow) as raised:
+            spec.check_row(row, need_class=True)
+        return str(raised.value)
+
+    def refused(placed):
+        data = list(rows)
+        for i, row in placed.items():
+            data[i] = row
+        config = ExperimentConfig(
+            task="nbh", method="map", folds=4, seed=0,
+            learn=LearnConfig(method="map", delta=1.0), nbh_spec=spec, nbh_rows=data,
+        )
+        with pytest.raises(InvalidRow) as raised:
+            cv_run(config)
+        assert type(raised.value) is InvalidRow
+        return str(raised.value)
+
+    def no_learning(*args):
+        raise AssertionError("a fold learned before the rows were checked")
+
+    monkeypatch.setattr(harness, "learn", no_learning)
+    parts = fold_partition(len(rows), 4, 0)
+    test0 = int(parts[0][0])
+    train0 = int(parts[1][parts[1] > test0][0])  # in fold 0's training part, after test0
+    for bad in (unlabelled, bad_value):
+        for position in (test0, train0):
+            assert refused({position: bad}) == message(bad)
+    assert refused({test0: bad_value, train0: unlabelled}) == message(bad_value)
+    assert refused({test0: unlabelled, train0: bad_value}) == message(unlabelled)
+
+
+def test_nbh_cv_all_zero_names_the_fold_and_the_row():
+    # EM gives a value no training row holds probability 0, so a test row
+    # with that value has no class score above zero
+    spec = NBHSpec(("c1", "c2"), 1, (("a1", ("x", "y", "z")), ("a2", ("x", "y"))))
+    rng = np.random.default_rng(3)
+    rows = [
+        DataRow(str(rng.choice(spec.classes)), (str(rng.choice(["x", "y"])), str(rng.choice(["x", "y"]))))
+        for _ in range(24)
+    ]
+    parts = fold_partition(len(rows), 4, 0)
+    fold, k = 2, 3
+    rows[int(parts[fold][k])] = DataRow("c1", ("z", "x"))
+    config = ExperimentConfig(
+        task="nbh", method="em", folds=4, seed=0, learn=LearnConfig(method="em"),
+        nbh_spec=spec, nbh_rows=rows,
+    )
+    with pytest.raises(AllZero) as raised:
+        cv_run(config)
+    assert str(raised.value) == f"fold {fold}: all class scores are zero for row {k}"

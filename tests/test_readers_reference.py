@@ -13,8 +13,9 @@ Viterbi read-off: a whole-graph ``selected_counts_pass`` seeded with the
 goal, a scan of every goal for the choice trace, the former
 ``selected_derivation`` over the goals it used (``reference_derivations``)
 and an ``Explanation`` whose constructor sorts the items by rendering.
-``reference_brackets``, ``reference_tokens`` and ``reference_walk`` are
-the former recursive ``ParseTree.brackets``, ``tokens`` and ``walk``.
+``reference_brackets``, ``reference_tokens``, ``reference_walk``,
+``reference_render`` and ``reference_parse`` are the former recursive
+``ParseTree.brackets``, ``tokens``, ``walk``, ``render`` and ``parse``.
 All are kept verbatim but for their names.
 """
 
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from explgraph.errors import (
+    ExplGraphError,
     ExplGraphWarning,
     ExplosionLimit,
     InconsistentExplanation,
@@ -290,6 +292,42 @@ def reference_walk(tree: ParseTree):
             yield from reference_walk(c)
 
 
+def reference_render(tree: ParseTree) -> str:
+    inner = " ".join(
+        c if isinstance(c, str) else reference_render(c) for c in tree.children
+    )
+    return f"({tree.label} {inner})"
+
+
+def reference_parse(text: str) -> ParseTree:
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    pos = 0
+
+    def walk():
+        nonlocal pos
+        if tokens[pos] != "(":
+            raise ExplGraphError(f"expected '(' in tree text {text!r}")
+        pos += 1
+        label = tokens[pos]
+        pos += 1
+        children = []
+        while pos < len(tokens) and tokens[pos] != ")":
+            if tokens[pos] == "(":
+                children.append(walk())
+            else:
+                children.append(tokens[pos])
+                pos += 1
+        if pos >= len(tokens):
+            raise ExplGraphError(f"unbalanced tree text {text!r}")
+        pos += 1
+        return ParseTree(label, tuple(children))
+
+    tree = walk()
+    if pos != len(tokens):
+        raise ExplGraphError(f"trailing tree text in {text!r}")
+    return tree
+
+
 # -- Viterbi read-off -------------------------------------------------------------
 
 
@@ -436,6 +474,24 @@ def test_tokens_and_walk_equal_the_recursive_reference():
         assert [id(node) for node in tree.walk()] == [id(node) for node in reference_walk(tree)]
 
 
+def test_render_and_parse_equal_the_recursive_reference():
+    for tree in _sample_trees() + [ParseTree("X", ()), ParseTree("S", (ParseTree("A", ()), "b"))]:
+        text = tree.render()
+        assert text == str(tree) == reference_render(tree)
+        assert ParseTree.parse(text) == reference_parse(text) == tree
+    # malformed texts fail as the reference fails: same type, same message
+    for text in (
+        "", "(", "(S", "(S (", "(S a", "(S (A a)", "a (S b)", "(S a))", "(S a) b",
+        "(S ())", "((a))", "(S (A a) (B b)) (C c)", ")", "(S a ( b)",
+    ):
+        with pytest.raises(Exception) as want:
+            reference_parse(text)
+        with pytest.raises(Exception) as got:
+            ParseTree.parse(text)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
 def _deep_tree(n: int) -> ParseTree:
     """``S -> l S r`` nested ``n`` deep around a ``S -> w`` leaf, with each
     level's words numbered, built without recursion."""
@@ -462,6 +518,21 @@ def test_tree_readers_on_a_1200_deep_tree_at_the_default_recursion_limit():
     grammar.validate_tree(tree)
     theta = count_ml(grammar, [tree])
     assert np.array_equal(theta.vector("S"), np.full(n, 1.0 / n))
+
+
+def test_render_parse_round_trip_of_a_1200_deep_tree_at_the_default_recursion_limit():
+    # compared by text and brackets: ==, hash and shape still recurse
+    assert sys.getrecursionlimit() <= 1000
+    n = 1200
+    tree = _deep_tree(n)
+    text = tree.render()
+    left = "".join(f"(S l{k} " for k in range(1, n))
+    right = "".join(f" r{k})" for k in range(n - 1, 0, -1))
+    assert text == str(tree) == left + "(S w)" + right
+    again = ParseTree.parse(text)
+    assert again.render() == text
+    assert again.brackets() == tree.brackets()
+    assert again.tokens() == tree.tokens()
 
 
 # -- trees ------------------------------------------------------------------------
