@@ -34,7 +34,26 @@ It stays apart from the upward loop, which carries one float per goal,
 because a multiset is a vector of exact integers.
 
 Each pass costs O(total body size) numpy work, matching the linear-time
-contract of the sum-product and argmax recurrences.  Reading the
+contract of the sum-product and argmax recurrences, plus a fixed number
+of numpy calls per level; the per-level work is kept to the steps that
+must follow the level order:
+
+* ``-inf`` guards sit per goal or once per pass, never over a level's
+  bodies.  The log-sum-exp replaces a dead goal's max by 0 (its bodies
+  then give ``exp(-inf) = 0`` and its value ``log(0) = -inf``), and a
+  live goal's max body gives exactly ``exp(0) = 1``, so no clamp is
+  needed.  The expected-counts pass takes a dead head's inside value as
+  0 and computes every body's posterior once; the Viterbi-counts pass
+  marks the selected bodies once.  Each pass enters ``np.errstate`` once.
+* the body offset of each child part within its level is laid out once,
+  with the levels; switch parts are read through their global body ids,
+  so no per-graph array grows with the number of switch parts.
+* the downward scatters into goal occurrences and switch counts stay
+  per level ``np.add.at`` calls in part order: a single ``np.bincount``
+  over all parts would be faster but would change the order of the
+  float additions, and so EM and MAP results by ulps.  The exact integer
+  rows of ``selected_multisets`` may be summed in any order; they are
+  scattered by flat index into the rows' 1-D view.  Reading the
 explanations of a few goals off a selection costs less:
 ``selected_derivation`` walks only the selected sub-DAG below them, in
 Python, and gives exact integer use and slot counts, the choice trace and
@@ -59,30 +78,22 @@ _USE_CAP = np.nextafter(2.0**63, 0.0)
 
 
 def _log_sum_exp(scores: np.ndarray, lv: "_Level") -> np.ndarray:
-    """Inside reduction: per goal, the log of its bodies' summed probability."""
+    """Inside reduction: per goal, the log of its bodies' summed probability.
+
+    A dead goal (every body ``-inf``) takes 0 as its max, so its bodies
+    contribute ``exp(-inf) = 0`` and its value is ``0 + log(0) = -inf``; a
+    live goal's max body contributes exactly ``exp(0) = 1``, so its sum is
+    at least 1.  The caller ignores the divide warning of ``log(0)``.
+    """
     m = np.maximum.reduceat(scores, lv.seg_starts)
-    with np.errstate(invalid="ignore"):
-        contrib = np.where(np.isneginf(scores), 0.0, np.exp(scores - m[lv.seg_ids]))
-    sums = np.bincount(lv.seg_ids, weights=contrib, minlength=len(lv.goals))
-    with np.errstate(divide="ignore"):
-        return np.where(np.isneginf(m), NEG_INF, m + np.log(np.maximum(sums, 1e-300)))
+    m[m == NEG_INF] = 0.0
+    sums = np.bincount(lv.seg_ids, weights=np.exp(scores - m[lv.seg_ids]), minlength=len(m))
+    return m + np.log(sums)
 
 
 def _max(scores: np.ndarray, lv: "_Level") -> np.ndarray:
     """Viterbi reduction: per goal, its best body score."""
     return np.maximum.reduceat(scores, lv.seg_starts)
-
-
-def _posterior(bodies: slice, heads, h, inside, scores) -> np.ndarray:
-    """Expected-counts body weight: occ(head) * P(body | head)."""
-    sc = scores[bodies]
-    with np.errstate(invalid="ignore", over="ignore"):
-        return h * np.where(np.isneginf(sc), 0.0, np.exp(sc - inside[heads]))
-
-
-def _selected(bodies: slice, heads, h, sel) -> np.ndarray:
-    """Viterbi-counts body weight: occ(head) on the head's selected body, else 0."""
-    return np.where(sel[heads] == np.arange(bodies.start, bodies.stop), h, 0.0)
 
 
 class Selection(NamedTuple):
@@ -119,9 +130,9 @@ class FlatBodies(NamedTuple):
 
 class _Level(NamedTuple):
     """One topological level: its goals, where each goal's bodies start
-    within the level, each body's goal within the level, and the slices
-    of the flat body, child-part and switch-part arrays that the level
-    owns."""
+    within the level, each body's goal within the level, the slices of
+    the flat body, child-part and switch-part arrays that the level owns,
+    and each of its child parts' body counted within the level."""
 
     goals: np.ndarray
     seg_starts: np.ndarray
@@ -129,6 +140,7 @@ class _Level(NamedTuple):
     bodies: slice
     cparts: slice
     sparts: slice
+    cbody: np.ndarray
 
 
 def _part_order(counts: np.ndarray, bodies: np.ndarray) -> np.ndarray:
@@ -250,21 +262,23 @@ class CompiledGraph:
         self.tags = list(map(flat.tags.__getitem__, arrival.tolist()))
         self.tagged = any(t is not None for t in flat.tags)  # some body carries a frontend tag
 
-        # Per goal and per body, in layout order: where the goal's bodies
-        # start and which goal a body has, both counted within the level.
+        # Per goal, per body and per child part, in layout order: where the
+        # goal's bodies start, which goal a body has and which body a child
+        # part has, all counted within the level.
         n_levels = int(level.max()) + 1 if n else 0
         gs, bs = (
             np.concatenate(([0], np.cumsum(np.bincount(x, minlength=n_levels))))
             for x in (level, body_level)
         )
         cs, ss = (
-            np.concatenate(([0], np.cumsum(counts)))[bs].tolist()
+            np.concatenate(([0], np.cumsum(counts)))[bs]
             for counts in (self.body_ccount, self.body_scount)
         )
         nb, goal_level = goal_nbodies[goals], level[goals]
         seg_starts = np.cumsum(nb) - nb - bs[goal_level]
         seg_ids = np.repeat(np.arange(n, dtype=np.int64) - gs[goal_level], nb)
-        gs, bs = gs.tolist(), bs.tolist()
+        cbody = self.cpart_body - np.repeat(bs[:-1], np.diff(cs))
+        gs, bs, cs, ss = gs.tolist(), bs.tolist(), cs.tolist(), ss.tolist()
         self.levels = [
             _Level(
                 goals[gs[k] : gs[k + 1]],
@@ -273,6 +287,7 @@ class CompiledGraph:
                 slice(bs[k], bs[k + 1]),
                 slice(cs[k], cs[k + 1]),
                 slice(ss[k], ss[k + 1]),
+                cbody[cs[k] : cs[k + 1]],
             )
             for k in range(n_levels)
         ]
@@ -297,34 +312,30 @@ class CompiledGraph:
         values = np.full(self.n_goals, NEG_INF)
         scores = self.body_constants(log_theta)
         for lv in self.levels:
-            cb = self.cpart_body[lv.cparts] - lv.bodies.start
-            cv = values[self.cpart_child[lv.cparts]]
-            scores[lv.bodies] += np.bincount(cb, weights=cv, minlength=len(lv.seg_ids))
-            values[lv.goals] = reduce(scores[lv.bodies], lv)
+            s = scores[lv.bodies]
+            s += np.bincount(lv.cbody, weights=values[self.cpart_child[lv.cparts]], minlength=len(s))
+            values[lv.goals] = reduce(s, lv)
         return values, scores
 
-    def _downward(self, seeds: np.ndarray, body_weight, *args) -> tuple[np.ndarray, np.ndarray]:
+    def _downward(self, seeds: np.ndarray, weigh) -> tuple[np.ndarray, np.ndarray]:
         """Top-down level loop: push occurrence counts from heads to parts.
 
         Per-goal occurrence counts start at ``seeds``.  Level by level from
-        the top, ``body_weight(bodies, heads, occ_of_heads, *args)`` gives
+        the top, ``weigh(out, occ_of_heads, bodies)`` writes into ``out``
         the number of uses of each body in the slice ``bodies``; that is
         added to the count of every subgoal and, times the multiplicity, to
-        every switch slot of the body.
+        every switch slot of the body.  Both scatters run per level, in
+        part order.
         Returns (flat switch counts, per-goal occurrence counts).
         """
         occ = seeds.astype(float)
         eta = np.zeros(self.layout.n_slots)
+        w = np.zeros(self.n_bodies)
         for lv in reversed(self.levels):
-            heads = self.body_head[lv.bodies]
-            h = occ[heads]
-            if not np.any(h > 0.0):
-                continue
-            w = body_weight(lv.bodies, heads, h, *args)
-            cb = self.cpart_body[lv.cparts] - lv.bodies.start
-            np.add.at(occ, self.cpart_child[lv.cparts], w[cb])
-            sb = self.spart_body[lv.sparts] - lv.bodies.start
-            np.add.at(eta, self.spart_slot[lv.sparts], self.spart_mult[lv.sparts] * w[sb])
+            weigh(w[lv.bodies], occ[self.body_head[lv.bodies]], lv.bodies)
+            np.add.at(occ, self.cpart_child[lv.cparts], w[self.cpart_body[lv.cparts]])
+            sp = lv.sparts
+            np.add.at(eta, self.spart_slot[sp], self.spart_mult[sp] * w[self.spart_body[sp]])
         return eta, occ
 
     # -- passes -----------------------------------------------------------
@@ -334,7 +345,8 @@ class CompiledGraph:
 
         Returns (per-goal log inside value, per-body log score).
         """
-        return self._upward(log_theta, _log_sum_exp)
+        with np.errstate(divide="ignore"):
+            return self._upward(log_theta, _log_sum_exp)
 
     def viterbi_pass(self, log_theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Log-space argmax over all goals.
@@ -358,9 +370,16 @@ class CompiledGraph:
         return is (flat expected switch counts, per-goal expected number of
         times the goal is proven).  The per-body weight is the expected
         number of uses of the body: occ(head) * P(body | head), which keeps
-        all quantities in count magnitude and avoids underflow.
+        all quantities in count magnitude and avoids underflow.  A dead
+        head's inside value is taken as 0, so its bodies get
+        ``exp(-inf - 0) = 0``.
         """
-        return self._downward(seeds, _posterior, inside, scores)
+        live = np.where(inside == NEG_INF, 0.0, inside)
+        with np.errstate(over="ignore", invalid="ignore"):
+            posterior = np.exp(scores - live[self.body_head])
+            return self._downward(
+                seeds, lambda out, h, bodies: np.multiply(h, posterior[bodies], out=out)
+            )
 
     def selected_counts_pass(
         self, sel: np.ndarray, seeds: np.ndarray
@@ -375,7 +394,11 @@ class CompiledGraph:
         int64 use counts saturate just below 2**63, so every goal the
         derivations use has a positive count.
         """
-        eta, use = self._downward(seeds, _selected, sel)
+        chosen = np.zeros(self.n_bodies, dtype=bool)
+        chosen[sel] = True
+        eta, use = self._downward(
+            seeds, lambda out, h, bodies: np.copyto(out, h, where=chosen[bodies])
+        )
         return eta, np.minimum(use, _USE_CAP).astype(np.int64)
 
     def selected_multisets(
@@ -396,17 +419,20 @@ class CompiledGraph:
         used = use > 0
         row = np.cumsum(used) - 1  # row of each used goal, in goal-id order
         dtype = np.int64 if eta.max(initial=0.0) < 2.0**62 else object
-        rows = np.zeros((int(used.sum()), self.layout.n_slots), dtype=dtype)
+        n_slots = self.layout.n_slots
+        rows = np.zeros((int(used.sum()), n_slots), dtype=dtype)
+        flat = rows.reshape(-1)  # the rows as one view, scattered into by flat index
         chosen = used[self.body_head] & (sel[self.body_head] == np.arange(self.n_bodies))
         sp = np.flatnonzero(chosen[self.spart_body])
         mult = self.spart_mult[sp].astype(np.int64).astype(dtype)
-        np.add.at(rows, (row[self.body_head[self.spart_body[sp]]], self.spart_slot[sp]), mult)
+        np.add.at(flat, row[self.body_head[self.spart_body[sp]]] * n_slots + self.spart_slot[sp], mult)
         cp = np.flatnonzero(chosen[self.cpart_body])  # in level order
-        heads = row[self.body_head[self.cpart_body[cp]]]
+        heads = row[self.body_head[self.cpart_body[cp]]] * n_slots
         kids = row[self.cpart_child[cp]]
+        cols = np.arange(n_slots)
         lo = 0
         for hi in np.searchsorted(cp, [lv.cparts.stop for lv in self.levels]).tolist():
-            np.add.at(rows, heads[lo:hi], rows[kids[lo:hi]])
+            np.add.at(flat, (heads[lo:hi, None] + cols).reshape(-1), rows[kids[lo:hi]].reshape(-1))
             lo = hi
         return rows[row[np.asarray(goals, dtype=np.int64)]]
 

@@ -331,18 +331,27 @@ class ParseTree:
     @staticmethod
     def parse(text: str) -> "ParseTree":
         """The tree of bracketed ``text``, read in one pass with an
-        explicit stack of open nodes, so depth costs no recursion."""
+        explicit stack of open nodes, so depth costs no recursion.  Text
+        that ends before every bracket closes is unbalanced; a bracket
+        right after ``(`` stands where a label belongs."""
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-        if tokens[0] != "(":
+        if tokens and tokens[0] != "(":
             raise ExplGraphError(f"expected '(' in tree text {text!r}")
-        stack = [(tokens[1], [])]  # per open node: its label, its children so far
-        pos = 2
+        stack: list = []  # per open node: its label, its children so far
+        pos = 0
         while True:
             if pos >= len(tokens):
                 raise ExplGraphError(f"unbalanced tree text {text!r}")
             token = tokens[pos]
             if token == "(":
-                stack.append((tokens[pos + 1], []))
+                if pos + 1 == len(tokens):
+                    raise ExplGraphError(f"unbalanced tree text {text!r}")
+                label = tokens[pos + 1]
+                if label in ("(", ")"):
+                    raise ExplGraphError(
+                        f"bracket {label!r} where a label belongs in tree text {text!r}"
+                    )
+                stack.append((label, []))
                 pos += 2
                 continue
             pos += 1

@@ -399,6 +399,76 @@ def test_passes_equal_reference_on_demo20_corpus(compile_corpus):
             assert_passes_equal(graph, np.log(theta), seeds)
 
 
+def test_passes_equal_reference_on_a_labelled_nbh_graph():
+    # two levels, thousands of switch parts: the switch-part scatter dominates
+    rng = np.random.default_rng(67)
+    spec = NBHSpec(("pos", "neg"), 2, tuple((f"a{j}", ("x", "y", "z")) for j in range(1, 13)))
+    graph, roots = compile_nbh_corpus(spec, _nbh_fold_rows(rng, 600), observed_class=True)
+    comp = graph.compiled()
+    assert len(comp.levels) == 2 and len(comp.spart_slot) > 5000
+    seeds = np.bincount(np.asarray(roots, dtype=np.int64), minlength=graph.n_goals)
+    for zero_share in (0.0, 0.2):
+        log_theta = log_theta_vector(graph, random_theta(rng, graph))
+        log_theta[rng.random(len(log_theta)) < zero_share] = NEG_INF
+        assert_passes_equal(graph, log_theta, seeds)
+
+
+@pytest.mark.parametrize("compile_one", [compile_pcfg, compile_plcg])
+def test_passes_equal_reference_on_one_sentence_graphs(compile_one):
+    # the graphs of the CLI's and the demos' one-sentence viterbi path
+    demo20 = load_grammar(DEMO20)
+    rng = np.random.default_rng(69)
+    for sentence in gen_corpus(demo20, demo20.pcfg_parameter_table(), 30, seed=3).sentences():
+        graph = compile_one(demo20, sentence)
+        theta, _ = graph.slots().normalize(rng.uniform(0.1, 1.0, graph.slots().n_slots))
+        seeds = np.zeros(graph.n_goals, dtype=np.int64)
+        seeds[graph.roots[0]] = 1
+        with np.errstate(divide="ignore"):
+            assert_passes_equal(graph, np.log(theta), seeds)
+
+
+def _graph_with_dead_goals():
+    """``top`` has a live body and a body through ``dead``, whose only
+    body uses ``c = off``; ``gone`` has no live body at all."""
+    b = GraphBuilder()
+    b.declare_switch("c", ("on", "off"))
+    top, dead, leaf, gone = (b.goal(x) for x in ("top", "dead", "leaf", "gone"))
+    b.add_body(leaf, [], [SwitchInstance("c", "on")])
+    b.add_body(dead, [leaf], [SwitchInstance("c", "off", 2)])
+    b.add_body(gone, [dead])
+    b.add_body(gone, [dead, leaf])
+    b.add_body(top, [dead, leaf])
+    b.add_body(top, [leaf, leaf])
+    b.add_root(top)
+    return b.build()
+
+
+def test_no_pass_warns_on_zero_parameters_and_dead_goals():
+    graph = _graph_with_dead_goals()
+    rng = np.random.default_rng(68)
+    cases = [(graph, np.array([0.0, NEG_INF]), np.ones(graph.n_goals, dtype=np.int64))]
+    for make in (random_exclusive_graph, random_general_graph):
+        for _ in range(30):
+            g, _ = make(rng)
+            log_theta = log_theta_vector(g, random_theta(rng, g))
+            log_theta[rng.random(len(log_theta)) < 0.4] = NEG_INF
+            cases.append((g, log_theta, rng.integers(0, 3, g.n_goals)))
+    dead = 0
+    for g, log_theta, seeds in cases:
+        comp = g.compiled()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside, scores = comp.inside_pass(log_theta)
+            best, sel = comp.viterbi_pass(log_theta)
+            comp.expected_counts_pass(inside, scores, seeds)
+            eta, use = comp.selected_counts_pass(sel, seeds)
+            comp.selected_multisets(sel, eta, use, np.flatnonzero(use))
+            comp.selected_explanations_pass(sel)
+        dead += int(np.sum((inside == NEG_INF) & (seeds > 0)))
+    assert np.isneginf(graph.compiled().inside_pass(np.array([0.0, NEG_INF]))[0][1:4:2]).all()
+    assert dead >= 30  # seeded dead goals reach the guards of both loops
+
+
 def assert_flatten_equal(graph):
     """Every array, level and index of the compiled graph equals the
     former flatten's, with the same dtypes."""
@@ -413,6 +483,7 @@ def assert_flatten_equal(graph):
         assert (lv.bodies.start, lv.bodies.stop) == bodies
         assert (lv.cparts.start, lv.cparts.stop) == cparts
         assert (lv.sparts.start, lv.sparts.stop) == sparts
+        assert_same(lv.cbody, ref["arrays"]["cpart_body"][slice(*cparts)] - bodies[0])
         assert all(type(x) is int for x in (lv.bodies.start, lv.cparts.stop, lv.sparts.stop))
     assert comp.n_bodies == ref["n_bodies"]
     assert body_index(comp) == ref["sel_index"]
@@ -668,6 +739,7 @@ class FormulaWalkCompiled:
                     slice(bs[k], bs[k + 1]),
                     slice(cs[k], cs[k + 1]),
                     slice(ss[k], ss[k + 1]),
+                    self.cpart_body[cs[k] : cs[k + 1]] - bs[k],
                 )
             )
 
@@ -685,7 +757,7 @@ def assert_walk_equal(graph):
         assert_same(getattr(comp, name), getattr(ref, name))
     assert len(comp.levels) == len(ref.levels)
     for lv, ref_lv in zip(comp.levels, ref.levels):
-        for name in ("goals", "seg_starts", "seg_ids"):
+        for name in ("goals", "seg_starts", "seg_ids", "cbody"):
             assert_same(getattr(lv, name), getattr(ref_lv, name))
         assert (lv.bodies, lv.cparts, lv.sparts) == (ref_lv.bodies, ref_lv.cparts, ref_lv.sparts)
     assert (comp.n_goals, comp.n_bodies) == (ref.n_goals, ref.n_bodies)
@@ -744,7 +816,7 @@ def assert_rebuilt_equal(graph):
         assert_same(getattr(comp, name), getattr(ref, name))
     assert len(comp.levels) == len(ref.levels)
     for lv, ref_lv in zip(comp.levels, ref.levels):
-        for name in ("goals", "seg_starts", "seg_ids"):
+        for name in ("goals", "seg_starts", "seg_ids", "cbody"):
             assert_same(getattr(lv, name), getattr(ref_lv, name))
         assert (lv.bodies, lv.cparts, lv.sparts) == (ref_lv.bodies, ref_lv.cparts, ref_lv.sparts)
     assert comp.tags == ref.tags and comp.topo_order == ref.topo_order

@@ -120,6 +120,19 @@ def test_treebank_round_trip():
         fio.load_treebank("(S (S a)\n")
 
 
+def test_treebank_file_with_a_truncated_line_names_file_line_and_fault(tmp_path):
+    path = tmp_path / "cut.trees"
+    path.write_text("(S (S a) (S b))\n(S (S a) (\n(S a)\n")
+    with pytest.raises(FileFormatError) as got:
+        fio.load_treebank(path)
+    assert str(got.value) == f"{path}:2: unbalanced tree text '(S (S a) ('"
+    assert (got.value.path, got.value.line) == (str(path), 2)
+    path.write_text("(S a)\n(()\n")
+    with pytest.raises(FileFormatError) as got:
+        fio.load_treebank(path)
+    assert str(got.value) == f"{path}:2: bracket '(' where a label belongs in tree text '(()'"
+
+
 def test_nbh_spec_round_trip():
     text = "class c1 c2\nhidden 2\nattr a1 y n\nattr a2 y n\n"
     spec = fio.load_nbh_spec(text)

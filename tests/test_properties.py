@@ -1,5 +1,6 @@
 """Seeded property tests over the random generators in ``conftest``."""
 
+import warnings
 from functools import lru_cache
 from unittest import mock
 
@@ -16,7 +17,7 @@ from conftest import (  # noqa: E402
     random_grammar,
     random_theta,
 )
-from explgraph.errors import AllZero  # noqa: E402
+from explgraph.errors import AllZero, ExplosionLimit  # noqa: E402
 from explgraph.grammar import (  # noqa: E402
     CFGRule,
     Grammar,
@@ -29,11 +30,12 @@ from explgraph.grammar import (  # noqa: E402
     parse_corpus,
     tree_from_explanation,
 )
-from explgraph.graph import GraphBuilder  # noqa: E402
-from explgraph.inference import viterbi  # noqa: E402
+from explgraph.graph import GraphBuilder, enumerate_explanations  # noqa: E402
+from explgraph.inference import log_theta_vector, viterbi  # noqa: E402
 from explgraph.models import DataRow, NBHSpec  # noqa: E402
 from explgraph.io import emit_expl_graph, load_expl_graph  # noqa: E402
 from explgraph.tables import ParameterTable  # noqa: E402
+from test_compiled_passes import assert_passes_equal  # noqa: E402
 from test_grammar import (  # noqa: E402
     _assert_per_root_equal,
     _cky_chart,
@@ -335,3 +337,69 @@ def test_nbh_compiler_equals_former_per_row_compiler(
         no_class = not observed_class and rng.random() < 0.3
         rows.append(DataRow(None if no_class else str(rng.choice(classes)), values))
     _assert_former_graph(spec, rows, observed_class)
+
+
+def _zeroed_log_theta(rng, graph, zero_share):
+    """Random log parameters of ``graph`` with about ``zero_share`` of the
+    slots set to probability zero, so some bodies score ``-inf`` and some
+    goals lose every body."""
+    log_theta = log_theta_vector(graph, random_theta(rng, graph))
+    log_theta[rng.random(len(log_theta)) < zero_share] = float("-inf")
+    return log_theta
+
+
+def _log_probs(graph, root, log_theta):
+    """Per explanation of ``root`` (by enumeration), its log probability."""
+    layout = graph.slots()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # collapsed derivations, on general graphs
+        try:
+            expls = enumerate_explanations(graph, root, limit=5_000)
+        except ExplosionLimit:
+            assume(False)
+    with np.errstate(invalid="ignore"):
+        return [sum(m * log_theta[layout.slot(s, v)] for (s, v), m in e.items()) for e in expls]
+
+
+ZERO_SHARES = st.sampled_from([0.0, 0.2, 0.5])
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), zero_share=ZERO_SHARES)
+def test_inside_equals_the_enumeration_sum_on_exclusive_graphs(seed, zero_share):
+    rng = np.random.default_rng(seed)
+    graph, root = random_exclusive_graph(rng)
+    log_theta = _zeroed_log_theta(rng, graph, zero_share)
+    want = sum(np.exp(lp) for lp in _log_probs(graph, root, log_theta))
+    got = np.exp(graph.compiled().inside_pass(log_theta)[0][root])
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), general=st.booleans(), zero_share=ZERO_SHARES)
+def test_viterbi_equals_the_enumeration_maximum(seed, general, zero_share):
+    rng = np.random.default_rng(seed)
+    graph, root = (random_general_graph if general else random_exclusive_graph)(rng)
+    log_theta = _zeroed_log_theta(rng, graph, zero_share)
+    want = max(_log_probs(graph, root, log_theta))
+    got = graph.compiled().viterbi_pass(log_theta)[0][root]
+    if want == float("-inf"):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), general=st.booleans(), zero_share=ZERO_SHARES)
+def test_passes_equal_the_reference_passes(seed, general, zero_share):
+    # seeds on every kind of goal, dead ones included, reach the guards of
+    # both level loops
+    rng = np.random.default_rng(seed)
+    graph, root = (random_general_graph if general else random_exclusive_graph)(rng)
+    log_theta = _zeroed_log_theta(rng, graph, zero_share)
+    seeds = rng.integers(0, 3, graph.n_goals)
+    seeds[root] += 1
+    assert_passes_equal(graph, log_theta, seeds)

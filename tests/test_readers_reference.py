@@ -481,8 +481,8 @@ def test_render_and_parse_equal_the_recursive_reference():
         assert ParseTree.parse(text) == reference_parse(text) == tree
     # malformed texts fail as the reference fails: same type, same message
     for text in (
-        "", "(", "(S", "(S (", "(S a", "(S (A a)", "a (S b)", "(S a))", "(S a) b",
-        "(S ())", "((a))", "(S (A a) (B b)) (C c)", ")", "(S a ( b)",
+        "(S", "(S a", "(S (A a)", "a (S b)", "(S a))", "(S a) b",
+        "(S (A a) (B b)) (C c)", ")", "(S a ( b)",
     ):
         with pytest.raises(Exception) as want:
             reference_parse(text)
@@ -490,6 +490,19 @@ def test_render_and_parse_equal_the_recursive_reference():
             ParseTree.parse(text)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+    # where the reference raised a bare IndexError, labelled a node with a
+    # bracket or blamed a later token, the parser names the fault
+    for text, fault in (
+        ("", "unbalanced tree text ''"),
+        ("(", "unbalanced tree text '('"),
+        ("(S (", "unbalanced tree text '(S ('"),
+        ("(()", "bracket '(' where a label belongs in tree text '(()'"),
+        ("((a))", "bracket '(' where a label belongs in tree text '((a))'"),
+        ("(S ())", "bracket ')' where a label belongs in tree text '(S ())'"),
+    ):
+        with pytest.raises(ExplGraphError) as got:
+            ParseTree.parse(text)
+        assert str(got.value) == fault
 
 
 def _deep_tree(n: int) -> ParseTree:
