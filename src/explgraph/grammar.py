@@ -229,9 +229,10 @@ class Grammar:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParseTree:
-    """Labelled tree; children are subtrees or terminal strings."""
+    """Labelled tree; children are subtrees or terminal strings.  ``==`` and
+    ``hash`` walk it with an explicit stack, so depth costs no recursion."""
 
     label: str
     children: tuple
@@ -269,11 +270,26 @@ class ParseTree:
             else:
                 stack.pop()
 
-    def shape(self):
-        """Unlabelled copy: nested tuples of terminals."""
-        return tuple(
-            c if isinstance(c, str) else c.shape() for c in self.children
-        )
+    def _same(self, other: "ParseTree", labels: bool = True) -> bool:
+        """Whether ``other`` has this tree's nodes and terminals, and its
+        labels unless ``labels`` is false, in one explicit-stack walk."""
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if (labels and a.label != b.label) or len(a.children) != len(b.children):
+                return False
+            for c, d in zip(a.children, b.children):
+                if not (isinstance(c, str) or isinstance(d, str)):
+                    stack.append((c, d))
+                elif c != d:
+                    return False
+        return True
+
+    def __eq__(self, other) -> bool:
+        return self._same(other) if isinstance(other, ParseTree) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.render())
 
     def brackets(self, start: int = 0) -> list[tuple[int, int]]:
         """Token spans (i, j), half-open, of every internal node, children
@@ -870,7 +886,12 @@ def tree_from_explanation(
         except Unparseable as e:
             raise InconsistentExplanation(f"explanation of an unparseable sentence: {e}") from e
         derivation = _search_derivation(graph, explanation, limit)
-    return _derived_tree(grammar, tokens, mode, derivation, dict(explanation.items()))
+    walk = _TreeWalk(grammar, tokens, mode)
+    tree = walk.build(derivation)
+    pairs = walk.tables.layout.slot_pairs
+    if {pairs[s]: m for s, m in walk.uses.items()} != dict(explanation.items()):
+        raise InconsistentExplanation("derivation does not reproduce the explanation")
+    return tree
 
 
 def parse_corpus(
@@ -879,10 +900,11 @@ def parse_corpus(
     """The Viterbi parse tree of each sentence under ``theta``, or ``None``
     where every derivation has probability 0.
 
-    One corpus graph of ``mode`` (its compiler raises :class:`Unparseable`)
-    and one Viterbi pass serve all sentences (``_viterbi_trees``).  The
-    trees are those of ``viterbi`` and :func:`tree_from_explanation` on
-    each sentence alone.
+    One corpus graph of ``mode`` (its compiler raises :class:`Unparseable`),
+    one Viterbi pass and one walk of the selected derivations serve all
+    sentences (``_viterbi_trees``).  The trees are those of ``viterbi`` and
+    :func:`tree_from_explanation` on each sentence alone, and a tree may be
+    deeper than the interpreter's recursion limit.
     """
     if mode not in ("pcfg", "plcg"):
         raise ExplGraphError(f"unknown mode {mode!r}")
@@ -906,41 +928,20 @@ def _viterbi_trees(
     ``mode`` graph under ``theta``, or ``None`` where the root has
     probability 0.
 
-    One Viterbi pass scores the whole graph, and the counts pass is seeded
-    with the live roots alone, so other roots of the graph (a
+    One Viterbi pass scores the whole graph, and ``selected_derivation``
+    walks down from the live roots alone, so other roots of the graph (a
     cross-validation fold's training sentences) are scored but not read.
-    Each tree is read off its root's selected derivation and checked
-    against its switch-count row.
+    Each tree is read off its root's derivation; the tests check it against
+    the root's switch-count row, which comes from the same selection.
     """
     comp = graph.compiled()
     best, sel = comp.viterbi_pass(log_theta_vector(graph, theta))
     live = [k for k, g in enumerate(roots) if not np.isneginf(best[g])]
-    goals = [roots[k] for k in live]
-    seeds = np.zeros(graph.n_goals, dtype=np.int64)
-    seeds[goals] = 1
-    eta, use = comp.selected_counts_pass(sel, seeds)
-    rows = comp.selected_multisets(sel, eta, use, goals)
-    pairs = comp.layout.slot_pairs
+    derivations = comp.selected_derivation(sel, [roots[k] for k in live]).derivations
     trees: list[Optional[ParseTree]] = [None] * len(sentences)
-    for k, row, derivation in zip(live, rows, comp.selected_derivation(sel, goals).derivations):
-        multiset = {pairs[s]: int(row[s]) for s in np.flatnonzero(row).tolist()}
-        trees[k] = _derived_tree(grammar, sentences[k], mode, derivation, multiset)
+    for k, derivation in zip(live, derivations):
+        trees[k] = _TreeWalk(grammar, sentences[k], mode).build(derivation)
     return trees
-
-
-def _derived_tree(
-    grammar: Grammar, tokens: tuple[str, ...], mode: str, derivation: tuple, multiset: dict
-) -> ParseTree:
-    """The tree of ``derivation`` over ``tokens``; raises :class:`InconsistentExplanation`
-    unless its yield is ``tokens`` and its {(switch, value): count} multiset is ``multiset``."""
-    walk = _TreeWalk(grammar, tokens, mode)
-    (tree,) = walk.sequence((grammar.start,), derivation)
-    if walk.pos != len(tokens):
-        raise InconsistentExplanation("derivation does not cover the sentence")
-    pairs = walk.tables.layout.slot_pairs
-    if {pairs[s]: m for s, m in walk.uses.items()} != multiset:
-        raise InconsistentExplanation("derivation does not reproduce the explanation")
-    return tree
 
 
 def _search_derivation(graph: ExplanationGraph, explanation: Explanation, limit: int) -> tuple:
@@ -985,11 +986,15 @@ def _search_derivation(graph: ExplanationGraph, explanation: Explanation, limit:
 
 
 class _TreeWalk:
-    """One left-to-right walk of a derivation over a sentence.
+    """One left-to-right walk of a derivation over a sentence, with an
+    explicit stack, so depth costs no recursion: ``sequence``, ``expand``
+    and ``left_corner`` are generators that yield ``(symbol, node)`` for
+    each subtree they need and are sent it back, and ``build`` drives a
+    stack of them in the order of a recursive walk.
 
     ``pos`` is the next token to consume and ``uses`` counts the slots of
-    the derivation's switch instances, in the layout of ``tables``, to be
-    compared with the explanation: a PCFG node's rule slot
+    the derivation's switch instances, in the layout of ``tables``, for a
+    caller to compare with an explanation: a PCFG node's rule slot
     (``_SymbolBits.rule_slot``) or a left-corner chain's slots
     (``_LeftCornerSwitches``).  A step that the grammar or the sentence
     does not allow raises :class:`InconsistentExplanation`.
@@ -1004,6 +1009,22 @@ class _TreeWalk:
             self.tables, self.subtree = grammar._symbol_bits, self.expand
         else:
             self.tables, self.subtree = grammar._lc_switches, self.left_corner
+
+    def build(self, derivation: tuple) -> ParseTree:
+        """The tree of ``derivation``; it must cover the whole sentence."""
+        stack, sent = [self.sequence((self.grammar.start,), derivation)], None
+        while stack:
+            try:
+                symbol, node = stack[-1].send(sent)
+            except StopIteration as done:
+                stack.pop()
+                sent = done.value
+            else:
+                stack.append(self.subtree(symbol, node))
+                sent = None
+        if self.pos != len(self.tokens):
+            raise InconsistentExplanation("derivation does not cover the sentence")
+        return sent[0]
 
     def use(self, slot: Optional[int], refusal: str = "") -> None:
         """Count one use of ``slot``; ``None``, a switch the grammar lacks,
@@ -1031,7 +1052,7 @@ class _TreeWalk:
             if s in self.grammar.nonterminals:
                 if k == len(nodes):
                     raise InconsistentExplanation(f"derivation lacks a subtree for {s}")
-                out.append(self.subtree(s, nodes[k]))
+                out.append((yield s, nodes[k]))
                 k += 1
             elif self.token() == s:
                 out.append(s)
@@ -1047,7 +1068,7 @@ class _TreeWalk:
         if rule.lhs != symbol:
             raise InconsistentExplanation(f"derivation expands {rule.lhs} where {symbol} stands")
         self.use(self.tables.rule_slot[ridx])
-        return ParseTree(symbol, tuple(self.sequence(rule.rhs, kids)))
+        return ParseTree(symbol, tuple((yield from self.sequence(rule.rhs, kids))))
 
     def left_corner(self, goal: str, node) -> ParseTree:
         """Left-corner chain for ``goal``: shift a word, then grow it.
@@ -1070,12 +1091,12 @@ class _TreeWalk:
             if len(kids) == arity and rule.lhs == goal:
                 if attach is not None:
                     self.use(attach[0])
-                return ParseTree(goal, (done, *self.sequence(beta, kids)))
+                return ParseTree(goal, (done, *(yield from self.sequence(beta, kids))))
             if len(kids) != arity + 1:
                 raise InconsistentExplanation(f"derivation does not finish {rule.lhs} as {goal}")
             if rule.lhs == goal:
                 self.use(None if attach is None else attach[1], f"derivation projects {goal}")
-            done = ParseTree(rule.lhs, (done, *self.sequence(beta, kids[:-1])))
+            done = ParseTree(rule.lhs, (done, *(yield from self.sequence(beta, kids[:-1]))))
             label, node = rule.lhs, kids[-1]
 
 
@@ -1146,7 +1167,7 @@ def metrics(predicted: Sequence[ParseTree], reference: Sequence[ParseTree]) -> M
     for p, r in zip(predicted, reference):
         if p == r:
             lt += 1
-        if p.shape() == r.shape():
+        if p._same(r, labels=False):
             bt += 1
         if not _crossing(p.brackets(), r.brackets()):
             cb += 1

@@ -23,6 +23,7 @@ from explgraph.grammar import (  # noqa: E402
     Grammar,
     _chart_corpus,
     _SymbolBits,
+    _TreeWalk,
     compile_pcfg,
     compile_pcfg_corpus,
     compile_plcg,
@@ -148,7 +149,10 @@ def test_parse_corpus_equals_per_sentence_viterbi_trees(seed, n_nonterminals, de
     # entries: in both modes the batch must return the tree that compile,
     # viterbi and tree_from_explanation give each sentence alone, and None
     # exactly where that path raises AllZero.  A PCFG tree's rule counts
-    # are its explanation's multiset.  No sentence builds no graph
+    # are its explanation's multiset, and in both modes the walk of each
+    # root's derivation counts the slots of the root's multiset row, the
+    # check the batch read-off leaves to the tests.  No sentence builds no
+    # graph
     rng = np.random.default_rng(seed)
     grammar = random_grammar(rng, n_nonterminals)
     sentences = [_derive(grammar, rng, depth) for _ in range(n_sentences)]
@@ -178,6 +182,18 @@ def test_parse_corpus_equals_per_sentence_viterbi_trees(seed, n_nonterminals, de
                 assert tree.rule_counts() == dict(res.explanation.items())
             expected.append(tree)
         assert parse_corpus(grammar, sentences, theta, mode) == expected
+        graph, roots = compile_corpus(grammar, sentences)
+        comp = graph.compiled()
+        _, sel = comp.viterbi_pass(log_theta_vector(graph, theta))
+        live = [k for k, tree in enumerate(expected) if tree is not None]
+        goals = [roots[k] for k in live]
+        seeds = np.zeros(graph.n_goals, dtype=np.int64)
+        seeds[goals] = 1
+        rows = comp.selected_multisets(sel, *comp.selected_counts_pass(sel, seeds), goals)
+        for k, row, derivation in zip(live, rows, comp.selected_derivation(sel, goals).derivations):
+            walk = _TreeWalk(grammar, sentences[k], mode)
+            assert walk.build(derivation) == expected[k]
+            assert walk.uses == {s: int(row[s]) for s in np.flatnonzero(row)}
 
 
 def _derivability(grammar, tokens):

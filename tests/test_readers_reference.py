@@ -15,7 +15,18 @@ goal, a scan of every goal for the choice trace, the former
 and an ``Explanation`` whose constructor sorts the items by rendering.
 ``reference_brackets``, ``reference_tokens``, ``reference_walk``,
 ``reference_render`` and ``reference_parse`` are the former recursive
-``ParseTree.brackets``, ``tokens``, ``walk``, ``render`` and ``parse``.
+``ParseTree.brackets``, ``tokens``, ``walk``, ``render`` and ``parse``;
+``reference_shape`` is the former ``ParseTree.shape``, which ``metrics``
+compared for its bracketing match, and ``reference_labelled`` spells out
+what the generated dataclass ``==`` compared.
+``_RecursiveTreeWalk`` is the former ``_TreeWalk``, whose ``sequence``,
+``expand`` and ``left_corner`` called each other once per tree level.
+``reference_viterbi_trees`` is the former fold read-off
+(``_viterbi_trees``): a Viterbi pass, a ``selected_counts_pass`` seeded
+with the live roots, their ``selected_multisets`` rows and one
+``selected_derivation``, each tree read by ``reference_derived_tree`` (the
+former ``_derived_tree``), which checks the recursive walk's slot counts
+against the root's row.
 All are kept verbatim but for their names.
 """
 
@@ -39,19 +50,26 @@ from explgraph.errors import (
 from explgraph.grammar import (
     CFGRule,
     Grammar,
+    MetricsReport,
     ParseTree,
     _search_derivation,
+    _TreeWalk,
+    _viterbi_trees,
     compile_pcfg,
     compile_pcfg_corpus,
     compile_plcg,
     compile_plcg_corpus,
     count_ml,
     gen_corpus,
+    metrics,
+    parse_corpus,
     tree_from_explanation,
     tree_goals_graph,
 )
-from explgraph.graph import Explanation, SwitchDecl, SwitchInstance
-from explgraph.harness import SESSION_QUERIES, _route, fold_partition
+from explgraph.compiled import CompiledGraph
+from explgraph.graph import Explanation, ExplanationGraph, GoalId, SwitchDecl, SwitchInstance
+from explgraph import harness
+from explgraph.harness import SESSION_QUERIES, ExperimentConfig, _route, cv_run, fold_partition
 from explgraph.inference import ViterbiResult, extract_viterbi, log_theta_vector, viterbi
 from explgraph.io import load_grammar
 from explgraph.learning import LearnConfig, learn
@@ -157,6 +175,150 @@ class _ReferenceTreeWalk:
                 raise InconsistentExplanation(f"derivation does not finish {rule.lhs} as {goal}")
             if rule.lhs == goal:
                 self.uses.append(SwitchInstance(Term("att", (goal,)), "pro"))
+            done = ParseTree(rule.lhs, (done, *self.sequence(beta, kids[:-1])))
+            label, node = rule.lhs, kids[-1]
+
+
+def reference_viterbi_trees(
+    grammar: Grammar,
+    mode: str,
+    graph: ExplanationGraph,
+    roots: Sequence[GoalId],
+    sentences: Sequence[tuple[str, ...]],
+    theta: ParameterTable,
+) -> list[Optional[ParseTree]]:
+    """The Viterbi tree of ``sentences[k]`` read off ``roots[k]`` of a
+    ``mode`` graph under ``theta``, or ``None`` where the root has
+    probability 0.
+
+    One Viterbi pass scores the whole graph, and the counts pass is seeded
+    with the live roots alone, so other roots of the graph (a
+    cross-validation fold's training sentences) are scored but not read.
+    Each tree is read off its root's selected derivation and checked
+    against its switch-count row.
+    """
+    comp = graph.compiled()
+    best, sel = comp.viterbi_pass(log_theta_vector(graph, theta))
+    live = [k for k, g in enumerate(roots) if not np.isneginf(best[g])]
+    goals = [roots[k] for k in live]
+    seeds = np.zeros(graph.n_goals, dtype=np.int64)
+    seeds[goals] = 1
+    eta, use = comp.selected_counts_pass(sel, seeds)
+    rows = comp.selected_multisets(sel, eta, use, goals)
+    pairs = comp.layout.slot_pairs
+    trees: list[Optional[ParseTree]] = [None] * len(sentences)
+    for k, row, derivation in zip(live, rows, comp.selected_derivation(sel, goals).derivations):
+        multiset = {pairs[s]: int(row[s]) for s in np.flatnonzero(row).tolist()}
+        trees[k] = reference_derived_tree(grammar, sentences[k], mode, derivation, multiset)
+    return trees
+
+
+def reference_derived_tree(
+    grammar: Grammar, tokens: tuple[str, ...], mode: str, derivation: tuple, multiset: dict
+) -> ParseTree:
+    """The tree of ``derivation`` over ``tokens``; raises :class:`InconsistentExplanation`
+    unless its yield is ``tokens`` and its {(switch, value): count} multiset is ``multiset``."""
+    walk = _RecursiveTreeWalk(grammar, tokens, mode)
+    (tree,) = walk.sequence((grammar.start,), derivation)
+    if walk.pos != len(tokens):
+        raise InconsistentExplanation("derivation does not cover the sentence")
+    pairs = walk.tables.layout.slot_pairs
+    if {pairs[s]: m for s, m in walk.uses.items()} != multiset:
+        raise InconsistentExplanation("derivation does not reproduce the explanation")
+    return tree
+
+
+class _RecursiveTreeWalk:
+    """One left-to-right walk of a derivation over a sentence.
+
+    ``pos`` is the next token to consume and ``uses`` counts the slots of
+    the derivation's switch instances, in the layout of ``tables``, to be
+    compared with the explanation: a PCFG node's rule slot
+    (``_SymbolBits.rule_slot``) or a left-corner chain's slots
+    (``_LeftCornerSwitches``).  A step that the grammar or the sentence
+    does not allow raises :class:`InconsistentExplanation`.
+    """
+
+    def __init__(self, grammar: Grammar, tokens: tuple[str, ...], mode: str):
+        self.grammar = grammar
+        self.tokens = tokens
+        self.pos = 0
+        self.uses: dict[int, int] = {}
+        if mode == "pcfg":
+            self.tables, self.subtree = grammar._symbol_bits, self.expand
+        else:
+            self.tables, self.subtree = grammar._lc_switches, self.left_corner
+
+    def use(self, slot: Optional[int], refusal: str = "") -> None:
+        """Count one use of ``slot``; ``None``, a switch the grammar lacks,
+        raises ``refusal``."""
+        if slot is None:
+            raise InconsistentExplanation(refusal)
+        self.uses[slot] = self.uses.get(slot, 0) + 1
+
+    def token(self) -> str:
+        if self.pos >= len(self.tokens):
+            raise InconsistentExplanation("derivation runs past the end of the sentence")
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def rule(self, node) -> tuple[int, CFGRule, tuple]:
+        ridx, kids = node
+        if not 0 <= ridx < len(self.grammar.rules):
+            raise InconsistentExplanation(f"derivation names no rule {ridx}")
+        return ridx, self.grammar.rules[ridx], kids
+
+    def sequence(self, symbols: Sequence[str], nodes: tuple) -> list:
+        """Children covering ``symbols``, one node per nonterminal, in order."""
+        out, k = [], 0
+        for s in symbols:
+            if s in self.grammar.nonterminals:
+                if k == len(nodes):
+                    raise InconsistentExplanation(f"derivation lacks a subtree for {s}")
+                out.append(self.subtree(s, nodes[k]))
+                k += 1
+            elif self.token() == s:
+                out.append(s)
+            else:
+                raise InconsistentExplanation(f"derivation expects token {s!r}")
+        if k != len(nodes):
+            raise InconsistentExplanation("derivation has subtrees that no rule uses")
+        return out
+
+    def expand(self, symbol: str, node) -> ParseTree:
+        """Rule-expansion node: its rule rewrites ``symbol``."""
+        ridx, rule, kids = self.rule(node)
+        if rule.lhs != symbol:
+            raise InconsistentExplanation(f"derivation expands {rule.lhs} where {symbol} stands")
+        self.use(self.tables.rule_slot[ridx])
+        return ParseTree(symbol, tuple(self.sequence(rule.rhs, kids)))
+
+    def left_corner(self, goal: str, node) -> ParseTree:
+        """Left-corner chain for ``goal``: shift a word, then grow it.
+
+        Each chain node applies ``A -> B beta`` to the finished
+        B-constituent threaded along.  A node with one child per
+        nonterminal of ``beta`` attaches (A is the goal); one more child is
+        the chain's next node.
+        """
+        lc, nts = self.tables, self.grammar.nonterminals
+        label = done = self.token()
+        self.use(lc.first.get((goal, label)), f"derivation shifts {label!r} for {goal}")
+        attach = lc.attach.get(goal)
+        while True:
+            ridx, rule, kids = self.rule(node)
+            grow = dict(lc.grow.get((goal, label), ()))
+            self.use(grow.get(ridx), f"derivation applies {rule} to a finished {label}")
+            beta = rule.rhs[1:]
+            arity = sum(s in nts for s in beta)
+            if len(kids) == arity and rule.lhs == goal:
+                if attach is not None:
+                    self.use(attach[0])
+                return ParseTree(goal, (done, *self.sequence(beta, kids)))
+            if len(kids) != arity + 1:
+                raise InconsistentExplanation(f"derivation does not finish {rule.lhs} as {goal}")
+            if rule.lhs == goal:
+                self.use(None if attach is None else attach[1], f"derivation projects {goal}")
             done = ParseTree(rule.lhs, (done, *self.sequence(beta, kids[:-1])))
             label, node = rule.lhs, kids[-1]
 
@@ -299,6 +461,22 @@ def reference_render(tree: ParseTree) -> str:
     return f"({tree.label} {inner})"
 
 
+def reference_shape(tree: ParseTree):
+    """Unlabelled copy: nested tuples of terminals."""
+    return tuple(
+        c if isinstance(c, str) else reference_shape(c) for c in tree.children
+    )
+
+
+def reference_labelled(tree: ParseTree):
+    """What the generated dataclass ``==`` and ``hash`` compared: the
+    label and the children, recursively, as nested tuples."""
+    return (
+        tree.label,
+        tuple(c if isinstance(c, str) else reference_labelled(c) for c in tree.children),
+    )
+
+
 def reference_parse(text: str) -> ParseTree:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
@@ -422,6 +600,22 @@ def test_viterbi_read_off_equals_the_reference_on_an_nbh_fold_graph():
         assert assert_read_off_equals_the_reference(graph, theta, range(graph.n_goals)) > 0
 
 
+def test_viterbi_trees_equal_the_recursive_read_off_under_vt_and_em(demo20_graphs):
+    # the reference checks each tree's slot counts against its root's
+    # multiset row, and raises where they differ
+    demo20, sentences, graphs = demo20_graphs
+    sentences = [tuple(s) for s in sentences]
+    for mode, (graph, roots, thetas) in graphs.items():
+        em = learn(graph, roots, LearnConfig(method="em", seed=1)).final_theta
+        for theta in (*thetas, em):
+            trees = _viterbi_trees(demo20, mode, graph, roots, sentences, theta)
+            assert trees == reference_viterbi_trees(demo20, mode, graph, roots, sentences, theta)
+            assert [t.tokens() for t in trees] == [list(s) for s in sentences]
+            # a fold's test roots alone, the rest of the graph scored but not read
+            fold = _viterbi_trees(demo20, mode, graph, roots[::4], sentences[::4], theta)
+            assert fold == trees[::4]
+
+
 def test_slot_rank_orders_items_as_rendering_does(demo20_graphs):
     # the rank is computed once per layout, on first use, and frontend
     # graphs share their grammar's layout
@@ -474,6 +668,29 @@ def test_tokens_and_walk_equal_the_recursive_reference():
         assert [id(node) for node in tree.walk()] == [id(node) for node in reference_walk(tree)]
 
 
+def test_equality_and_bracket_match_equal_the_recursive_comparisons():
+    # every pair of 200 demo20 trees (many of them equal) and of copies
+    # whose root or last child is relabelled
+    trees = _sample_trees()[:200]
+    for t in trees[:20]:
+        trees.append(ParseTree("X", t.children))
+        *head, last = t.children
+        if not isinstance(last, str):
+            trees.append(ParseTree(t.label, (*head, ParseTree("X", last.children))))
+    labelled = [reference_labelled(t) for t in trees]
+    shapes = [reference_shape(t) for t in trees]
+    equal = same_brackets = 0
+    for p, p_labelled, p_shape in zip(trees, labelled, shapes):
+        for r, r_labelled, r_shape in zip(trees, labelled, shapes):
+            assert (p == r) == (p_labelled == r_labelled) != (p != r)
+            assert p._same(r, labels=False) == (p_shape == r_shape)
+            if p == r:
+                assert hash(p) == hash(r)
+            equal += p == r
+            same_brackets += p_shape == r_shape
+    assert len(trees) ** 2 > same_brackets > equal > len(trees)
+
+
 def test_render_and_parse_equal_the_recursive_reference():
     for tree in _sample_trees() + [ParseTree("X", ()), ParseTree("S", (ParseTree("A", ()), "b"))]:
         text = tree.render()
@@ -505,10 +722,10 @@ def test_render_and_parse_equal_the_recursive_reference():
         assert str(got.value) == fault
 
 
-def _deep_tree(n: int) -> ParseTree:
-    """``S -> l S r`` nested ``n`` deep around a ``S -> w`` leaf, with each
-    level's words numbered, built without recursion."""
-    tree = ParseTree("S", ("w",))
+def _deep_tree(n: int, leaf: str = "S") -> ParseTree:
+    """``S -> l S r`` nested ``n`` deep around a ``leaf -> w`` node, with
+    each level's words numbered, built without recursion."""
+    tree = ParseTree(leaf, ("w",))
     for k in range(n - 1, 0, -1):
         tree = ParseTree("S", (f"l{k}", tree, f"r{k}"))
     return tree
@@ -534,7 +751,6 @@ def test_tree_readers_on_a_1200_deep_tree_at_the_default_recursion_limit():
 
 
 def test_render_parse_round_trip_of_a_1200_deep_tree_at_the_default_recursion_limit():
-    # compared by text and brackets: ==, hash and shape still recurse
     assert sys.getrecursionlimit() <= 1000
     n = 1200
     tree = _deep_tree(n)
@@ -546,6 +762,88 @@ def test_render_parse_round_trip_of_a_1200_deep_tree_at_the_default_recursion_li
     assert again.render() == text
     assert again.brackets() == tree.brackets()
     assert again.tokens() == tree.tokens()
+    assert again is not tree and again == tree and hash(again) == hash(tree)
+
+
+def test_equality_hash_and_metrics_of_1200_deep_trees_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    n = 1200
+    tree, twin, relabelled = _deep_tree(n), _deep_tree(n), _deep_tree(n, leaf="T")
+    assert twin is not tree and twin == tree and hash(twin) == hash(tree)
+    assert metrics([twin], [tree]) == MetricsReport(100.0, 100.0, 100.0, 1)
+    # the innermost label differs: not equal, but the same unlabelled brackets
+    assert relabelled != tree and not relabelled == tree
+    assert metrics([relabelled], [tree]) == MetricsReport(0.0, 100.0, 100.0, 1)
+    # a terminal where a subtree stands, and one child fewer: neither bracketing matches
+    flat = ParseTree("S", ("l1", "S", "r1"))
+    short = ParseTree("S", ("l1", tree.children[1]))
+    for other in (flat, short):
+        assert other != tree and tree != other
+        assert metrics([other], [tree]).bt == 0.0
+    assert tree != tree.render() and tree.__eq__(tree.render()) is NotImplemented
+
+
+_LONG = ("pro",) + ("aux",) * 600 + ("verb",)
+
+
+def test_parse_corpus_reads_a_602_token_sentence_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    demo20 = load_grammar(DEMO20)
+    for mode, compile_corpus in (("pcfg", compile_pcfg_corpus), ("plcg", compile_plcg_corpus)):
+        theta = ParameterTable.uniform(compile_corpus(demo20, [_LONG])[0].switches.values())
+        (tree,) = parse_corpus(demo20, [_LONG], theta, mode)
+        assert tree.tokens() == list(_LONG)
+        again = ParseTree.parse(str(tree))
+        assert again is not tree and again == tree and hash(again) == hash(tree)
+
+
+def test_cv_run_with_a_602_token_tree_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    demo20 = load_grammar(DEMO20)
+    theta = demo20.pcfg_parameter_table()
+    (long_tree,) = parse_corpus(demo20, [_LONG], theta, "pcfg")
+    trees = gen_corpus(demo20, theta, 40, seed=1).trees() + [long_tree]
+    for task in ("pcfg", "plcg"):
+        for method in ("vt", "em"):
+            config = ExperimentConfig(task=task, method=method, folds=2, grammar=demo20, treebank=trees)
+            report = cv_run(config)
+            assert report.prediction_failures == 0
+            assert sum(fold.n for fold in report.folds) == 41
+
+
+def test_parse_corpus_and_cv_run_read_no_counts_pass_and_no_multiset_rows(monkeypatch):
+    # trees are read off one selected_derivation; only VT learning may
+    # call the selected counts pass and its multiset rows
+    learning = []
+    for name in ("selected_counts_pass", "selected_multisets"):
+
+        def refuse(self, *args, _name=name, _real=getattr(CompiledGraph, name)):
+            assert learning, f"{_name} called outside learning"
+            return _real(self, *args)
+
+        monkeypatch.setattr(CompiledGraph, name, refuse)
+
+    def learning_only(*args):
+        learning.append(True)
+        try:
+            return learn(*args)
+        finally:
+            learning.pop()
+
+    monkeypatch.setattr(harness, "learn", learning_only)
+    demo20 = load_grammar(DEMO20)
+    trees = gen_corpus(demo20, demo20.pcfg_parameter_table(), 40, seed=1).trees()
+    sentences = [t.tokens() for t in trees]
+    for mode, compile_corpus in (("pcfg", compile_pcfg_corpus), ("plcg", compile_plcg_corpus)):
+        graph, roots = compile_corpus(demo20, sentences)
+        with pytest.raises(AssertionError, match="selected_counts_pass called outside learning"):
+            learn(graph, roots, LearnConfig(method="vt"))
+        theta = learning_only(graph, roots, LearnConfig(method="vt")).final_theta
+        parsed = parse_corpus(demo20, sentences, theta, mode)
+        assert [t.tokens() for t in parsed] == sentences
+        for method in ("vt", "em"):
+            config = ExperimentConfig(task=mode, method=method, folds=2, grammar=demo20, treebank=trees)
+            assert sum(fold.n for fold in cv_run(config).folds) == 40
 
 
 # -- trees ------------------------------------------------------------------------
@@ -557,6 +855,15 @@ def _verdict(read, grammar, tokens, explanation, mode, **kw):
         return read(grammar, tokens, explanation, mode, **kw)
     except (InconsistentExplanation, ExplosionLimit) as e:
         return type(e)
+
+
+def _message(read, *args):
+    """The tree ``read`` returns, or the message of the
+    :class:`InconsistentExplanation` it raised."""
+    try:
+        return read(*args)
+    except InconsistentExplanation as e:
+        return str(e)
 
 
 def _preorder(derivation) -> list[tuple]:
@@ -627,6 +934,7 @@ def test_mutated_inputs_are_rejected_as_the_reference_rejects_them(demo20_parses
     demo20, parses = demo20_parses
     n_rules = len(demo20.rules)
     rejected = {"sentence": 0, "mode": 0, "tag": 0, "subtree": 0}
+    messages = set()
     other = {"pcfg": "plcg", "plcg": "pcfg"}
     for mode, parsed in parses.items():
         for k, (tokens, expl) in enumerate(parsed):
@@ -648,7 +956,19 @@ def test_mutated_inputs_are_rejected_as_the_reference_rejects_them(demo20_parses
                 got = _verdict(tree_from_explanation, demo20, words, e, m)
                 assert got == _verdict(reference_tree_from_explanation, demo20, words, e, m)
                 rejected[name] += got is InconsistentExplanation
+                # the recursive walk raises the same message at the same step
+                message = _message(tree_from_explanation, demo20, words, e, m)
+                recursive = (demo20, tuple(words), m, e.derivation, dict(e.items()))
+                assert message == _message(reference_derived_tree, *recursive)
+                messages.add(message)
     assert rejected == dict.fromkeys(rejected, 400)
+    # the walk's refusals met, each with the same message as the recursive walk
+    refusals = (
+        "applies", "does not cover", "does not finish", "expands", "expects token",
+        "has subtrees", "lacks a subtree", "runs past", "shifts",
+    )
+    for refusal in refusals:
+        assert any(m.startswith(f"derivation {refusal} ") for m in messages), refusal
 
 
 def test_reading_a_derivation_builds_no_term_instance_or_explanation(monkeypatch, demo20_parses):
